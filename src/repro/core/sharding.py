@@ -43,7 +43,6 @@ from repro.errors import ConfigError, CrashError
 from repro.ftl.base import FTLStats
 from repro.ftl.ssd import SSD
 from repro.flash.chip import FlashStats
-from repro.sim.completion import is_plane_resource, parse_shard_resource
 from repro.sim.crash import CrashInjector
 from repro.sim.events import EventScheduler
 from repro.ssc.device import SolidStateCache
@@ -107,8 +106,8 @@ class _ShardedChipView:
     """The array's chips presented as one chip-like object.
 
     Cache managers attach their op recorder to ``device.chip`` and the
-    replay engine resolves plane resource keys and busy timelines
-    through it; this view fans both out across the member chips.
+    replay engine takes the plane timelines from it; this view fans
+    both out across the member chips.
     """
 
     def __init__(self, chips: Sequence[Any]):
@@ -126,9 +125,7 @@ class _ShardedChipView:
 
     @property
     def planes(self):
-        """Shard 0's planes — resolves unsharded ``plane:<n>`` keys,
-        which only occur when the array has a single member (whose
-        chip keeps the unsharded key names)."""
+        """Shard 0's planes (the array-wide set is :meth:`resources`)."""
         return self._chips[0].planes
 
     # -- recorder fan-out ----------------------------------------------
@@ -146,10 +143,7 @@ class _ShardedChipView:
 
     @property
     def stats(self) -> FlashStats:
-        merged = FlashStats()
-        for chip in self._chips:
-            merged = merged.merge(chip.stats)
-        return merged
+        return FlashStats.total(chip.stats for chip in self._chips)
 
     def total_erases(self) -> int:
         return sum(chip.total_erases() for chip in self._chips)
@@ -167,23 +161,13 @@ class _ShardedChipView:
     def free_blocks_total(self) -> int:
         return sum(chip.free_blocks_total() for chip in self._chips)
 
-    # -- replay-engine hooks -------------------------------------------
-
-    def reset_availability(self) -> None:
-        for chip in self._chips:
-            chip.reset_availability()
-
-    def plane_for_resource(self, key: str):
-        """Resolve an ``"s<k>:plane:<n>"`` key to the member plane."""
-        parsed = parse_shard_resource(key)
-        if parsed is None:
-            return None
-        shard_id, rest = parsed
-        if shard_id >= len(self._chips) or not is_plane_resource(rest):
-            return None
-        planes = self._chips[shard_id].planes
-        plane_id = int(rest.split(":", 1)[1])
-        return planes[plane_id] if plane_id < len(planes) else None
+    def resources(self):
+        """Every member chip's plane timelines, by resource key."""
+        return {
+            key: plane
+            for chip in self._chips
+            for key, plane in chip.resources().items()
+        }
 
     def __repr__(self) -> str:
         return f"_ShardedChipView(chips={len(self._chips)})"
@@ -197,10 +181,7 @@ class _ShardedEngineView:
 
     @property
     def stats(self) -> FTLStats:
-        merged = FTLStats()
-        for shard in self._shards:
-            merged = merged.merge(shard.engine.stats)
-        return merged
+        return FTLStats.total(shard.engine.stats for shard in self._shards)
 
     @property
     def pages_per_block(self) -> int:
@@ -513,10 +494,7 @@ class ShardedSSD:
 
     @property
     def stats(self) -> FTLStats:
-        merged = FTLStats()
-        for ssd in self.ssds:
-            merged = merged.merge(ssd.stats)
-        return merged
+        return FTLStats.total(ssd.stats for ssd in self.ssds)
 
     # ---- block interface -------------------------------------------------
 

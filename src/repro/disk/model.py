@@ -121,6 +121,10 @@ class Disk:
         """Forget availability history (new measurement epoch)."""
         self.busy_until_us = 0.0
 
+    def resources(self) -> Dict[str, "Disk"]:
+        """The spindle's availability timeline, by resource key."""
+        return {DISK_RESOURCE: self}
+
     def peek(self, lbn: int) -> Any:
         """Read contents without timing cost (test/verification helper)."""
         self._check(lbn)

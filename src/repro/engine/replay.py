@@ -30,34 +30,15 @@ so each request starts exactly when its predecessor finishes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.manager.base import CacheManager
 from repro.sim.clock import SimClock
-from repro.sim.completion import Completion, is_plane_resource
+from repro.sim.completion import Completion
 from repro.sim.events import EventScheduler
 from repro.stats.counters import LatencyStats, ReplayStats
 from repro.traces.record import TraceRecord
 from repro.traces.replay import _issue, _trace_request
-
-
-class _FallbackResource:
-    """Availability timeline for a resource the engine cannot map onto
-    a device object (forward compatibility with new resource keys)."""
-
-    __slots__ = ("busy_until_us",)
-
-    def __init__(self):
-        self.busy_until_us = 0.0
-
-    def reserve(self, start_us: float, duration_us: float):
-        start = start_us if start_us >= self.busy_until_us else self.busy_until_us
-        finish = start + duration_us
-        self.busy_until_us = finish
-        return start, finish
-
-    def reset_busy(self) -> None:
-        self.busy_until_us = 0.0
 
 
 class ReplayEngine:
@@ -74,47 +55,14 @@ class ReplayEngine:
         self.manager = manager
         self.queue_depth = queue_depth
         self.clock = clock or SimClock()
-        self._chip = self._find_chip(manager)
-        self._disk = getattr(manager, "disk", None)
-        self._resources: Dict[str, Any] = {}
-
-    @staticmethod
-    def _find_chip(manager: CacheManager):
-        for attr in ("ssc", "ssd"):
-            device = getattr(manager, attr, None)
-            if device is not None and hasattr(device, "chip"):
-                return device.chip
-        return None
-
-    def _resource(self, key: str):
-        """Map a resource key to its availability timeline."""
-        resource = self._resources.get(key)
-        if resource is not None:
-            return resource
-        if key == "disk" and self._disk is not None:
-            resource = self._disk
-        elif is_plane_resource(key) and self._chip is not None:
-            plane_id = int(key.split(":", 1)[1])
-            planes = self._chip.planes
-            resource = planes[plane_id] if plane_id < len(planes) else _FallbackResource()
-        else:
-            # Sharded arrays re-key their planes as "s<k>:plane:<n>" and
-            # expose plane_for_resource on the chip view to resolve them.
-            resolver = getattr(self._chip, "plane_for_resource", None)
-            plane = resolver(key) if resolver is not None else None
-            resource = plane if plane is not None else _FallbackResource()
-        self._resources[key] = resource
-        return resource
+        #: Resource key -> availability timeline, for every plane and
+        #: disk the manager's devices can occupy.
+        self._resources = manager.resources()
 
     def _reset_availability(self) -> None:
         """Start a measurement epoch with every resource idle."""
-        if self._chip is not None:
-            self._chip.reset_availability()
-        if self._disk is not None and hasattr(self._disk, "reset_busy"):
-            self._disk.reset_busy()
         for resource in self._resources.values():
-            if isinstance(resource, _FallbackResource):
-                resource.reset_busy()
+            resource.reset_busy()
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -158,10 +106,7 @@ class ReplayEngine:
         cursor = at_us
         resources = self._resources
         for resource_key, kind, duration_us in completion.ops:
-            resource = resources.get(resource_key)
-            if resource is None:
-                resource = self._resource(resource_key)
-            start, finish = resource.reserve(cursor, duration_us)
+            start, finish = resources[resource_key].reserve(cursor, duration_us)
             wait_us += start - cursor
             cursor = finish
             busy[resource_key] = busy.get(resource_key, 0.0) + duration_us

@@ -10,7 +10,7 @@ evaluation's Table 5 reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import CrashError
 from repro.flash.block import EraseBlock
@@ -20,37 +20,21 @@ from repro.flash.plane import Plane
 from repro.flash.timing import TimingModel
 from repro.sim.completion import OpRecorder, plane_resource, shard_plane_resource
 from repro.sim.crash import CrashInjector, CrashPoint
+from repro.stats.counters import Counters, counter, gauge
 from repro.util.checksum import crc32_of_payload
 
 
 @dataclass
-class FlashStats:
+class FlashStats(Counters):
     """Cumulative operation counts for one chip."""
 
-    page_reads: int = 0
-    page_writes: int = 0
-    block_erases: int = 0
-    oob_scans: int = 0
-    busy_us: float = 0.0
-
-    def snapshot(self) -> "FlashStats":
-        """Return an independent copy (for before/after deltas)."""
-        return FlashStats(
-            page_reads=self.page_reads,
-            page_writes=self.page_writes,
-            block_erases=self.block_erases,
-            oob_scans=self.oob_scans,
-            busy_us=self.busy_us,
-        )
-
-    def merge(self, other: "FlashStats") -> "FlashStats":
-        """Field-wise sum — aggregates the chips of a sharded array.
-
-        Commutative and associative, with ``FlashStats()`` as the unit.
-        """
-        return FlashStats(
-            **{name: getattr(self, name) + getattr(other, name) for name in vars(self)}
-        )
+    page_reads: int = counter("Physical page reads the chip executed.")
+    page_writes: int = counter("Physical page programs the chip executed.")
+    block_erases: int = counter(
+        "Physical block erases the chip executed (wear).")
+    oob_scans: int = counter(
+        "Out-of-band area scans (native OOB recovery path).")
+    busy_us: float = gauge("Total simulated time flash planes spent busy.")
 
 
 class FlashChip:
@@ -86,9 +70,6 @@ class FlashChip:
         ]
         for plane, key in zip(self.planes, self._plane_keys):
             plane.resource_key = key
-        # Set when this chip is a member of a sharded array (see
-        # set_resource_shard); None for a standalone device.
-        self.resource_shard: Optional[int] = None
         # The timing model is frozen, so per-op costs are constants.
         self._read_cost_us = self.timing.read_cost()
         self._write_cost_us = self.timing.write_cost()
@@ -135,7 +116,6 @@ class FlashChip:
         availability timelines in the replay engine — physically
         separate devices must never queue behind one another.
         """
-        self.resource_shard = shard_id
         self._plane_keys = [
             shard_plane_resource(shard_id, plane_id)
             for plane_id in range(self.geometry.planes)
@@ -145,10 +125,9 @@ class FlashChip:
 
     # ---- availability ------------------------------------------------------
 
-    def reset_availability(self) -> None:
-        """Zero every plane's busy-until time (new measurement epoch)."""
-        for plane in self.planes:
-            plane.reset_busy()
+    def resources(self) -> Dict[str, Plane]:
+        """Each plane's availability timeline, by resource key."""
+        return {plane.resource_key: plane for plane in self.planes}
 
     # ---- timed operations -------------------------------------------------
 

@@ -12,52 +12,42 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.stats.counters import Counters, counter
+
 
 @dataclass
-class FTLStats:
+class FTLStats(Counters):
     """Cumulative FTL-level activity counters."""
 
-    user_reads: int = 0
-    user_writes: int = 0
-    gc_page_reads: int = 0
-    gc_page_writes: int = 0
-    meta_page_writes: int = 0        # operation log + checkpoint pages (SSC)
-    full_merges: int = 0
-    switch_merges: int = 0
-    partial_merges: int = 0
-    silent_evictions: int = 0        # erase blocks reclaimed without copying
-    evicted_valid_pages: int = 0     # live (clean) pages dropped by eviction
+    user_reads: int = counter(
+        "Page reads performed on behalf of user requests.")
+    user_writes: int = counter(
+        "Page programs performed on behalf of user requests.")
+    gc_page_reads: int = counter(
+        "Page reads garbage-collection merges performed.")
+    gc_page_writes: int = counter(
+        "Page programs garbage-collection merges performed; "
+        "gc_page_writes / user_writes is the write amplification of "
+        "Table 5.")
+    meta_page_writes: int = counter(
+        "Flash pages written for durability metadata (operation log + "
+        "checkpoints).")
+    full_merges: int = counter(
+        "Full merges: every live page of the erase group copied.")
+    switch_merges: int = counter(
+        "Switch merges: a sequentially written log block promoted in "
+        "place, zero copies.")
+    partial_merges: int = counter(
+        "Partial merges: the sequential log block's tail completed before "
+        "promotion.")
+    silent_evictions: int = counter(
+        "Erase blocks the SSC reclaimed by dropping clean data instead of "
+        "copying it (SE-Util / SE-Merge).")
+    evicted_valid_pages: int = counter(
+        "Live (clean) pages discarded by silent eviction.")
 
     def write_amplification(self) -> float:
         """Extra flash writes per user write caused by garbage collection."""
         if self.user_writes == 0:
             return 0.0
         return self.gc_page_writes / self.user_writes
-
-    def snapshot(self) -> "FTLStats":
-        """Independent copy, for before/after deltas in benchmarks."""
-        return FTLStats(**vars(self))
-
-    def delta(self, earlier: "FTLStats") -> "FTLStats":
-        """Return self - earlier, field-wise."""
-        return FTLStats(
-            **{
-                name: getattr(self, name) - getattr(earlier, name)
-                for name in vars(self)
-            }
-        )
-
-    def merge(self, other: "FTLStats") -> "FTLStats":
-        """Return self + other, field-wise.
-
-        Aggregates the per-shard device statistics of a sharded cache
-        array into one array-level view; ratios (write amplification)
-        are then computed over the summed counters.  Commutative and
-        associative, with ``FTLStats()`` as the unit.
-        """
-        return FTLStats(
-            **{
-                name: getattr(self, name) + getattr(other, name)
-                for name in vars(self)
-            }
-        )

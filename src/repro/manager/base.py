@@ -16,43 +16,32 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.sim.completion import Completion, OpRecorder
+from repro.stats.counters import Counters, counter
 
 
 @dataclass
-class ManagerStats:
+class ManagerStats(Counters):
     """Hit/miss accounting at the cache-manager level."""
 
-    reads: int = 0
-    writes: int = 0
-    read_hits: int = 0
-    read_misses: int = 0
-    writebacks: int = 0       # dirty blocks written back to disk
-    cleans: int = 0           # clean commands issued (FlashTier WB)
-    evictions: int = 0        # manager-initiated evictions
-    metadata_writes: int = 0  # persisted metadata updates (native WB)
+    reads: int = counter("Read requests the cache manager served.")
+    writes: int = counter("Write requests the cache manager served.")
+    read_hits: int = counter("Reads served from the cache device.")
+    read_misses: int = counter("Reads that had to go to disk.")
+    writebacks: int = counter("Dirty blocks written back to disk.")
+    cleans: int = counter(
+        "clean commands issued to the SSC (write-back manager).")
+    evictions: int = counter(
+        "Manager-initiated evictions (native manager replacement).")
+    metadata_writes: int = counter(
+        "Persisted manager-metadata updates (native write-back mode).")
 
     def miss_rate(self) -> float:
         """Read miss rate in percent."""
         lookups = self.read_hits + self.read_misses
         return 100.0 * self.read_misses / lookups if lookups else 0.0
-
-    def merge(self, other: "ManagerStats") -> "ManagerStats":
-        """Return self + other, field-wise.
-
-        Aggregates per-shard (or per-manager) hit/miss accounting into
-        one array-level view; ``miss_rate`` is then the rate over the
-        combined request stream.  Commutative and associative, with
-        ``ManagerStats()`` as the unit.
-        """
-        return ManagerStats(
-            **{
-                name: getattr(self, name) + getattr(other, name)
-                for name in vars(self)
-            }
-        )
 
 
 class CacheManager(ABC):
@@ -71,6 +60,7 @@ class CacheManager(ABC):
     def __init__(self):
         self.stats = ManagerStats()
         self._recorder = OpRecorder()
+        self._devices: Tuple[Any, ...] = ()
 
     def _attach_devices(self, *devices: Any) -> None:
         """Share this manager's op recorder with its devices.
@@ -79,8 +69,18 @@ class CacheManager(ABC):
         records into one recorder, so a request's operation trace comes
         back in execution order across both tiers.
         """
+        self._devices = devices
         for device in devices:
             device.op_recorder = self._recorder
+
+    def resources(self) -> Dict[str, Any]:
+        """Every availability timeline (flash plane, disk spindle) the
+        attached devices' operations occupy, by resource key."""
+        return {
+            key: timeline
+            for device in self._devices
+            for key, timeline in device.resources().items()
+        }
 
     # ------------------------------------------------------------------
     # Public interface: capture-bracketed templates

@@ -5,20 +5,31 @@ a declaration — name, kind and a prose description — and the catalog
 is what ``python -m repro obs schema --markdown`` renders into
 ``docs/metrics.md``.
 
-The layer dataclasses (:class:`~repro.manager.base.ManagerStats`,
+Almost every metric is a layer counter, declared once as a field of the
+class that accumulates it (:class:`~repro.manager.base.ManagerStats`,
 :class:`~repro.ftl.base.FTLStats`, :class:`~repro.flash.chip.FlashStats`,
-the log/checkpoint counters, :class:`~repro.stats.counters.ReplayStats`)
-remain the authoritative accumulators — the hot paths keep bumping
-plain attributes.  :func:`collect` copies them into a freshly built
-registry after a run, so exporting metrics costs nothing while the
-simulation executes.
+:class:`~repro.ssc.log.OperationLog`,
+:class:`~repro.ssc.checkpoint.CheckpointStore`,
+:class:`~repro.stats.counters.ReplayStats`) with
+:func:`~repro.stats.counters.counter` or
+:func:`~repro.stats.counters.gauge`.  The catalog and :func:`collect`
+derive from those fields; only the metrics that are not fields are
+declared here.  The hot paths keep bumping plain attributes, and
+:func:`collect` copies them into a freshly built registry after a run,
+so exporting metrics costs nothing while the simulation executes.
 """
 
 from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
+from repro.flash.chip import FlashStats
+from repro.ftl.base import FTLStats
+from repro.manager.base import ManagerStats
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
+from repro.ssc.checkpoint import CheckpointStore
+from repro.ssc.log import OperationLog
+from repro.stats.counters import ReplayStats, metric_fields
 
 #: Fixed latency histogram bucket upper bounds, in microseconds.  The
 #: range spans a flash page read (~an SSC hit) through multi-disk-seek
@@ -28,94 +39,25 @@ LATENCY_BUCKETS_US: Tuple[float, ...] = (
     2000.0, 5000.0, 10000.0, 20000.0, 50000.0,
 )
 
+#: (metric name prefix, class declaring the counter fields), in the
+#: order ``docs/metrics.md`` lists them.
+LAYERS: Tuple[Tuple[str, type], ...] = (
+    ("manager", ManagerStats),
+    ("ftl", FTLStats),
+    ("flash", FlashStats),
+    ("log", OperationLog),
+    ("checkpoint", CheckpointStore),
+    ("replay", ReplayStats),
+)
+
 #: (name, kind, description) for every declared metric, in the order
 #: ``docs/metrics.md`` lists them.  Histograms carry their bounds as a
 #: fourth element.
 METRICS: List[Tuple] = [
-    # ---- cache manager (hit/miss accounting above the device) --------
-    ("manager.reads", "counter",
-     "Read requests the cache manager served."),
-    ("manager.writes", "counter",
-     "Write requests the cache manager served."),
-    ("manager.read_hits", "counter",
-     "Reads served from the cache device."),
-    ("manager.read_misses", "counter",
-     "Reads that had to go to disk."),
-    ("manager.writebacks", "counter",
-     "Dirty blocks written back to disk."),
-    ("manager.cleans", "counter",
-     "clean commands issued to the SSC (write-back manager)."),
-    ("manager.evictions", "counter",
-     "Manager-initiated evictions (native manager replacement)."),
-    ("manager.metadata_writes", "counter",
-     "Persisted manager-metadata updates (native write-back mode)."),
-    # ---- FTL / cache engine ------------------------------------------
-    ("ftl.user_reads", "counter",
-     "Page reads performed on behalf of user requests."),
-    ("ftl.user_writes", "counter",
-     "Page programs performed on behalf of user requests."),
-    ("ftl.gc_page_reads", "counter",
-     "Page reads garbage-collection merges performed."),
-    ("ftl.gc_page_writes", "counter",
-     "Page programs garbage-collection merges performed; "
-     "gc_page_writes / user_writes is the write amplification of "
-     "Table 5."),
-    ("ftl.meta_page_writes", "counter",
-     "Flash pages written for durability metadata (operation log + "
-     "checkpoints)."),
-    ("ftl.full_merges", "counter",
-     "Full merges: every live page of the erase group copied."),
-    ("ftl.switch_merges", "counter",
-     "Switch merges: a sequentially written log block promoted in "
-     "place, zero copies."),
-    ("ftl.partial_merges", "counter",
-     "Partial merges: the sequential log block's tail completed before "
-     "promotion."),
-    ("ftl.silent_evictions", "counter",
-     "Erase blocks the SSC reclaimed by dropping clean data instead of "
-     "copying it (SE-Util / SE-Merge)."),
-    ("ftl.evicted_valid_pages", "counter",
-     "Live (clean) pages discarded by silent eviction."),
-    # ---- flash chip --------------------------------------------------
-    ("flash.page_reads", "counter",
-     "Physical page reads the chip executed."),
-    ("flash.page_writes", "counter",
-     "Physical page programs the chip executed."),
-    ("flash.block_erases", "counter",
-     "Physical block erases the chip executed (wear)."),
-    ("flash.oob_scans", "counter",
-     "Out-of-band area scans (native OOB recovery path)."),
-    ("flash.busy_us", "gauge",
-     "Total simulated time flash planes spent busy."),
-    # ---- operation log -----------------------------------------------
-    ("log.sync_flushes", "counter",
-     "Synchronous operation-log flushes (on the request path)."),
-    ("log.async_flushes", "counter",
-     "Asynchronous (group-commit) operation-log flushes."),
-    ("log.records_written", "counter",
-     "Mapping-change records made durable in the operation log."),
-    ("log.pages_written", "counter",
-     "Flash pages the operation log consumed."),
-    ("log.erases", "counter",
-     "Block erases spent recycling truncated log segments."),
-    # ---- checkpoints -------------------------------------------------
-    ("checkpoint.writes", "counter",
-     "Mapping checkpoints committed (alternating-slot writes)."),
-    ("checkpoint.pages_written", "counter",
-     "Flash pages consumed by checkpoint commits."),
-    # ---- replay-level results ----------------------------------------
-    ("replay.ops", "counter",
-     "Measured (post-warmup) trace requests replayed."),
-    ("replay.reads", "counter",
-     "Measured read requests replayed."),
-    ("replay.writes", "counter",
-     "Measured write requests replayed."),
-    ("replay.read_hits", "counter",
-     "Measured reads that hit the cache."),
-    ("replay.read_misses", "counter",
-     "Measured reads that missed to disk."),
-    ("replay.elapsed_us", "gauge",
-     "Simulated wall time of the measured window."),
+    (f"{prefix}.{name}", kind, description)
+    for prefix, layer in LAYERS
+    for name, kind, description in metric_fields(layer)
+] + [
     ("replay.latency_us", "histogram",
      "End-to-end request latency distribution over the measured window "
      "(requires latency samples, i.e. keep_latencies=True).",
@@ -144,20 +86,6 @@ def build_registry() -> MetricsRegistry:
     return registry
 
 
-def _log_stores(device: Any) -> List[Tuple[Any, Any]]:
-    """(oplog, checkpoints) pairs for ``device`` — one per shard for a
-    sharded SSC array, one for a bare SSC, none for a plain SSD."""
-    shards = getattr(device, "shards", None)
-    members = shards if isinstance(shards, list) else [device]
-    pairs = []
-    for member in members:
-        oplog = getattr(member, "oplog", None)
-        checkpoints = getattr(member, "checkpoints", None)
-        if oplog is not None and checkpoints is not None:
-            pairs.append((oplog, checkpoints))
-    return pairs
-
-
 def collect(system: Any,
             replay_stats: Optional[Any] = None) -> MetricsSnapshot:
     """Populate a registry from ``system``'s layer counters and return
@@ -166,7 +94,8 @@ def collect(system: Any,
     ``system`` is a :class:`~repro.core.flashtier.FlashTierSystem` (or
     anything exposing ``manager``/``device``); sharded arrays are
     handled transparently because their stats properties already merge
-    across members.  ``replay_stats`` (a
+    across members, and the per-member log and checkpoint counters are
+    summed.  ``replay_stats`` (a
     :class:`~repro.stats.counters.ReplayStats`) adds the replay-level
     results; the latency histogram fills only when the replay kept its
     samples.
@@ -175,54 +104,25 @@ def collect(system: Any,
     manager = system.manager
     device = system.device
 
-    ms = manager.stats
-    registry.get("manager.reads").set(ms.reads)
-    registry.get("manager.writes").set(ms.writes)
-    registry.get("manager.read_hits").set(ms.read_hits)
-    registry.get("manager.read_misses").set(ms.read_misses)
-    registry.get("manager.writebacks").set(ms.writebacks)
-    registry.get("manager.cleans").set(ms.cleans)
-    registry.get("manager.evictions").set(ms.evictions)
-    registry.get("manager.metadata_writes").set(ms.metadata_writes)
-
-    fs = device.stats
-    registry.get("ftl.user_reads").set(fs.user_reads)
-    registry.get("ftl.user_writes").set(fs.user_writes)
-    registry.get("ftl.gc_page_reads").set(fs.gc_page_reads)
-    registry.get("ftl.gc_page_writes").set(fs.gc_page_writes)
-    registry.get("ftl.meta_page_writes").set(fs.meta_page_writes)
-    registry.get("ftl.full_merges").set(fs.full_merges)
-    registry.get("ftl.switch_merges").set(fs.switch_merges)
-    registry.get("ftl.partial_merges").set(fs.partial_merges)
-    registry.get("ftl.silent_evictions").set(fs.silent_evictions)
-    registry.get("ftl.evicted_valid_pages").set(fs.evicted_valid_pages)
-
-    cs = device.chip.stats
-    registry.get("flash.page_reads").set(cs.page_reads)
-    registry.get("flash.page_writes").set(cs.page_writes)
-    registry.get("flash.block_erases").set(cs.block_erases)
-    registry.get("flash.oob_scans").set(cs.oob_scans)
-    registry.get("flash.busy_us").set(cs.busy_us)
-
-    for oplog, checkpoints in _log_stores(device):
-        registry.get("log.sync_flushes").inc(oplog.sync_flushes)
-        registry.get("log.async_flushes").inc(oplog.async_flushes)
-        registry.get("log.records_written").inc(oplog.records_written)
-        registry.get("log.pages_written").inc(oplog.pages_written)
-        registry.get("log.erases").inc(oplog.erases)
-        registry.get("checkpoint.writes").inc(checkpoints.writes)
-        registry.get("checkpoint.pages_written").inc(checkpoints.pages_written)
+    sources = [("manager", manager.stats), ("ftl", device.stats),
+               ("flash", device.chip.stats)]
+    for member in getattr(device, "shards", [device]):
+        if hasattr(member, "oplog"):
+            sources += [("log", member.oplog),
+                        ("checkpoint", member.checkpoints)]
+    if replay_stats is not None:
+        sources.append(("replay", replay_stats))
+    for prefix, stats in sources:
+        for name, kind, _ in metric_fields(stats):
+            metric = registry.get(f"{prefix}.{name}")
+            if kind == "counter":
+                metric.inc(getattr(stats, name))
+            else:
+                metric.set(getattr(stats, name))
 
     registry.get("memory.device_bytes").set(device.device_memory_bytes())
     registry.get("memory.host_bytes").set(manager.host_memory_bytes())
-
     if replay_stats is not None:
-        registry.get("replay.ops").set(replay_stats.ops)
-        registry.get("replay.reads").set(replay_stats.reads)
-        registry.get("replay.writes").set(replay_stats.writes)
-        registry.get("replay.read_hits").set(replay_stats.read_hits)
-        registry.get("replay.read_misses").set(replay_stats.read_misses)
-        registry.get("replay.elapsed_us").set(replay_stats.elapsed_us)
         histogram = registry.get("replay.latency_us")
         for sample in replay_stats.latency.samples:
             histogram.observe(sample)

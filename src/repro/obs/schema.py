@@ -2,7 +2,7 @@
 
 ``python -m repro obs schema --markdown -o docs/metrics.md``
 regenerates the reference documentation straight from the
-declarations in :mod:`repro.obs.events` and :mod:`repro.obs.catalog`;
+declarations :mod:`repro.obs.events` and :mod:`repro.obs.catalog` hold;
 ``--check`` compares instead of writing, which is the CI drift gate:
 an event or metric added, renamed or re-described in code fails CI
 until ``docs/metrics.md`` is regenerated and committed.
@@ -33,10 +33,15 @@ def metrics_markdown() -> str:
         "# Trace events and metrics reference",
         "",
         "Every trace event and metric the simulator can emit, rendered",
-        "from the declarations in `repro/obs/events.py` and",
-        "`repro/obs/catalog.py`.  Declarations are the single source of",
-        "truth: an undocumented event or metric cannot exist, and CI",
-        "regenerates this file to catch drift.  See",
+        "from their declarations.  Events are declared in",
+        "`repro/obs/events.py`.  A layer counter is declared once, as a",
+        "`counter(...)` or `gauge(...)` field of the class that counts it",
+        "(`ManagerStats`, `FTLStats`, `FlashStats`, `OperationLog`,",
+        "`CheckpointStore`, `ReplayStats`); `repro/obs/catalog.py` maps",
+        "each class to its name prefix and declares the few metrics that",
+        "are not fields.  Declarations are the single source of truth: an",
+        "undocumented event or metric cannot exist, and CI regenerates",
+        "this file to catch drift.  See",
         "[observability.md](observability.md) for how to capture and",
         "read traces.",
         "",

@@ -6,7 +6,6 @@ from repro.sim.completion import (
     Completion,
     DeviceOp,
     OpRecorder,
-    is_plane_resource,
     plane_resource,
 )
 from repro.sim.crash import CrashPoint, CrashInjector
@@ -21,7 +20,6 @@ __all__ = [
     "OpRecorder",
     "DISK_RESOURCE",
     "plane_resource",
-    "is_plane_resource",
     "CrashPoint",
     "CrashInjector",
 ]

@@ -50,11 +50,6 @@ def plane_resource(plane_id: int) -> str:
     return key
 
 
-def is_plane_resource(resource: str) -> bool:
-    """True if ``resource`` names a flash plane."""
-    return resource.startswith(_PLANE_PREFIX)
-
-
 # Interned per-shard plane keys, keyed by (shard_id, plane_id).  A
 # sharded cache array namespaces each member device's planes so the
 # replay engine schedules ops on different shards onto distinct
@@ -74,24 +69,10 @@ def shard_plane_resource(shard_id: int, plane_id: int) -> str:
     return key
 
 
-def parse_shard_resource(resource: str) -> Optional[Tuple[int, str]]:
-    """Split a shard-namespaced key into ``(shard_id, base_resource)``.
-
-    ``"s2:plane:0"`` -> ``(2, "plane:0")``; returns None for keys that
-    carry no shard namespace (``"plane:0"``, ``"disk"``).
-    """
-    if not resource.startswith("s"):
-        return None
-    head, sep, rest = resource.partition(":")
-    if not sep or not head[1:].isdigit():
-        return None
-    return int(head[1:]), rest
-
-
 class DeviceOp(NamedTuple):
     """One timed device operation attributed to one contended resource."""
 
-    resource: str      # "plane:<n>" or "disk"
+    resource: str      # "plane:<n>", "s<k>:plane:<n>" or "disk"
     kind: str          # "page_read", "page_write", "erase", "oob_scan", ...
     duration_us: float
 
@@ -181,8 +162,9 @@ class Completion(float):
 
     @property
     def flash_us(self) -> float:
-        """Service time spent occupying flash planes."""
-        return sum(op.duration_us for op in self.ops if is_plane_resource(op.resource))
+        """Service time spent occupying flash planes (every op not on
+        the disk, whatever shard namespace its plane key carries)."""
+        return sum(op.duration_us for op in self.ops if op.resource != DISK_RESOURCE)
 
     @property
     def cache_us(self) -> float:

@@ -17,22 +17,20 @@ from repro.sim.clock import SimClock
 
 
 class Event:
-    """One scheduled occurrence: a time, a payload, a live/cancelled bit."""
+    """One scheduled occurrence: a time and a payload."""
 
-    __slots__ = ("time_us", "seq", "payload", "cancelled")
+    __slots__ = ("time_us", "seq", "payload")
 
     def __init__(self, time_us: float, seq: int, payload: Any):
         self.time_us = time_us
         self.seq = seq
         self.payload = payload
-        self.cancelled = False
 
     def __lt__(self, other: "Event") -> bool:
         return (self.time_us, self.seq) < (other.time_us, other.seq)
 
     def __repr__(self) -> str:
-        state = " cancelled" if self.cancelled else ""
-        return f"Event(t={self.time_us:.1f}us, seq={self.seq}{state})"
+        return f"Event(t={self.time_us:.1f}us, seq={self.seq})"
 
 
 class EventScheduler:
@@ -42,20 +40,16 @@ class EventScheduler:
     popping an event advances the clock to its time.
     """
 
-    __slots__ = ("clock", "_heap", "_seq", "_cancelled")
+    __slots__ = ("clock", "_heap", "_seq")
 
     def __init__(self, clock: Optional[SimClock] = None):
         self.clock = clock or SimClock()
         self._heap: List[Event] = []
         self._seq = 0
-        self._cancelled = 0
 
     def __len__(self) -> int:
-        """Number of pending (non-cancelled) events."""
-        return len(self._heap) - self._cancelled
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
+        """Number of pending events."""
+        return len(self._heap)
 
     def schedule_at(self, time_us: float, payload: Any = None) -> Event:
         """Schedule ``payload`` to occur at absolute time ``time_us``."""
@@ -69,26 +63,8 @@ class EventScheduler:
         heapq.heappush(self._heap, event)
         return event
 
-    def schedule_in(self, delta_us: float, payload: Any = None) -> Event:
-        """Schedule ``payload`` to occur ``delta_us`` from now."""
-        if delta_us < 0:
-            raise ValueError(f"cannot schedule {delta_us} us in the past")
-        return self.schedule_at(self.clock.now_us + delta_us, payload)
-
-    def cancel(self, event: Event) -> None:
-        """Cancel a pending event (lazy removal; no-op if already done)."""
-        if not event.cancelled:
-            event.cancelled = True
-            self._cancelled += 1
-
-    def peek_time_us(self) -> Optional[float]:
-        """Time of the earliest pending event, or None when idle."""
-        self._drop_cancelled()
-        return self._heap[0].time_us if self._heap else None
-
     def pop(self) -> Event:
         """Remove the earliest pending event, advancing the clock to it."""
-        self._drop_cancelled()
         if not self._heap:
             raise IndexError("pop from an idle EventScheduler")
         event = heapq.heappop(self._heap)
@@ -109,11 +85,6 @@ class EventScheduler:
             if callable(event.payload):
                 event.payload(event)
         return processed
-
-    def _drop_cancelled(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-            self._cancelled -= 1
 
     def __repr__(self) -> str:
         return f"EventScheduler(pending={len(self)}, now={self.clock.now_us:.1f}us)"

@@ -21,6 +21,7 @@ from typing import List, Optional, Tuple
 from repro.errors import CrashError
 from repro.flash.timing import TimingModel
 from repro.sim.crash import CrashInjector, CrashPoint
+from repro.stats.counters import counter
 from repro.util.checksum import crc32_of_pairs
 
 #: Serialized entry sizes: page entries carry lbn + ppn + flags; block
@@ -87,11 +88,20 @@ class Checkpoint:
         )
 
 
+@dataclass(init=False, eq=False, repr=False)
 class CheckpointStore:
     """Two alternating checkpoint slots on dedicated flash regions."""
 
     #: Optional trace bus (repro.obs); None keeps writes zero-cost.
     tracer = None
+
+    # Exported as ``checkpoint.<name>`` metrics.  They start at zero on
+    # the class; each instance's first increment makes them its own
+    # attributes.
+    writes: int = counter(
+        "Mapping checkpoints committed (alternating-slot writes).")
+    pages_written: int = counter(
+        "Flash pages consumed by checkpoint commits.")
 
     def __init__(self, timing: TimingModel, page_size: int = 4096,
                  pages_per_block: int = 64, name: str = ""):
@@ -105,8 +115,6 @@ class CheckpointStore:
         self.injector: Optional[CrashInjector] = None
         self._slots: List[Optional[Checkpoint]] = [None, None]
         self._active = 0
-        self.writes = 0
-        self.pages_written = 0
 
     def latest(self) -> Optional[Checkpoint]:
         """The most recent intact checkpoint, or None."""

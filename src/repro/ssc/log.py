@@ -28,6 +28,7 @@ from typing import List, Optional, Tuple
 from repro.errors import CrashError
 from repro.flash.timing import TimingModel
 from repro.sim.crash import CrashInjector, CrashPoint
+from repro.stats.counters import counter
 
 
 class RecordKind(Enum):
@@ -93,11 +94,25 @@ class LogRecord:
 RECORD_BYTES = 30
 
 
+@dataclass(init=False, eq=False, repr=False)
 class OperationLog:
     """Buffered operation log with synchronous and group commit."""
 
     #: Optional trace bus (repro.obs); None keeps the log zero-cost.
     tracer = None
+
+    # Counters for the consistency-cost evaluation (Fig. 4), exported
+    # as ``log.<name>`` metrics.  They start at zero on the class; each
+    # instance's first increment makes them its own attributes.
+    sync_flushes: int = counter(
+        "Synchronous operation-log flushes (on the request path).")
+    async_flushes: int = counter(
+        "Asynchronous (group-commit) operation-log flushes.")
+    records_written: int = counter(
+        "Mapping-change records made durable in the operation log.")
+    pages_written: int = counter("Flash pages the operation log consumed.")
+    erases: int = counter(
+        "Block erases spent recycling truncated log segments.")
 
     def __init__(self, timing: TimingModel, page_size: int = 4096,
                  pages_per_block: int = 64, name: str = ""):
@@ -114,12 +129,6 @@ class OperationLog:
         self.flushed: List[LogRecord] = []
         # Total durable log footprint since the covering checkpoint.
         self.flushed_bytes = 0
-        # Counters for the consistency-cost evaluation (Fig. 4).
-        self.sync_flushes = 0
-        self.async_flushes = 0
-        self.records_written = 0
-        self.pages_written = 0
-        self.erases = 0
 
     @property
     def enabled(self) -> bool:

@@ -6,13 +6,69 @@ event-driven replay engine, per-request latency splits into *service
 time* (the device actively working) and *queueing delay* (waiting for a
 busy plane or the disk spindle), and per-resource busy time supports
 device-utilization reporting.
+
+It also holds the metric-field helpers every layer's statistics use:
+a field declared with :func:`counter` or :func:`gauge` carries its own
+description, and :mod:`repro.obs.catalog` derives the metric catalog,
+``collect()`` and ``docs/metrics.md`` from those declarations.  They
+live here rather than in :mod:`repro.obs` because simulation layers
+must not import the observability package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import reduce
 from math import ceil
-from typing import Dict, List, Tuple
+from typing import Any, Dict, Iterable, List, Tuple, Type, TypeVar
+
+
+def counter(doc: str) -> Any:
+    """A dataclass field holding a cumulative count, described by ``doc``."""
+    return field(default=0, metadata={"kind": "counter", "doc": doc})
+
+
+def gauge(doc: str) -> Any:
+    """A dataclass field holding a point-in-time value, described by ``doc``."""
+    return field(default=0.0, metadata={"kind": "gauge", "doc": doc})
+
+
+def metric_fields(stats: Any) -> List[Tuple[str, str, str]]:
+    """``(field name, kind, description)`` of every field of the
+    dataclass (or instance) ``stats`` declared with :func:`counter` or
+    :func:`gauge`, in declaration order."""
+    return [
+        (f.name, f.metadata["kind"], f.metadata["doc"])
+        for f in fields(stats)
+        if "kind" in f.metadata
+    ]
+
+
+C = TypeVar("C", bound="Counters")
+
+
+@dataclass
+class Counters:
+    """Base of the additive layer statistics.
+
+    Every field is summable, so two instances combine field-wise:
+    :meth:`merge` is commutative and associative with ``cls()`` as the
+    unit, and ratios derived from the fields (miss rate, write
+    amplification) are then computed over the combined counters.
+    """
+
+    def merge(self: C, other: C) -> C:
+        """Return self + other, field-wise."""
+        return type(self)(**{
+            f.name: getattr(self, f.name) + getattr(other, f.name)
+            for f in fields(self)
+        })
+
+    @classmethod
+    def total(cls: Type[C], items: Iterable[C]) -> C:
+        """Field-wise sum of ``items`` (a fresh ``cls()`` when empty) —
+        aggregates the members of a sharded array."""
+        return reduce(cls.merge, items, cls())
 
 
 class LatencyStats:
@@ -89,12 +145,12 @@ class ReplayStats:
     during the measured interval.
     """
 
-    ops: int = 0
-    reads: int = 0
-    writes: int = 0
-    read_hits: int = 0
-    read_misses: int = 0
-    elapsed_us: float = 0.0
+    ops: int = counter("Measured (post-warmup) trace requests replayed.")
+    reads: int = counter("Measured read requests replayed.")
+    writes: int = counter("Measured write requests replayed.")
+    read_hits: int = counter("Measured reads that hit the cache.")
+    read_misses: int = counter("Measured reads that missed to disk.")
+    elapsed_us: float = gauge("Simulated wall time of the measured window.")
     queue_depth: int = 1
     latency: LatencyStats = field(default_factory=LatencyStats)
     service: LatencyStats = field(default_factory=LatencyStats)

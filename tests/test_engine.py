@@ -190,6 +190,20 @@ class TestCompletionPlumbing:
         assert read_completion.flash_us > 0.0
         assert read_completion.disk_us == 0.0
 
+    def test_flash_us_counts_sharded_plane_ops(self):
+        bare = _build(kind=SystemKind.SSC)
+        array = build_system(SystemConfig(
+            kind=SystemKind.SSC, mode=CacheMode.WRITE_BACK,
+            cache_blocks=2048, disk_blocks=50_000, shards=2,
+        ))
+        reads = []
+        for system in (bare, array):
+            system.manager.write(0, "payload")
+            reads.append(system.manager.read(0)[1])
+        bare_read, array_read = reads
+        assert [op.resource for op in array_read.ops] == ["s0:plane:0"]
+        assert array_read.flash_us == bare_read.flash_us > 0.0
+
     def test_miss_charges_disk(self):
         system = _build()
         _data, completion = system.manager.read(7)

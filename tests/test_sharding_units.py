@@ -194,15 +194,16 @@ class TestEngineView:
 
 
 class TestChipView:
-    def test_plane_for_resource_edges(self):
+    def test_resources_map_every_member_plane(self):
         array = make_array(2)
-        view = array.chip
-        assert view.plane_for_resource("plane:0") is None      # unsharded key
-        assert view.plane_for_resource("s9:plane:0") is None   # no such shard
-        assert view.plane_for_resource("s0:log") is None       # not a plane
-        assert view.plane_for_resource("s0:plane:99") is None  # no such plane
-        plane = view.plane_for_resource("s1:plane:1")
-        assert plane is array.shards[1].chip.planes[1]
+        resources = array.chip.resources()
+        assert resources["s1:plane:1"] is array.shards[1].chip.planes[1]
+        assert len(resources) == 2 * GEOMETRY.planes
+        # A one-member array keeps the bare device's key names.
+        single = make_array(1)
+        assert set(single.chip.resources()) == {
+            f"plane:{plane_id}" for plane_id in range(GEOMETRY.planes)
+        }
 
     def test_geometry_timing_planes_come_from_shard_zero(self):
         array = make_array(2)
@@ -210,7 +211,7 @@ class TestChipView:
         assert array.chip.timing is array.shards[0].chip.timing
         assert array.chip.planes is array.shards[0].chip.planes
 
-    def test_recorder_fans_out_and_availability_resets(self):
+    def test_recorder_fans_out(self):
         from repro.sim.completion import OpRecorder
 
         array = make_array(2)
@@ -225,7 +226,6 @@ class TestChipView:
         array.write_dirty(8, "b")   # shard 1
         ops = recorder.end(mark)
         assert ops  # both members report through the one recorder
-        array.chip.reset_availability()
 
     def test_wear_and_free_blocks_aggregate(self):
         array = make_array(2)
