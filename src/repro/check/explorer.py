@@ -112,7 +112,7 @@ def apply_op(
 def _live_read(ssc, oracle, op, violations, trial) -> None:
     committed = oracle.committed.get(op.lbn)
     try:
-        value, _completion = ssc.read(op.lbn)
+        value, _cost = ssc.read(op.lbn)
     except NotPresentError:
         if committed is not None and committed[0] == "dirty":
             violations.append(Violation(

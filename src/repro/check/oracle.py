@@ -172,7 +172,7 @@ class SSCOracle:
         for lbn in sorted(known):
             legal = self.legal_states(lbn)
             try:
-                value, _completion = ssc.read(lbn)
+                value, _cost = ssc.read(lbn)
                 present = True
             except NotPresentError:
                 present = False

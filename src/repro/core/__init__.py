@@ -1,11 +1,7 @@
 """High-level facade: build complete FlashTier / native systems."""
 
 from repro.core.config import SystemConfig, SystemKind, CacheMode
-from repro.core.flashtier import (
-    FlashTierSystem,
-    build_sharded_system,
-    build_system,
-)
+from repro.core.flashtier import FlashTierSystem, build_system
 from repro.core.sharding import ShardedSSC, ShardedSSD, ShardRouter
 
 __all__ = [
@@ -16,6 +12,5 @@ __all__ = [
     "ShardedSSC",
     "ShardedSSD",
     "ShardRouter",
-    "build_sharded_system",
     "build_system",
 ]

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from repro.core.config import CacheMode, SystemConfig, SystemKind
+from repro.core.sharding import ShardedSSC, ShardedSSD
 from repro.disk.model import Disk
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.hybrid import HybridFTLConfig
@@ -104,71 +105,48 @@ class FlashTierSystem:
             open_loop=open_loop,
         )
 
-    def total_memory_bytes(self) -> int:
-        """Device plus host mapping memory (Table 4's combined view)."""
-        return self.device.device_memory_bytes() + self.manager.host_memory_bytes()
-
 
 def build_system(config: SystemConfig) -> FlashTierSystem:
-    """Assemble the system described by ``config``."""
-    if config.shards > 1:
-        return build_sharded_system(config)
-    disk = Disk(config.disk_blocks)
-    geometry = cache_geometry(config)
+    """Assemble the system described by ``config``.
 
+    With ``config.shards > 1`` the cache is an array of that many member
+    devices at fixed total capacity: each member is provisioned
+    ``cache_blocks / shards`` blocks (see :func:`cache_geometry`), and
+    the array partitions the disk LBN space across them by the
+    ``config.routing`` policy.  The managers run unmodified against the
+    array — it exposes the exact device interface they already speak.
+    A one-shard config gets the bare device.
+    """
+    geometry = cache_geometry(config, shard_count=config.shards)
+    members = [_cache_device(config, geometry) for _ in range(config.shards)]
+    if config.shards == 1:
+        device = members[0]
+    elif config.kind is SystemKind.NATIVE:
+        device = ShardedSSD(members)
+    else:
+        device = ShardedSSC(members, routing=config.routing)
+    return assemble_system(config, device, Disk(config.disk_blocks))
+
+
+def _cache_device(config: SystemConfig, geometry: FlashGeometry):
+    """One cache device of the kind ``config`` selects."""
     if config.kind is SystemKind.NATIVE:
-        ssd = SSD(geometry=geometry, config=HybridFTLConfig())
-        manager = NativeCacheManager(
-            ssd,
-            disk,
-            NativeConfig(
-                mode=config.mode.value,
-                dirty_threshold=config.dirty_threshold,
-                consistency=config.consistency,
-            ),
-        )
-        return FlashTierSystem(config=config, manager=manager, disk=disk, ssd=ssd)
-
+        return SSD(geometry=geometry, config=HybridFTLConfig())
     policy = (
         EvictionPolicy.MERGE if config.kind is SystemKind.SSC_R else EvictionPolicy.UTIL
     )
-    ssc = SolidStateCache(
+    return SolidStateCache(
         geometry=geometry,
         config=SSCConfig(policy=policy, consistency=config.consistency),
     )
-    if config.mode is CacheMode.WRITE_BACK:
-        manager: CacheManager = FlashTierWBManager(
-            ssc, disk, WriteBackConfig(dirty_threshold=config.dirty_threshold)
-        )
-    else:
-        manager = FlashTierWTManager(ssc, disk)
-    return FlashTierSystem(config=config, manager=manager, disk=disk, ssc=ssc)
 
 
-def build_sharded_system(config: SystemConfig) -> FlashTierSystem:
-    """Assemble a sharded cache array (``config.shards`` members).
-
-    Total capacity is fixed: each member device is provisioned
-    ``cache_blocks / shards`` blocks (see :func:`cache_geometry`), and
-    the array partitions the disk LBN space across the members by the
-    ``config.routing`` policy.  The three cache managers run unmodified
-    against the array — it exposes the exact device interface they
-    already speak.
-    """
-    from repro.core.sharding import ShardedSSC, ShardedSSD, ShardRouter
-
-    disk = Disk(config.disk_blocks)
-    geometry = cache_geometry(config, shard_count=config.shards)
-
+def assemble_system(config: SystemConfig, device, disk: Disk) -> FlashTierSystem:
+    """Put the cache manager ``config`` selects over ``device`` (a bare
+    device or an array) and ``disk``."""
     if config.kind is SystemKind.NATIVE:
-        array = ShardedSSD(
-            [
-                SSD(geometry=geometry, config=HybridFTLConfig())
-                for _ in range(config.shards)
-            ]
-        )
-        manager = NativeCacheManager(
-            array,
+        manager: CacheManager = NativeCacheManager(
+            device,
             disk,
             NativeConfig(
                 mode=config.mode.value,
@@ -176,28 +154,11 @@ def build_sharded_system(config: SystemConfig) -> FlashTierSystem:
                 consistency=config.consistency,
             ),
         )
-        return FlashTierSystem(config=config, manager=manager, disk=disk, ssd=array)
-
-    policy = (
-        EvictionPolicy.MERGE if config.kind is SystemKind.SSC_R else EvictionPolicy.UTIL
-    )
-    array = ShardedSSC(
-        [
-            SolidStateCache(
-                geometry=geometry,
-                config=SSCConfig(policy=policy, consistency=config.consistency),
-                name=f"shard{shard_id}",
-            )
-            for shard_id in range(config.shards)
-        ],
-        router=ShardRouter(
-            config.shards, config.routing, config.pages_per_block
-        ),
-    )
+        return FlashTierSystem(config=config, manager=manager, disk=disk, ssd=device)
     if config.mode is CacheMode.WRITE_BACK:
         manager = FlashTierWBManager(
-            array, disk, WriteBackConfig(dirty_threshold=config.dirty_threshold)
+            device, disk, WriteBackConfig(dirty_threshold=config.dirty_threshold)
         )
     else:
-        manager = FlashTierWTManager(array, disk)
-    return FlashTierSystem(config=config, manager=manager, disk=disk, ssc=array)
+        manager = FlashTierWTManager(device, disk)
+    return FlashTierSystem(config=config, manager=manager, disk=disk, ssc=device)

@@ -206,8 +206,7 @@ class ShardedSSC:
     """An array of SSCs behind the single-device six-operation interface.
 
     Data-path operations route to the owning shard and return that
-    shard's completion unchanged (the array adds no latency of its
-    own).  ``exists`` fans out to every shard and merges; its cost is
+    shard's cost unchanged (the array adds no latency of its own).  ``exists`` fans out to every shard and merges; its cost is
     the *max* over shards because independent devices answer their
     portion of the scan concurrently.  The same max rule applies to
     every whole-array maintenance operation (``checkpoint_now``,

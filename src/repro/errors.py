@@ -35,10 +35,6 @@ class WriteToNonErasedPageError(FlashError):
     """
 
 
-class EraseActiveBlockError(FlashError):
-    """An erase targeted a block that still holds pages the FTL maps."""
-
-
 class NotPresentError(ReproError):
     """An SSC read found no mapping for the requested logical block.
 
@@ -59,10 +55,6 @@ class CacheFullError(ReproError):
     produce a free erased block (e.g. every candidate block holds dirty
     data and the cache manager never issued ``clean``).
     """
-
-
-class OutOfSpaceError(ReproError):
-    """A fixed-capacity device (SSD) has no free logical space left."""
 
 
 class RecoveryError(ReproError):

@@ -18,7 +18,7 @@ from repro.flash.geometry import FlashGeometry
 from repro.flash.page import OOBData, Page, PageState
 from repro.flash.plane import Plane
 from repro.flash.timing import TimingModel
-from repro.sim.completion import OpRecorder, plane_resource, shard_plane_resource
+from repro.sim.completion import OpRecorder
 from repro.sim.crash import CrashInjector, CrashPoint
 from repro.stats.counters import Counters, counter, gauge
 from repro.util.checksum import crc32_of_payload
@@ -64,12 +64,6 @@ class FlashChip:
                 for pbn in self.geometry.blocks_in_plane(plane_id)
             ]
             self.planes.append(Plane(plane_id, blocks))
-        # Interned "plane:<n>" keys, indexed by plane id (op-trace hot path).
-        self._plane_keys = [
-            plane_resource(plane_id) for plane_id in range(self.geometry.planes)
-        ]
-        for plane, key in zip(self.planes, self._plane_keys):
-            plane.resource_key = key
         # The timing model is frozen, so per-op costs are constants.
         self._read_cost_us = self.timing.read_cost()
         self._write_cost_us = self.timing.write_cost()
@@ -106,7 +100,7 @@ class FlashChip:
         return ppn // self.geometry.pages_per_block // self.geometry.blocks_per_plane
 
     def _record_op(self, plane_id: int, kind: str, cost: float) -> None:
-        self.op_recorder.record(self._plane_keys[plane_id], kind, cost)
+        self.op_recorder.record(self.planes[plane_id].resource_key, kind, cost)
 
     def set_resource_shard(self, shard_id: int) -> None:
         """Re-key this chip's plane resources as ``"s<k>:plane:<n>"``.
@@ -116,12 +110,8 @@ class FlashChip:
         availability timelines in the replay engine — physically
         separate devices must never queue behind one another.
         """
-        self._plane_keys = [
-            shard_plane_resource(shard_id, plane_id)
-            for plane_id in range(self.geometry.planes)
-        ]
-        for plane, key in zip(self.planes, self._plane_keys):
-            plane.resource_key = key
+        for plane in self.planes:
+            plane.resource_key = f"s{shard_id}:plane:{plane.plane_id}"
 
     # ---- availability ------------------------------------------------------
 

@@ -32,8 +32,9 @@ class Plane:
 
     def __init__(self, plane_id: int, blocks: List[EraseBlock]):
         self.plane_id = plane_id
-        #: Availability-timeline key ("plane:<n>" or "s<k>:plane:<n>"),
-        #: assigned by the owning chip; doubles as the trace lane.
+        #: Availability-timeline key, the only place it is stored:
+        #: "plane:<n>", or "s<k>:plane:<n>" once a sharded array re-keys
+        #: its member chips.  Doubles as the trace lane.
         self.resource_key = f"plane:{plane_id}"
         self.blocks: Dict[int, EraseBlock] = {block.pbn: block for block in blocks}
         # The free pool keeps three views: a membership set (the truth,

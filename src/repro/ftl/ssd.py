@@ -11,7 +11,7 @@ size of the mapping table.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.flash.chip import FlashChip
@@ -19,7 +19,6 @@ from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import TimingModel
 from repro.ftl.hybrid import HybridFTL, HybridFTLConfig
 from repro.ftl.pagemap import PageMapFTL, PageMapFTLConfig
-from repro.sim.completion import Completion
 from repro.sim.crash import CrashInjector
 
 
@@ -69,37 +68,17 @@ class SSD:
 
     # ---- block interface ---------------------------------------------------
 
-    def _capture(self, body: Callable[[], float]) -> Completion:
-        """Run ``body`` under an op capture; wrap its cost in a
-        :class:`Completion` attributing time to the planes it used."""
-        recorder = self.chip.op_recorder
-        mark = recorder.begin()
-        try:
-            cost = body()
-        except BaseException:
-            recorder.end(mark)
-            raise
-        return Completion(cost, recorder.end(mark))
+    def read(self, lpn: int) -> Tuple[Any, float]:
+        """Read logical page ``lpn``; returns (data, cost_us)."""
+        return self.ftl.read(lpn)
 
-    def read(self, lpn: int) -> Tuple[Any, Completion]:
-        """Read logical page ``lpn``; returns (data, completion)."""
-        result: List[Any] = []
+    def write(self, lpn: int, data: Any, dirty: bool = False) -> float:
+        """Write logical page ``lpn``; returns cost_us."""
+        return self.ftl.write(lpn, data, dirty=dirty)
 
-        def body() -> float:
-            data, cost = self.ftl.read(lpn)
-            result.append(data)
-            return cost
-
-        completion = self._capture(body)
-        return result[0], completion
-
-    def write(self, lpn: int, data: Any, dirty: bool = False) -> Completion:
-        """Write logical page ``lpn``; returns the completion."""
-        return self._capture(lambda: self.ftl.write(lpn, data, dirty=dirty))
-
-    def trim(self, lpn: int) -> Completion:
-        """Discard logical page ``lpn`` (TRIM); returns the completion."""
-        return self._capture(lambda: self.ftl.trim(lpn))
+    def trim(self, lpn: int) -> float:
+        """Discard logical page ``lpn`` (TRIM); returns cost_us."""
+        return self.ftl.trim(lpn)
 
     def is_mapped(self, lpn: int) -> bool:
         """True if ``lpn`` holds written, untrimmed data."""

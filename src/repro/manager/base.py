@@ -7,9 +7,10 @@ event-driven replay engine schedules onto flash planes and the disk.
 Legacy call sites that treat the return value as a bare float keep
 working unchanged.
 
-Subclasses implement ``_read_impl``/``_write_impl`` (the old
-float-returning bodies); the base class brackets them with an op
-capture across the manager's devices and wraps the result.
+Subclasses implement ``_read_impl``/``_write_impl``, which sum the
+plain float costs their devices return; the base class brackets them
+with the request's one op capture across the manager's devices and
+wraps the result.  No device below opens a capture of its own.
 """
 
 from __future__ import annotations
@@ -88,23 +89,23 @@ class CacheManager(ABC):
 
     def read(self, lbn: int) -> Tuple[Any, Completion]:
         """Read disk block ``lbn``; returns (data, completion)."""
-        mark = self._recorder.begin()
+        self._recorder.begin()
         try:
             data, cost, hit = self._read_impl(lbn)
         except BaseException:
-            self._recorder.end(mark)
+            self._recorder.end()
             raise
-        return data, Completion(cost, self._recorder.end(mark), hit=hit)
+        return data, Completion(cost, self._recorder.end(), hit=hit)
 
     def write(self, lbn: int, data: Any) -> Completion:
         """Write disk block ``lbn``; returns the completion."""
-        mark = self._recorder.begin()
+        self._recorder.begin()
         try:
             cost = self._write_impl(lbn, data)
         except BaseException:
-            self._recorder.end(mark)
+            self._recorder.end()
             raise
-        return Completion(cost, self._recorder.end(mark))
+        return Completion(cost, self._recorder.end())
 
     # ------------------------------------------------------------------
     # Subclass responsibilities

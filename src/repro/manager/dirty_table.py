@@ -21,13 +21,18 @@ from repro.util.lru import LRUList
 #: Modeled bytes per entry (the paper's upper figure, with checksum).
 ENTRY_BYTES = 22
 
+# Default for ``add``'s data: the block's contents are not known.
+_UNKNOWN = object()
+
 
 class DirtyBlockTable:
     """Host-side table of dirty cached blocks with LRU ordering."""
 
     def __init__(self, with_checksums: bool = True):
         self.with_checksums = with_checksums
-        self._entries: Dict[int, int] = {}  # lbn -> checksum (or 0)
+        # lbn -> checksum, or None when there is nothing to verify
+        # against (checksums disabled, or the block's data unknown).
+        self._entries: Dict[int, Optional[int]] = {}
         self._lru = LRUList()
 
     def __len__(self) -> int:
@@ -36,19 +41,24 @@ class DirtyBlockTable:
     def __contains__(self, lbn: int) -> bool:
         return lbn in self._entries
 
-    def add(self, lbn: int, data=None) -> None:
-        """Record ``lbn`` as dirty (most recently used)."""
-        self._entries[lbn] = crc32_of(repr(data)) if self.with_checksums else 0
+    def add(self, lbn: int, data=_UNKNOWN) -> None:
+        """Record ``lbn`` as dirty (most recently used).
+
+        A block re-added without its data (recovery repopulating the
+        table from ``exists``) gets no checksum.
+        """
+        verifiable = self.with_checksums and data is not _UNKNOWN
+        self._entries[lbn] = crc32_of(repr(data)) if verifiable else None
         self._lru.touch(lbn)
 
     def checksum_matches(self, lbn: int, data) -> bool:
         """Verify ``data`` against the checksum recorded at write time.
 
-        Always True when checksums are disabled or the block untracked.
+        Always True when the block has no recorded checksum: checksums
+        disabled, the block untracked, or re-added without its data.
         """
-        if not self.with_checksums or lbn not in self._entries:
-            return True
-        return self._entries[lbn] == crc32_of(repr(data))
+        expected = self._entries.get(lbn)
+        return expected is None or expected == crc32_of(repr(data))
 
     def touch(self, lbn: int) -> None:
         """Refresh LRU position of ``lbn`` if tracked."""
@@ -57,7 +67,7 @@ class DirtyBlockTable:
 
     def remove(self, lbn: int) -> bool:
         """Drop ``lbn`` (after cleaning it); True if it was tracked."""
-        if self._entries.pop(lbn, None) is None:
+        if self._entries.pop(lbn, _UNKNOWN) is _UNKNOWN:
             return False
         self._lru.remove(lbn)
         return True

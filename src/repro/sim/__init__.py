@@ -6,7 +6,6 @@ from repro.sim.completion import (
     Completion,
     DeviceOp,
     OpRecorder,
-    plane_resource,
 )
 from repro.sim.crash import CrashPoint, CrashInjector
 from repro.sim.events import Event, EventScheduler
@@ -19,7 +18,6 @@ __all__ = [
     "DeviceOp",
     "OpRecorder",
     "DISK_RESOURCE",
-    "plane_resource",
     "CrashPoint",
     "CrashInjector",
 ]

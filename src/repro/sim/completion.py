@@ -19,6 +19,10 @@ This module is the richer currency the whole stack now trades in:
   sums or compares latencies keeps working) plus the op trace and a
   hit/miss tag.
 
+Only a cache manager's ``read``/``write`` opens a capture and builds a
+completion; the devices below it return plain float costs and leave
+their operations on the shared recorder.
+
 The :class:`~repro.engine.ReplayEngine` consumes completions to model
 queue-depth concurrency: ops on distinct planes overlap, ops on the
 same plane (or the one disk spindle) queue behind each other, and any
@@ -33,41 +37,6 @@ from typing import Iterable, List, NamedTuple, Optional, Tuple
 #: Resource key of the (single-spindle) disk tier.
 DISK_RESOURCE = "disk"
 
-_PLANE_PREFIX = "plane:"
-
-# Interned resource keys: every traced flash op calls plane_resource,
-# and the replay engine keys busy-time dictionaries by the result, so
-# one canonical string per plane keeps hashing cheap and allocation off
-# the per-op path.
-_PLANE_KEYS: dict = {}
-
-
-def plane_resource(plane_id: int) -> str:
-    """Resource key of flash plane ``plane_id`` (interned)."""
-    key = _PLANE_KEYS.get(plane_id)
-    if key is None:
-        key = _PLANE_KEYS.setdefault(plane_id, f"{_PLANE_PREFIX}{plane_id}")
-    return key
-
-
-# Interned per-shard plane keys, keyed by (shard_id, plane_id).  A
-# sharded cache array namespaces each member device's planes so the
-# replay engine schedules ops on different shards onto distinct
-# availability timelines — that is what lets shards overlap under
-# queue-depth concurrency.
-_SHARD_PLANE_KEYS: dict = {}
-
-
-def shard_plane_resource(shard_id: int, plane_id: int) -> str:
-    """Resource key of plane ``plane_id`` on array shard ``shard_id``
-    (``"s<k>:plane:<n>"``, interned)."""
-    key = _SHARD_PLANE_KEYS.get((shard_id, plane_id))
-    if key is None:
-        key = _SHARD_PLANE_KEYS.setdefault(
-            (shard_id, plane_id), f"s{shard_id}:{_PLANE_PREFIX}{plane_id}"
-        )
-    return key
-
 
 class DeviceOp(NamedTuple):
     """One timed device operation attributed to one contended resource."""
@@ -78,45 +47,39 @@ class DeviceOp(NamedTuple):
 
 
 class OpRecorder:
-    """Collects the timed device operations of in-flight requests.
+    """Collects the timed device operations of one in-flight request.
 
     Each traced device tree (flash chip, disk) holds a recorder; a
     cache manager shares one recorder across its devices so a request's
-    operations come back in execution order.  Captures nest: a
-    device-level capture inside a manager-level capture sees only its
-    own operations while the outer capture sees everything.  With no
-    capture active, recording is disabled and nothing is retained.
+    operations come back in execution order.  One capture is open at a
+    time.  With no capture active (``active`` is False), recording is
+    disabled and nothing is retained.
     """
 
-    __slots__ = ("_ops", "_depth")
+    __slots__ = ("_ops", "active")
 
     def __init__(self):
         self._ops: List[DeviceOp] = []
-        self._depth = 0
+        self.active = False
 
-    @property
-    def active(self) -> bool:
-        """True while at least one capture is open."""
-        return self._depth > 0
-
-    def begin(self) -> int:
-        """Open a capture; returns the mark to pass to :meth:`end`."""
-        self._depth += 1
-        return len(self._ops)
+    def begin(self) -> None:
+        """Open a capture."""
+        if self.active:
+            raise RuntimeError("OpRecorder.begin() while a capture is active")
+        self.active = True
 
     def record(self, resource: str, kind: str, duration_us: float) -> None:
         """Record one timed operation (no-op unless a capture is open)."""
-        if self._depth > 0:
+        if self.active:
             self._ops.append(DeviceOp(resource, kind, duration_us))
 
-    def end(self, mark: int) -> Tuple[DeviceOp, ...]:
-        """Close the capture opened at ``mark``; returns its operations."""
-        if self._depth <= 0:
+    def end(self) -> Tuple[DeviceOp, ...]:
+        """Close the capture; returns its operations in execution order."""
+        if not self.active:
             raise RuntimeError("OpRecorder.end() without a matching begin()")
-        self._depth -= 1
-        ops = tuple(self._ops[mark:] if mark else self._ops)
-        if self._depth == 0:
-            self._ops.clear()
+        self.active = False
+        ops = tuple(self._ops)
+        self._ops.clear()
         return ops
 
 
@@ -151,11 +114,6 @@ class Completion(float):
         return self
 
     @property
-    def latency_us(self) -> float:
-        """Total service time (identical to ``float(self)``)."""
-        return float(self)
-
-    @property
     def disk_us(self) -> float:
         """Service time spent on the disk tier."""
         return sum(op.duration_us for op in self.ops if op.resource == DISK_RESOURCE)
@@ -165,18 +123,6 @@ class Completion(float):
         """Service time spent occupying flash planes (every op not on
         the disk, whatever shard namespace its plane key carries)."""
         return sum(op.duration_us for op in self.ops if op.resource != DISK_RESOURCE)
-
-    @property
-    def cache_us(self) -> float:
-        """Service time on the cache device (flash plus its controller,
-        log-commit and metadata overheads) — everything but the disk."""
-        return float(self) - self.disk_us
-
-    @property
-    def overhead_us(self) -> float:
-        """Service time bound to no plane or spindle (control delays,
-        log flushes, checkpoint writes).  Stays serial under concurrency."""
-        return max(0.0, float(self) - sum(op.duration_us for op in self.ops))
 
     def __repr__(self) -> str:
         return (

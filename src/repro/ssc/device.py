@@ -20,21 +20,19 @@ Durability contract (paper §4.2.1/§5 and the three guarantees of §3.5):
 * Any operation whose garbage collection erased a block flushes the log
   before returning, so durable state never references erased flash.
 
-Every data-path operation returns its service time as a
-:class:`~repro.sim.completion.Completion` — a ``float`` subclass whose
-value is the latency in microseconds (legacy callers that sum costs are
-unaffected) and whose ``ops`` tuple attributes the time to the flash
-planes it occupied.
+Every data-path operation returns its service time in microseconds as
+a plain float.  The planes it occupied are recorded on the chip's op
+recorder; a cache manager's capture turns them into the request's
+:class:`~repro.sim.completion.Completion`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.errors import ConfigError, CrashError, NotPresentError, RecoveryError
 from repro.flash.chip import FlashChip
-from repro.sim.completion import Completion
 from repro.sim.crash import CrashInjector
 from repro.flash.page import PageState
 from repro.ftl.wear import WearConfig
@@ -203,52 +201,22 @@ class SolidStateCache:
     # The six-operation interface
     # ------------------------------------------------------------------
 
-    def _capture(
-        self, body: Callable[[], float], hit: Optional[bool] = None
-    ) -> Completion:
-        """Run ``body`` under an op capture; wrap its cost in a
-        :class:`Completion`.  The recorder is looked up per call because
-        a cache manager may re-point ``chip.op_recorder`` at its own
-        shared recorder."""
-        recorder = self.chip.op_recorder
-        mark = recorder.begin()
-        try:
-            cost = body()
-        except CrashError:
-            recorder.end(mark)
-            self.crash()
-            raise
-        except BaseException:
-            recorder.end(mark)
-            raise
-        return Completion(cost, recorder.end(mark), hit=hit)
-
-    def read(self, lbn: int) -> Tuple[Any, Completion]:
+    def read(self, lbn: int) -> Tuple[Any, float]:
         """Read ``lbn``; raises :class:`NotPresentError` if absent."""
         self._check_alive()
         location = self.engine.current_location(lbn)
         if location is None:
             raise NotPresentError(lbn)
         self.engine.stats.user_reads += 1
-        _pbn, _offset, ppn = location
-        result: List[Any] = []
+        data, _oob, cost = self.chip.read_page(location[2])
+        return data, cost
 
-        def body() -> float:
-            data, _oob, cost = self.chip.read_page(ppn)
-            result.append(data)
-            return cost
-
-        completion = self._capture(body, hit=True)
-        return result[0], completion
-
-    def write_dirty(self, lbn: int, data: Any) -> Completion:
+    def write_dirty(self, lbn: int, data: Any) -> float:
         """Write ``lbn`` as dirty; durable (data + mapping) on return."""
         self._check_alive()
-        return self._capture(
-            lambda: self._guarded_write(lbn, data, dirty=True, sync=True)
-        )
+        return self._guarded_write(lbn, data, dirty=True, sync=True)
 
-    def write_clean(self, lbn: int, data: Any) -> Completion:
+    def write_clean(self, lbn: int, data: Any) -> float:
         """Write ``lbn`` as clean; buffering per ``clean_durability``."""
         self._check_alive()
         mode = self.config.clean_durability
@@ -258,37 +226,35 @@ class SolidStateCache:
             sync = False
         else:
             sync = self.engine.current_location(lbn) is not None
-        return self._capture(
-            lambda: self._guarded_write(lbn, data, dirty=False, sync=sync)
-        )
+        return self._guarded_write(lbn, data, dirty=False, sync=sync)
 
-    def evict(self, lbn: int) -> Completion:
+    def evict(self, lbn: int) -> float:
         """Force ``lbn`` out of the cache; durable on return."""
         self._check_alive()
-
-        def body() -> float:
-            erases_before = self.chip.stats.block_erases
+        erases_before = self.chip.stats.block_erases
+        try:
             cost = self.engine.trim(lbn)
             return cost + self._finish_op(sync=True, erases_before=erases_before)
+        except CrashError:
+            self.crash()
+            raise
 
-        return self._capture(body)
-
-    def clean(self, lbn: int) -> Completion:
+    def clean(self, lbn: int) -> float:
         """Mark ``lbn`` clean so the SSC may silently evict it later.
 
         Asynchronous: after a crash the block may revert to dirty.
         No-op if the block is absent.
         """
         self._check_alive()
-
-        def body() -> float:
+        try:
             if self.engine.set_clean(lbn):
                 self.oplog.append(RecordKind.CLEAN, lbn)
             return self._finish_op(
                 sync=False, erases_before=self.chip.stats.block_erases
             )
-
-        return self._capture(body)
+        except CrashError:
+            self.crash()
+            raise
 
     def exists(self, start_lbn: int, end_lbn: int) -> Tuple[List[int], float]:
         """Return the dirty blocks within [start_lbn, end_lbn).
@@ -353,10 +319,16 @@ class SolidStateCache:
     # ------------------------------------------------------------------
 
     def _guarded_write(self, lbn: int, data: Any, dirty: bool, sync: bool) -> float:
+        """Write ``lbn``, then apply the flush and checkpoint policy; a
+        crash part-way powers the device off before it propagates."""
         erases_before = self.chip.stats.block_erases
-        cost = self.engine.write(lbn, data, dirty=dirty)
-        self._writes_since_checkpoint += 1
-        return cost + self._finish_op(sync=sync, erases_before=erases_before)
+        try:
+            cost = self.engine.write(lbn, data, dirty=dirty)
+            self._writes_since_checkpoint += 1
+            return cost + self._finish_op(sync=sync, erases_before=erases_before)
+        except CrashError:
+            self.crash()
+            raise
 
     def _finish_op(self, sync: bool, erases_before: int) -> float:
         """Apply the log-flush and checkpoint policy after an operation."""

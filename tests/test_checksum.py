@@ -113,6 +113,14 @@ class TestDirtyTableChecksums:
         table.add(5, "a")
         assert table.checksum_matches(5, "b")
 
+    def test_block_added_without_data_is_unverifiable(self):
+        table = DirtyBlockTable()
+        table.add(5)
+        assert 5 in table
+        assert table.checksum_matches(5, ("payload", 1))
+        assert table.remove(5)
+        assert 5 not in table
+
 
 class TestWritebackVerification:
     def test_clean_path_verifies_ok(self):
@@ -139,3 +147,31 @@ class TestWritebackVerification:
         ssc.chip.page(location[2]).data = ("CORRUPT",)
         manager.flush_dirty()  # no verification: propagates silently
         assert disk.peek(5) == ("CORRUPT",)
+
+    def test_recovered_dirty_blocks_flush_with_verification(self):
+        # Recovery re-adds dirty blocks from exists() without their data;
+        # they carry no recorded checksum, so write-back must not reject
+        # their intact contents.
+        manager, ssc, disk = make_manager(verify=True)
+        for lbn in range(10):
+            manager.write(lbn, ("data", lbn))
+        ssc.crash()
+        ssc.recover()
+        manager.recover_us(10_000)
+        assert len(manager.dirty_table) == 10
+        manager.flush_dirty()
+        assert [disk.peek(lbn) for lbn in range(10)] == [
+            ("data", lbn) for lbn in range(10)
+        ]
+
+    def test_recovered_block_rewritten_is_verified_again(self):
+        manager, ssc, disk = make_manager(verify=True)
+        manager.write(5, ("old", 5))
+        ssc.crash()
+        ssc.recover()
+        manager.recover_us(10_000)
+        manager.write(5, ("new", 5))
+        location = ssc.engine.current_location(5)
+        ssc.chip.page(location[2]).data = ("CORRUPT",)
+        with pytest.raises(ChecksumError):
+            manager.flush_dirty()

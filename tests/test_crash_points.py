@@ -89,6 +89,25 @@ class TestCrashedStateTransition:
         ssc.recover()
         ssc.write_dirty(4, "v2")  # usable again
 
+    @pytest.mark.parametrize("op", [
+        lambda ssc: ssc.write_dirty(4, "v2"),
+        lambda ssc: ssc.write_clean(4, "v2"),
+        lambda ssc: ssc.evict(3),
+        lambda ssc: ssc.clean(3),
+    ], ids=["write_dirty", "write_clean", "evict", "clean"])
+    def test_every_mutating_op_powers_off_on_crash(self, small_geometry, op):
+        # group_commit_ops=1 makes even clean's buffered record flush, so
+        # every operation reaches a durability boundary.
+        ssc, injector = make_ssc(
+            small_geometry, clean_durability="sync", group_commit_ops=1)
+        ssc.write_dirty(3, "v1")
+        injector.arm()
+        with pytest.raises(CrashError):
+            op(ssc)
+        with pytest.raises(RecoveryError):
+            ssc.read(3)
+        ssc.recover()
+
     def test_buffered_records_lost_at_crash(self, small_geometry):
         ssc, injector = make_ssc(small_geometry, clean_durability="buffered")
         ssc.write_clean(3, "v1")  # buffered: records volatile

@@ -11,10 +11,8 @@ class TestHierarchy:
         errors.FlashError,
         errors.InvalidAddressError,
         errors.WriteToNonErasedPageError,
-        errors.EraseActiveBlockError,
         errors.NotPresentError,
         errors.CacheFullError,
-        errors.OutOfSpaceError,
         errors.RecoveryError,
         errors.CrashError,
     ])

@@ -9,7 +9,7 @@ from repro.stats.counters import LatencyStats, ReplayStats
 from repro.stats.report import format_ratio, format_table
 from repro.traces.record import OpKind, TraceRecord
 from repro.traces.replay import replay_trace
-from repro.traces.synthetic import HOMES, USR, generate_trace
+from repro.traces.synthetic import HOMES, generate_trace
 
 
 def tiny_config(kind=SystemKind.SSC, mode=CacheMode.WRITE_BACK):
@@ -101,15 +101,6 @@ class TestSystemFacade:
         assert flashtier.ssc is not None and flashtier.ssd is None
         assert native.device is native.ssd
         assert flashtier.device is flashtier.ssc
-
-    def test_total_memory_combines_tiers(self):
-        system = build_system(tiny_config())
-        trace = generate_trace(USR.scaled(0.01), seed=2).records
-        system.replay(trace)
-        assert system.total_memory_bytes() == (
-            system.device.device_memory_bytes()
-            + system.manager.host_memory_bytes()
-        )
 
     def test_geometry_covers_requested_cache(self):
         config = tiny_config()

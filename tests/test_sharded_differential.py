@@ -15,7 +15,9 @@ an exact equality here.
 import pytest
 
 from repro import CacheMode, ReplayEngine, SystemConfig, SystemKind, build_system
-from repro.core.flashtier import build_sharded_system
+from repro.core.flashtier import assemble_system
+from repro.core.sharding import ShardedSSC, ShardedSSD
+from repro.disk.model import Disk
 from repro.perf.wallclock import ZIPF_PROFILE
 from repro.traces.replay import replay_trace
 from repro.traces.synthetic import HOMES, generate_trace
@@ -47,8 +49,12 @@ def _single(kind, mode):
 
 
 def _array(kind, mode):
-    """The same system assembled through the sharded path, one member."""
-    return build_sharded_system(_config(kind, mode, shards=1))
+    """The same system with its fresh device wrapped in a one-member
+    array, under the manager ``build_system`` would put over it."""
+    config = _config(kind, mode, shards=1)
+    device = build_system(config).device
+    array_cls = ShardedSSD if kind is SystemKind.NATIVE else ShardedSSC
+    return assemble_system(config, array_cls([device]), Disk(config.disk_blocks))
 
 
 def _instrument(manager, journal):

@@ -221,10 +221,10 @@ class TestChipView:
         assert all(
             shard.chip.op_recorder is recorder for shard in array.shards
         )
-        mark = recorder.begin()
+        recorder.begin()
         array.write_dirty(0, "a")   # shard 0
         array.write_dirty(8, "b")   # shard 1
-        ops = recorder.end(mark)
+        ops = recorder.end()
         assert ops  # both members report through the one recorder
 
     def test_wear_and_free_blocks_aggregate(self):
