@@ -9,12 +9,11 @@ memory cost.
 """
 
 from repro import CacheMode, SystemKind
-from repro.core.flashtier import cache_geometry
+from repro.core.flashtier import cache_geometry, replay_trace
 from repro.disk.model import Disk
 from repro.ftl.ssd import SSD
 from repro.manager.native import NativeCacheManager, NativeConfig
 from repro.stats.report import format_table
-from repro.traces.replay import replay_trace
 
 from benchmarks.common import (
     WARMUP_FRACTION,

@@ -7,13 +7,12 @@ what streams through the cache lose.
 """
 
 from repro import CacheMode, SystemKind
-from repro.core.flashtier import cache_geometry
+from repro.core.flashtier import cache_geometry, replay_trace
 from repro.disk.model import Disk
 from repro.manager.writethrough import FlashTierWTManager
 from repro.ssc.device import SolidStateCache, SSCConfig
 from repro.ssc.engine import EvictionPolicy
 from repro.stats.report import format_table
-from repro.traces.replay import replay_trace
 
 from benchmarks.common import WARMUP_FRACTION, get_trace, once, system_config
 

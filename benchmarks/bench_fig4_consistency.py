@@ -13,11 +13,10 @@ read-heavy usr/proj every system loses <= ~7 %.
 from repro import CacheMode, SystemKind
 from repro.ssc.device import SSCConfig, SolidStateCache
 from repro.ssc.engine import EvictionPolicy
-from repro.core.flashtier import cache_geometry
+from repro.core.flashtier import cache_geometry, replay_trace
 from repro.disk.model import Disk
 from repro.manager.writeback import FlashTierWBManager
 from repro.stats.report import format_table
-from repro.traces.replay import replay_trace
 
 from benchmarks.common import (
     WARMUP_FRACTION,

@@ -1,9 +1,9 @@
 """Queue-depth scaling — the event-driven engine's headline result.
 
-The legacy serial replay loop keeps one request in flight, so IOPS is
-capped at 1/mean-latency regardless of device parallelism.  The
-event-driven :class:`~repro.engine.ReplayEngine` overlaps requests on
-distinct flash planes while same-plane requests (and the single disk
+At queue depth 1 one request is in flight, so IOPS is capped at
+1/mean-latency regardless of device parallelism.  Deeper queues let
+the :class:`~repro.engine.ReplayEngine` overlap requests on distinct
+flash planes while same-plane requests (and the single disk
 spindle) queue.  Expected shape on a read-heavy, cache-resident
 workload: IOPS grows with queue depth until the planes (or the disk,
 for the miss traffic) saturate, then flattens — with queueing delay
@@ -68,7 +68,7 @@ def test_queue_depth_scaling(benchmark):
           "device saturates, queueing delay absorbs the remainder")
 
     by_depth = dict(results)
-    # Concurrency must pay: deeper queues strictly beat serial replay
+    # Concurrency must pay: deeper queues strictly beat queue depth 1
     # until saturation.
     assert by_depth[4].iops() > by_depth[1].iops()
     assert by_depth[16].iops() > by_depth[4].iops()

@@ -16,11 +16,10 @@ Run:  python examples/warm_restart.py
 
 from repro import CacheMode, SystemConfig, SystemKind, build_system
 from repro.ssc.device import SSCConfig, SolidStateCache
-from repro.core.flashtier import cache_geometry
+from repro.core.flashtier import cache_geometry, replay_trace
 from repro.disk.model import Disk
 from repro.manager.writethrough import FlashTierWTManager
 from repro.traces import USR, generate_trace
-from repro.traces.replay import replay_trace
 
 
 def main() -> None:

@@ -162,13 +162,17 @@ def cmd_replay(args) -> int:
         tracer = Tracer(*sinks)
         instrument_system(system, tracer)
 
-    stats = system.replay(
-        records,
-        warmup_fraction=args.warmup,
-        queue_depth=args.queue_depth,
-        open_loop=args.open_loop,
-        keep_latencies=bool(args.metrics),
-    )
+    try:
+        stats = system.replay(
+            records,
+            warmup_fraction=args.warmup,
+            queue_depth=args.queue_depth,
+            open_loop=args.open_loop,
+            keep_latencies=bool(args.metrics),
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     if tracer is not None:
         from repro.obs import write_chrome_trace

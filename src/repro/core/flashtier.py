@@ -2,7 +2,8 @@
 
 ``build_system`` wires a flash device (SSD or SSC), a disk, and the
 matching cache manager into one :class:`FlashTierSystem` — the unit the
-examples and benchmarks operate on.
+examples and benchmarks operate on.  ``replay_trace`` replays a trace
+through any manager, assembled here or by hand.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Optional, Sequence, Union
 from repro.core.config import CacheMode, SystemConfig, SystemKind
 from repro.core.sharding import ShardedSSC, ShardedSSD
 from repro.disk.model import Disk
+from repro.engine.replay import ReplayEngine
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.hybrid import HybridFTLConfig
 from repro.ftl.ssd import SSD
@@ -24,7 +26,24 @@ from repro.ssc.device import SolidStateCache, SSCConfig
 from repro.ssc.engine import EvictionPolicy
 from repro.stats.counters import ReplayStats
 from repro.traces.record import TraceRecord
-from repro.traces.replay import replay_trace
+
+
+def replay_trace(
+    manager: CacheManager,
+    trace: Sequence[TraceRecord],
+    warmup_fraction: float = 0.0,
+    keep_latencies: bool = False,
+    queue_depth: int = 1,
+    open_loop: bool = False,
+) -> ReplayStats:
+    """Replay ``trace`` through ``manager`` on the
+    :class:`~repro.engine.ReplayEngine`; returns measured statistics."""
+    return ReplayEngine(manager, queue_depth).run(
+        trace,
+        warmup_fraction=warmup_fraction,
+        keep_latencies=keep_latencies,
+        open_loop=open_loop,
+    )
 
 
 def cache_geometry(config: SystemConfig, shard_count: int = 1) -> FlashGeometry:
@@ -81,27 +100,17 @@ class FlashTierSystem:
     ) -> ReplayStats:
         """Replay ``trace`` through this system's manager.
 
-        ``queue_depth`` > 1 keeps that many requests outstanding
-        (closed loop); ``open_loop=True`` instead dispatches at each
-        record's ``arrival_us``.  Both run through the event-driven
-        :class:`~repro.engine.ReplayEngine`; the default serial path is
-        the legacy one-at-a-time loop, which the engine reproduces
-        bit-for-bit at ``queue_depth=1``.
+        One request is outstanding by default; ``queue_depth`` > 1
+        keeps that many outstanding (closed loop), and
+        ``open_loop=True`` instead dispatches at each record's
+        ``arrival_us``.  See :func:`replay_trace`.
         """
-        if queue_depth == 1 and not open_loop:
-            return replay_trace(
-                self.manager,
-                trace,
-                warmup_fraction=warmup_fraction,
-                keep_latencies=keep_latencies,
-            )
-        from repro.engine import ReplayEngine
-
-        engine = ReplayEngine(self.manager, queue_depth=queue_depth)
-        return engine.run(
+        return replay_trace(
+            self.manager,
             trace,
             warmup_fraction=warmup_fraction,
             keep_latencies=keep_latencies,
+            queue_depth=queue_depth,
             open_loop=open_loop,
         )
 

@@ -14,9 +14,8 @@ partitions the disk LBN space across ``N`` member devices:
   64-bit mix of its number.
 * :class:`ShardedSSC` fans the six-operation SSC interface out to the
   owning shard and aggregates statistics via the stats classes'
-  ``merge()``.  Recovery runs the shards concurrently through the
-  event scheduler, so array recovery time is the *max* over shards,
-  not the sum.
+  ``merge()``.  The shards recover concurrently, so array recovery
+  time is the *max* over shards, not the sum.
 * :class:`ShardedSSD` does the same for the native baseline's dense
   logical space, striping pages round-robin (``lpn % N``) so the
   manager's set-associative layout spreads evenly.
@@ -44,7 +43,6 @@ from repro.ftl.base import FTLStats
 from repro.ftl.ssd import SSD
 from repro.flash.chip import FlashStats
 from repro.sim.crash import CrashInjector
-from repro.sim.events import EventScheduler
 from repro.ssc.device import SolidStateCache
 
 _MASK = (1 << 64) - 1
@@ -424,28 +422,20 @@ class ShardedSSC:
         """Power-fail every member; returns total lost log records."""
         return sum(shard.crash() for shard in self.shards)
 
-    def recover(self, parallel: bool = True) -> float:
+    def recover(self) -> float:
         """Recover every member; returns the array recovery time.
 
         Each shard's roll-forward is independent, so the array recovers
-        them concurrently: each shard's cost is scheduled at t=0 on the
-        event scheduler and the array is ready when the last completion
-        fires — ``max`` over shards, not the sum.  ``parallel=False``
-        models one controller recovering members back-to-back (the
-        ``sum``), kept for the scaling comparison.  Per-shard costs are
-        stored in :attr:`last_recovery_costs` either way.
+        them concurrently and is ready when the slowest shard is —
+        ``max`` over shards, not the sum.  Per-shard costs are stored in
+        :attr:`last_recovery_costs`; their sum is the time one
+        controller recovering members back-to-back would take.
         """
         from repro.ssc.recovery import recover_device
 
         costs = tuple(recover_device(shard) for shard in self.shards)
         self.last_recovery_costs = costs
-        if not parallel:
-            return sum(costs)
-        scheduler = EventScheduler()
-        for cost in costs:
-            scheduler.schedule_at(cost)
-        scheduler.run_until_idle()
-        return scheduler.clock.now_us
+        return max(costs)
 
     def __repr__(self) -> str:
         return (

@@ -1,31 +1,34 @@
-"""Event-driven trace replay: queue-depth concurrency over planes.
+"""Trace replay: the one loop that drives a cache manager with requests.
 
-The legacy :func:`~repro.traces.replay.replay_trace` loop is strictly
-serial — one request in flight, IOPS capped at 1/mean-latency no matter
-how many flash planes the device has.  The :class:`ReplayEngine` drives
-the same cache manager but models *concurrent* requests:
+:class:`ReplayEngine` replays a trace through a cache manager and
+reports IOPS over *simulated* time, mirroring the paper's trace-replay
+framework (§5).  It has three dispatch disciplines:
 
-* **Closed loop** — a fixed number of requests (``queue_depth``) is
-  kept outstanding; each completion immediately dispatches the next
-  trace record, like a benchmark thread pool.
-* **Open loop** — requests dispatch at their recorded
-  ``arrival_us`` timestamps regardless of completions, like replaying
-  a production trace against a faster device.
+* **Queue depth 1** (the default) — one request outstanding; each
+  starts exactly when its predecessor finishes, so IOPS is capped at
+  1/mean-latency, as in the paper's replay.
+* **Closed loop at depth N** — ``queue_depth`` requests are kept
+  outstanding; each completion immediately dispatches the next trace
+  record, like a benchmark thread pool.
+* **Open loop** — requests dispatch at their recorded ``arrival_us``
+  timestamps regardless of completions, like replaying a production
+  trace against a faster device.
 
 Each request's :class:`~repro.sim.completion.Completion` carries the
 operations it performed, attributed to contended resources (flash
-planes, the disk spindle).  The engine schedules those operations onto
-per-resource availability timelines: ops on distinct planes overlap,
-ops on the same plane — or on the single disk spindle — queue behind
-each other, and any service time not bound to a resource (controller
-delays, log commits, checkpoints) stays serial within its request.
+planes, the disk spindle).  Above queue depth 1 the engine schedules
+those operations onto per-resource availability timelines: ops on
+distinct planes overlap, ops on the same plane — or on the single disk
+spindle — queue behind each other, and any service time not bound to a
+resource (controller delays, log commits, checkpoints) stays serial
+within its request.
 
 Functional device state still mutates in trace order at dispatch time
 (the hit/miss sequence is identical at every queue depth); concurrency
-changes *when* the time is charged, not *what* happens.  At
-``queue_depth=1`` the engine reproduces the serial replay loop's
-results bit-for-bit: with one request outstanding nothing can queue,
-so each request starts exactly when its predecessor finishes.
+changes *when* the time is charged, not *what* happens.
+
+Warm-up follows §6.5: "To warm the cache, we replay the first 15 % of
+the trace before gathering statistics."
 """
 
 from __future__ import annotations
@@ -38,23 +41,44 @@ from repro.sim.completion import Completion
 from repro.sim.events import EventScheduler
 from repro.stats.counters import LatencyStats, ReplayStats
 from repro.traces.record import TraceRecord
-from repro.traces.replay import _issue, _trace_request
+
+
+def _issue(manager: CacheManager, record: TraceRecord) -> Completion:
+    if record.is_write:
+        return manager.write(record.lbn, ("w", record.lbn))
+    _data, completion = manager.read(record.lbn)
+    return completion
+
+
+def _trace_request(tracer, record: TraceRecord, completion: Completion) -> None:
+    """Emit one warm-up request's op.issue slice plus its per-device
+    op.device slices, laid back-to-back from the tracer's current time
+    (warm-up consumes no simulated time, so nothing is reserved)."""
+    issue_ts = tracer.now_us
+    tracer.emit(
+        "op.issue", lane="requests", ts_us=issue_ts,
+        dur_us=float(completion),
+        kind="write" if record.is_write else "read",
+        lbn=record.lbn, hit=completion.hit, queue_wait_us=0.0,
+    )
+    cursor = issue_ts
+    for resource_key, kind, duration_us in completion.ops:
+        tracer.emit(
+            "op.device", lane=resource_key, ts_us=cursor,
+            dur_us=duration_us, kind=kind,
+        )
+        cursor += duration_us
 
 
 class ReplayEngine:
     """Replays traces through a manager at a configurable queue depth."""
 
-    def __init__(
-        self,
-        manager: CacheManager,
-        queue_depth: int = 1,
-        clock: Optional[SimClock] = None,
-    ):
+    def __init__(self, manager: CacheManager, queue_depth: int = 1):
         if queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
         self.manager = manager
         self.queue_depth = queue_depth
-        self.clock = clock or SimClock()
+        self.clock = SimClock()
         #: Resource key -> availability timeline, for every plane and
         #: disk the manager's devices can occupy.
         self._resources = manager.resources()
@@ -88,10 +112,8 @@ class ReplayEngine:
         busy = stats.device_busy_us
         if serial:
             # One outstanding request: every resource is idle at
-            # dispatch by construction, so the request runs exactly as
-            # in serial replay — finish is computed from the total
-            # service time alone, which is what makes queue_depth=1
-            # reproduce replay_trace() bit-for-bit.
+            # dispatch by construction, so nothing can queue — finish
+            # is computed from the total service time alone.
             cursor = at_us
             for resource_key, kind, duration_us in completion.ops:
                 busy[resource_key] = busy.get(resource_key, 0.0) + duration_us
@@ -134,10 +156,17 @@ class ReplayEngine:
         without timing.  In closed-loop mode (default) ``queue_depth``
         requests are kept outstanding; with ``open_loop=True`` every
         measured record must carry an ``arrival_us`` timestamp and is
-        dispatched at its recorded arrival instead.
+        dispatched at its recorded arrival instead, which leaves no
+        queue depth to choose: open loop requires ``queue_depth=1``.
         """
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
+        if open_loop and self.queue_depth != 1:
+            raise ValueError(
+                "open-loop replay dispatches at recorded arrivals; "
+                f"queue_depth={self.queue_depth} has no effect there "
+                "(use queue_depth=1)"
+            )
         warmup_ops = int(len(trace) * warmup_fraction)
 
         stats = ReplayStats(
@@ -152,6 +181,7 @@ class ReplayEngine:
         arrival_origin: Optional[float] = None
         dispatch_us = start_us
         end_us = start_us
+        serial = not open_loop and self.queue_depth == 1
 
         for index, record in enumerate(trace):
             if index == warmup_ops:
@@ -165,8 +195,7 @@ class ReplayEngine:
             if index < warmup_ops:
                 completion = _issue(self.manager, record)
                 if tracer is not None:
-                    _trace_request(tracer, record, completion,
-                                   queue_wait_us=0.0)
+                    _trace_request(tracer, record, completion)
                 continue
 
             dispatch_wait_us = 0.0
@@ -191,12 +220,10 @@ class ReplayEngine:
                 tracer.advance_to(dispatch_us)
             completion = _issue(self.manager, record)
             wait_us, finish_us = self._execute(
-                completion, dispatch_us, stats,
-                serial=not open_loop and self.queue_depth == 1,
-                tracer=tracer,
+                completion, dispatch_us, stats, serial=serial, tracer=tracer,
             )
             wait_us += dispatch_wait_us
-            scheduler.schedule_at(max(finish_us, self.clock.now_us))
+            scheduler.schedule_at(finish_us)
             if finish_us > end_us:
                 end_us = finish_us
 
@@ -205,9 +232,10 @@ class ReplayEngine:
                 stats.writes += 1
             else:
                 stats.reads += 1
-            latency_us = wait_us + float(completion)
+            service_us = float(completion)
+            latency_us = wait_us + service_us
             stats.latency.record(latency_us)
-            stats.service.record(float(completion))
+            stats.service.record(service_us)
             stats.queue_wait.record(wait_us)
             if tracer is not None:
                 tracer.emit(

@@ -54,7 +54,7 @@ class CacheManager(ABC):
     lives).
     """
 
-    #: Optional trace bus (repro.obs), read by the replay loops for
+    #: Optional trace bus (repro.obs), read by the replay engine for
     #: op.issue/op.device emissions; None keeps replay zero-cost.
     tracer = None
 

@@ -50,7 +50,7 @@ def declare_event(name: str, category: str, lane: str, description: str,
 
 
 # ---------------------------------------------------------------------------
-# Request path (emitted by the replay loops)
+# Request path (emitted by the replay engine)
 # ---------------------------------------------------------------------------
 
 declare_event(

@@ -7,7 +7,7 @@ simulation executes exactly the same arithmetic it always did — the
 differential tests assert bit-identical results — and with one
 attached, the only added work is building small event tuples.
 
-Timestamps are *simulated* microseconds.  The replay loops push the
+Timestamps are *simulated* microseconds.  The replay engine pushes the
 current dispatch time into the tracer (:meth:`Tracer.advance_to`)
 before issuing each request, so events emitted deep inside the device
 (log flushes, merges, evictions) are stamped with the simulated time
@@ -115,7 +115,7 @@ class Tracer:
     A tracer is attached to a system with
     :func:`repro.obs.wire.instrument_system`; detaching is simply
     attaching ``None``.  ``now_us`` is the current simulated time,
-    advanced monotonically by the replay loops; emitters that know a
+    advanced monotonically by the replay engine; emitters that know a
     better timestamp (the engine's per-op plane reservations) pass
     ``ts_us`` explicitly.
     """

@@ -74,7 +74,7 @@ def instrument_system(system: Any, tracer: Optional[Tracer]) -> List[Any]:
     touched: List[Any] = []
     manager = getattr(system, "manager", None)
     if manager is not None:
-        manager.tracer = tracer            # read by the replay loops
+        manager.tracer = tracer            # read by the replay engine
         touched.append(manager)
     device = getattr(system, "device", None)
     if device is not None:

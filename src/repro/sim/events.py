@@ -1,11 +1,10 @@
-"""Event scheduler: a time-ordered heap driving event-driven replay.
+"""Event scheduler: a time-ordered heap driving trace replay.
 
-The original harness was strictly serial — one request in flight, the
-clock advanced by each request's latency.  The scheduler decouples
-*dispatch* from *completion*: work is scheduled to finish at a future
-simulated time, and popping events advances the shared
-:class:`~repro.sim.clock.SimClock` to each completion in time order.
-Ties break by scheduling order, so replay stays deterministic.
+The scheduler decouples *dispatch* from *completion*: work is
+scheduled to finish at a future simulated time, and popping events
+advances the shared :class:`~repro.sim.clock.SimClock` to each
+completion in time order.  Ties break by scheduling order, so replay
+stays deterministic.
 """
 
 from __future__ import annotations
@@ -70,21 +69,6 @@ class EventScheduler:
         event = heapq.heappop(self._heap)
         self.clock.advance_to(event.time_us)
         return event
-
-    def run_until_idle(self) -> int:
-        """Pop every pending event, invoking callable payloads.
-
-        Callable payloads are invoked with the event; events scheduled
-        by callbacks are processed too.  Returns the number of events
-        processed.
-        """
-        processed = 0
-        while self:
-            event = self.pop()
-            processed += 1
-            if callable(event.payload):
-                event.payload(event)
-        return processed
 
     def __repr__(self) -> str:
         return f"EventScheduler(pending={len(self)}, now={self.clock.now_us:.1f}us)"

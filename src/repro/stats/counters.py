@@ -140,7 +140,7 @@ class ReplayStats:
     ``latency`` is the end-to-end per-request distribution; under the
     event-driven engine it decomposes as ``service`` (device time) plus
     ``queue_wait`` (time spent queued behind busy resources — always
-    zero for serial replay).  ``device_busy_us`` maps each contended
+    zero at queue depth 1).  ``device_busy_us`` maps each contended
     resource (``"plane:<n>"``, ``"disk"``) to its cumulative busy time
     during the measured interval.
     """
@@ -169,12 +169,6 @@ class ReplayStats:
         if lookups == 0:
             return 0.0
         return 100.0 * self.read_misses / lookups
-
-    def add_busy(self, resource: str, duration_us: float) -> None:
-        """Charge ``duration_us`` of busy time to ``resource``."""
-        self.device_busy_us[resource] = (
-            self.device_busy_us.get(resource, 0.0) + duration_us
-        )
 
     def utilization(self) -> Dict[str, float]:
         """Fraction of the measured interval each resource was busy."""

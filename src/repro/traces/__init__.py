@@ -1,4 +1,4 @@
-"""Workloads: trace records, synthetic generators, file I/O, replay.
+"""Workloads: trace records, synthetic generators, file I/O, analysis.
 
 The paper evaluates on four production traces (Table 3): *homes* and
 *mail* (FIU, write-heavy) and *usr* and *proj* (MSR Cambridge,
@@ -22,7 +22,6 @@ from repro.traces.synthetic import (
     PROFILES,
 )
 from repro.traces.filefmt import read_trace, write_trace
-from repro.traces.replay import replay_trace
 from repro.traces.analyze import TraceStats, analyze
 from repro.traces.msr import iter_msr_trace, read_msr_trace
 from repro.traces.fiu import iter_fiu_trace, read_fiu_trace
@@ -41,7 +40,6 @@ __all__ = [
     "PROFILES",
     "read_trace",
     "write_trace",
-    "replay_trace",
     "TraceStats",
     "analyze",
     "read_msr_trace",

@@ -113,6 +113,20 @@ class TestErrors:
         path.write_text("# nothing\n")
         assert main(["analyze", "--trace", str(path)]) == 1
 
+    def test_open_loop_rejects_queue_depth(self, tmp_path, capsys):
+        # The FIU trace carries arrival timestamps, so open loop can
+        # run; a queue depth would silently do nothing there.
+        path = tmp_path / "fiu.blkparse"
+        lines = [f"{i} 1 smtpd {i * 8 % 4096} 8 W 8 1 x" for i in range(100)]
+        path.write_text("\n".join(lines) + "\n")
+        assert main([
+            "replay", "--trace", str(path), "--fiu", "--system", "ssc",
+            "--open-loop", "--queue-depth", "8",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "queue_depth=8" in captured.err
+        assert "IOPS:" not in captured.out
+
 
 class TestObservabilityCli:
     def test_replay_writes_all_three_outputs(self, tmp_path, capsys):

@@ -50,20 +50,6 @@ class TestEventScheduler:
         with pytest.raises(IndexError):
             EventScheduler().pop()
 
-    def test_run_until_idle_invokes_callables(self):
-        scheduler = EventScheduler()
-        seen = []
-        scheduler.schedule_at(1.0, lambda event: seen.append(event.time_us))
-
-        def chain(event):
-            seen.append(event.time_us)
-            scheduler.schedule_at(event.time_us + 5.0,
-                                  lambda e: seen.append(e.time_us))
-
-        scheduler.schedule_at(2.0, chain)
-        assert scheduler.run_until_idle() == 3
-        assert seen == [1.0, 2.0, 7.0]
-
 
 class TestOpRecorder:
     def test_inactive_recorder_drops_ops(self):

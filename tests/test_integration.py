@@ -10,9 +10,9 @@ import random
 import pytest
 
 from repro import CacheMode, SystemConfig, SystemKind, build_system
+from repro.core.flashtier import replay_trace
 from repro.traces import HOMES, MAIL, generate_trace
 from repro.traces.record import OpKind, TraceRecord
-from repro.traces.replay import replay_trace
 
 
 def tiny(kind, mode, consistency=True):

@@ -3,12 +3,11 @@
 import pytest
 
 from repro import CacheMode, SystemConfig, SystemKind, build_system
-from repro.core.flashtier import cache_geometry
+from repro.core.flashtier import cache_geometry, replay_trace
 from repro.errors import ConfigError
 from repro.stats.counters import LatencyStats, ReplayStats
 from repro.stats.report import format_ratio, format_table
 from repro.traces.record import OpKind, TraceRecord
-from repro.traces.replay import replay_trace
 from repro.traces.synthetic import HOMES, generate_trace
 
 

@@ -13,8 +13,8 @@ crash story sound:
    whole still satisfies the strict SSC oracle.
 2. **Parallel recovery** — the array is ready when its slowest member
    is: ``recover()`` equals the *max* of the per-shard costs (they
-   replay concurrently through the event scheduler), while
-   ``recover(parallel=False)`` equals their *sum*.
+   replay concurrently), while one controller recovering the members
+   back-to-back would take their *sum*.
 """
 
 import random
@@ -202,8 +202,8 @@ class TestParallelRecovery:
         assert parallel_us == max(costs)
 
         array.crash()
-        serial_us = array.recover(parallel=False)
-        assert serial_us == sum(array.last_recovery_costs)
+        array.recover()
+        serial_us = sum(array.last_recovery_costs)
         assert parallel_us <= serial_us
 
     def test_crash_counts_sum_over_shards(self):

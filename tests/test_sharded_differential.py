@@ -4,8 +4,8 @@
 own — every cost, every hit/miss decision, every device mutation is a
 member device's.  The sharpest statement of that claim is the ``N=1``
 case: an array of one shard must be *bit-for-bit* indistinguishable
-from driving the bare device, across the serial replay loop, the event
-engine at any queue depth, and the device state left behind.
+from driving the bare device, in replay at queue depth 1 and above and
+in the device state left behind.
 
 This is the lock that lets the fan-out/aggregation layer evolve
 freely: any hidden cost, re-keyed resource, or reordered fan-out breaks
@@ -15,11 +15,10 @@ an exact equality here.
 import pytest
 
 from repro import CacheMode, ReplayEngine, SystemConfig, SystemKind, build_system
-from repro.core.flashtier import assemble_system
+from repro.core.flashtier import assemble_system, replay_trace
 from repro.core.sharding import ShardedSSC, ShardedSSD
 from repro.disk.model import Disk
 from repro.perf.wallclock import ZIPF_PROFILE
-from repro.traces.replay import replay_trace
 from repro.traces.synthetic import HOMES, generate_trace
 
 ALL_COMBOS = [
@@ -185,7 +184,8 @@ class TestOneShardArrayIsTheDevice:
         # Parallel and serial recovery coincide for one member.
         array_system.ssc.crash()
         single_system.ssc.crash()
-        assert array_system.ssc.recover(parallel=False) == single_system.ssc.recover()
+        array_system.ssc.recover()
+        assert sum(array_system.ssc.last_recovery_costs) == single_system.ssc.recover()
 
     def test_latency_percentiles_identical(self):
         records = WORKLOADS["zipf"]()
