@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ConfigError, InvalidAddressError
-from repro.sim.completion import DISK_RESOURCE, OpRecorder
+from repro.sim.completion import DISK_RESOURCE, DeviceOp, OpRecorder
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class Disk:
         cost = self._access_cost(lbn)
         self.stats.reads += 1
         self.stats.busy_us += cost
-        self.op_recorder.record(DISK_RESOURCE, "read", cost)
+        self.op_recorder.record(DeviceOp(DISK_RESOURCE, "read", cost))
         return self._data.get(lbn), cost
 
     def write(self, lbn: int, data: Any) -> float:
@@ -105,7 +105,7 @@ class Disk:
         cost = self._access_cost(lbn)
         self.stats.writes += 1
         self.stats.busy_us += cost
-        self.op_recorder.record(DISK_RESOURCE, "write", cost)
+        self.op_recorder.record(DeviceOp(DISK_RESOURCE, "write", cost))
         self._data[lbn] = data
         return cost
 

@@ -102,31 +102,6 @@ class EraseBlock:
             self.dirty_count += 1
         self._track_sequential(offset, oob)
 
-    def program_torn(self, offset: int) -> None:
-        """Leave page ``offset`` in the state a power cut mid-program does.
-
-        The cells were partially written: they read back as garbage, the
-        OOB reverse map is unusable, and the stored checksum can never
-        match.  The write pointer still advances — NAND cannot reprogram
-        the page without an erase — so the block's geometry stays honest.
-        """
-        if offset < self.write_pointer:
-            raise WriteToNonErasedPageError(
-                f"block {self.pbn}: torn program at offset {offset} but "
-                f"write pointer is {self.write_pointer}"
-            )
-        page = self.pages[offset]
-        if page.state is not PageState.FREE:
-            raise WriteToNonErasedPageError(
-                f"block {self.pbn} page {offset} is {page.state.name}, not FREE"
-            )
-        page.state = PageState.VALID  # reads back as (garbage) data
-        page.data = TORN_PAGE
-        page.oob = OOBData(lbn=None, dirty=False, seq=0, checksum=0)
-        self.write_pointer = offset + 1
-        self.valid_count += 1
-        self.sequential = False
-
     def _track_sequential(self, offset: int, oob: OOBData) -> None:
         if not self.sequential or oob.lbn is None:
             self.sequential = False
@@ -174,8 +149,9 @@ class EraseBlock:
         self.first_lbn = None
         self.kind = BlockKind.FREE
 
-    def valid_offsets(self):
-        """Yield offsets of VALID pages (snapshot-safe for invalidation)."""
+    def valid_offsets(self) -> List[int]:
+        """Offsets of VALID pages, as a list snapshot (safe to iterate
+        while invalidating them)."""
         return [
             offset
             for offset, page in enumerate(self.pages)

@@ -10,15 +10,15 @@ evaluation's Table 5 reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import CrashError
-from repro.flash.block import EraseBlock
+from repro.flash.block import TORN_PAGE, EraseBlock
 from repro.flash.geometry import FlashGeometry
 from repro.flash.page import OOBData, Page, PageState
 from repro.flash.plane import Plane
 from repro.flash.timing import TimingModel
-from repro.sim.completion import OpRecorder
+from repro.sim.completion import DeviceOp, OpRecorder
 from repro.sim.crash import CrashInjector, CrashPoint
 from repro.stats.counters import Counters, counter, gauge
 from repro.util.checksum import crc32_of_payload
@@ -69,13 +69,11 @@ class FlashChip:
         self._write_cost_us = self.timing.write_cost()
         self._erase_cost_us = self.timing.erase_cost()
         self._oob_read_cost_us = self.timing.oob_read_cost()
+        self._pages_per_plane = self.geometry.pages_per_block * self.geometry.blocks_per_plane
         self._write_seq = 0
+        self._build_ops()
 
     # ---- lookup helpers --------------------------------------------------
-
-    def plane_of_block(self, pbn: int) -> Plane:
-        """Plane owning block ``pbn``."""
-        return self.planes[self.geometry.pbn_to_plane(pbn)]
 
     def block(self, pbn: int) -> EraseBlock:
         """Erase block ``pbn``."""
@@ -96,11 +94,12 @@ class FlashChip:
         self._write_seq += 1
         return self._write_seq
 
-    def _plane_id_of_ppn(self, ppn: int) -> int:
-        return ppn // self.geometry.pages_per_block // self.geometry.blocks_per_plane
-
-    def _record_op(self, plane_id: int, kind: str, cost: float) -> None:
-        self.op_recorder.record(self.planes[plane_id].resource_key, kind, cost)
+    def _build_ops(self) -> None:
+        """Prebuild each plane's page read, page write and erase op."""
+        keys = [plane.resource_key for plane in self.planes]
+        self._read_ops = [DeviceOp(k, "page_read", self._read_cost_us) for k in keys]
+        self._write_ops = [DeviceOp(k, "page_write", self._write_cost_us) for k in keys]
+        self._erase_ops = [DeviceOp(k, "erase", self._erase_cost_us) for k in keys]
 
     def set_resource_shard(self, shard_id: int) -> None:
         """Re-key this chip's plane resources as ``"s<k>:plane:<n>"``.
@@ -112,6 +111,7 @@ class FlashChip:
         """
         for plane in self.planes:
             plane.resource_key = f"s{shard_id}:plane:{plane.plane_id}"
+        self._build_ops()
 
     # ---- availability ------------------------------------------------------
 
@@ -133,7 +133,7 @@ class FlashChip:
         self.stats.page_reads += 1
         self.stats.busy_us += cost
         if self.op_recorder.active:
-            self._record_op(self._plane_id_of_ppn(ppn), "page_read", cost)
+            self.op_recorder.record(self._read_ops[ppn // self._pages_per_plane])
         return page.data, page.oob, cost
 
     def program_page(self, ppn: int, data: Any, oob: OOBData) -> float:
@@ -154,8 +154,10 @@ class FlashChip:
                 injector.tick(CrashPoint.BEFORE_DATA_WRITE)
             except CrashError:
                 if injector.torn:
-                    # Power failed mid-program: the page holds garbage.
-                    self.block(pbn).program_torn(offset)
+                    # Power failed mid-program: the cells read back as
+                    # garbage under an OOB record that can never verify,
+                    # and the page cannot be reprogrammed before an erase.
+                    self.block(pbn).program(offset, TORN_PAGE, OOBData(checksum=0))
                     self.stats.page_writes += 1
                 raise
         if oob.checksum is None:
@@ -168,21 +170,68 @@ class FlashChip:
         self.stats.page_writes += 1
         self.stats.busy_us += cost
         if self.op_recorder.active:
-            self._record_op(pbn // self.geometry.blocks_per_plane, "page_write", cost)
+            self.op_recorder.record(self._write_ops[pbn // geo.blocks_per_plane])
         if injector is not None:
             injector.tick(CrashPoint.AFTER_DATA_WRITE)
+        return cost
+
+    def copy_pages(
+        self, dst_pbn: int, copies: Iterable[Tuple[int, int, Any]], cost: float = 0.0
+    ) -> float:
+        """Copy a merge's pages into block ``dst_pbn`` in one call.
+
+        Each ``(src_ppn, dst_offset, lbn)`` is a :meth:`read_page` then a
+        :meth:`program_page` of its data under OOB (``lbn``, the source's
+        dirty flag, the next sequence): same NAND rules, checksums, stats
+        and op order.  Returns ``cost`` plus each op's time, in op order.
+        """
+        geo = self.geometry
+        if self.crash_injector is not None:
+            # Every program must cross its crash boundaries.
+            for src_ppn, offset, lbn in copies:
+                data, oob, read_cost = self.read_page(src_ppn)
+                cost += read_cost
+                cost += self.program_page(
+                    dst_pbn * geo.pages_per_block + offset,
+                    data,
+                    OOBData(lbn, bool(oob and oob.dirty), self.next_seq()),
+                )
+            return cost
+        block = self.block(dst_pbn)
+        stats = self.stats
+        read_cost, write_cost = self._read_cost_us, self._write_cost_us
+        read_ops, write_op = self._read_ops, self._write_ops[dst_pbn // geo.blocks_per_plane]
+        ops: List[DeviceOp] = []
+        try:
+            for src_ppn, offset, lbn in copies:
+                src = self.page(src_ppn)
+                stats.page_reads += 1
+                stats.busy_us += read_cost
+                cost += read_cost
+                ops.append(read_ops[src_ppn // self._pages_per_plane])
+                data = src.data
+                dirty = bool(src.oob and src.oob.dirty)
+                checksum = crc32_of_payload(lbn, data)
+                block.program(offset, data, OOBData(lbn, dirty, self.next_seq(), checksum))
+                stats.page_writes += 1
+                stats.busy_us += write_cost
+                cost += write_cost
+                ops.append(write_op)
+        finally:
+            self.op_recorder.record(*ops)
         return cost
 
     def erase_block(self, pbn: int) -> float:
         """Erase block ``pbn`` and return it to its plane's free list."""
         block = self.block(pbn)
         block.erase()
-        self.plane_of_block(pbn).release(block)
+        plane_id = pbn // self.geometry.blocks_per_plane
+        self.planes[plane_id].release(block)
         cost = self._erase_cost_us
         self.stats.block_erases += 1
         self.stats.busy_us += cost
         if self.op_recorder.active:
-            self._record_op(pbn // self.geometry.blocks_per_plane, "erase", cost)
+            self.op_recorder.record(self._erase_ops[plane_id])
         return cost
 
     def scan_oob(self, ppn: int) -> Tuple[Optional[OOBData], "PageState", float]:
@@ -192,7 +241,8 @@ class FlashChip:
         self.stats.oob_scans += 1
         self.stats.busy_us += cost
         if self.op_recorder.active:
-            self._record_op(self._plane_id_of_ppn(ppn), "oob_scan", cost)
+            plane = self.planes[ppn // self._pages_per_plane]
+            self.op_recorder.record(DeviceOp(plane.resource_key, "oob_scan", cost))
         return page.oob, page.state, cost
 
     # ---- wear accounting ----------------------------------------------------

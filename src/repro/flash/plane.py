@@ -32,9 +32,9 @@ class Plane:
 
     def __init__(self, plane_id: int, blocks: List[EraseBlock]):
         self.plane_id = plane_id
-        #: Availability-timeline key, the only place it is stored:
-        #: "plane:<n>", or "s<k>:plane:<n>" once a sharded array re-keys
-        #: its member chips.  Doubles as the trace lane.
+        #: Availability-timeline key: "plane:<n>", or "s<k>:plane:<n>"
+        #: once a sharded array re-keys its member chips (which also
+        #: rebuilds the chip's prebuilt ops).  Doubles as the trace lane.
         self.resource_key = f"plane:{plane_id}"
         self.blocks: Dict[int, EraseBlock] = {block.pbn: block for block in blocks}
         # The free pool keeps three views: a membership set (the truth,
@@ -82,19 +82,10 @@ class Plane:
         Raises IndexError if the plane has no free blocks; callers run
         garbage collection / silent eviction before hitting this.
         """
-        free_set = self._free_set
         while self._free:
             pbn = self._free.popleft()
-            if pbn in free_set:
-                free_set.discard(pbn)
-                block = self.blocks[pbn]
-                block.kind = kind
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        "flash.alloc", lane=self.resource_key,
-                        pbn=pbn, kind=kind.name,
-                    )
-                return block
+            if pbn in self._free_set:
+                return self.allocate_specific(pbn, kind)
         raise IndexError(f"plane {self.plane_id} has no free blocks")
 
     def allocate_specific(self, pbn: int, kind: BlockKind) -> EraseBlock:

@@ -157,6 +157,15 @@ class HybridFTL:
         """Erase ``pbn`` behind the durability barrier; returns cost."""
         return self._pre_erase_barrier() + self.chip.erase_block(pbn)
 
+    def _erase_data_block(self, pbn: Optional[int]) -> float:
+        """Invalidate a superseded data block's live pages and erase it."""
+        if pbn is None:
+            return 0.0
+        block = self.chip.block(pbn)
+        for offset in block.valid_offsets():
+            block.invalidate(offset)
+        return self._erase(pbn)
+
     # ------------------------------------------------------------------
     # Public block-device interface
     # ------------------------------------------------------------------
@@ -367,27 +376,20 @@ class HybridFTL:
         partial = not block.is_full
         if old_pbn is not None:
             old = self.chip.block(old_pbn)
+            old_base_ppn = old_pbn * self.pages_per_block
             # Copy live pages the run did not cover (offsets past the
-            # write pointer; covered offsets were invalidated on write).
-            for offset in range(block.write_pointer, self.pages_per_block):
-                page = old.pages[offset]
-                if page.state is not PageState.VALID:
-                    continue
-                lpn = base_lpn + offset
-                if lpn in self.log_map:
-                    continue  # newer copy lives in a random log block
-                src_ppn = self.chip.geometry.make_ppn(old_pbn, offset)
-                data, oob, read_cost = self.chip.read_page(src_ppn)
-                cost += read_cost
-                self.stats.gc_page_reads += 1
-                dst_ppn = self.chip.geometry.make_ppn(block.pbn, offset)
-                cost += self.chip.program_page(
-                    dst_ppn,
-                    data,
-                    OOBData(lbn=lpn, dirty=bool(oob and oob.dirty), seq=self.chip.next_seq()),
-                )
-                self.stats.gc_page_writes += 1
-                old.invalidate(offset)
+            # write pointer; covered offsets were invalidated on write),
+            # unless a newer copy lives in a random log block.  The old
+            # block is invalidated whole before its erase below.
+            live = [
+                (old_base_ppn + offset, offset, base_lpn + offset)
+                for offset in range(block.write_pointer, self.pages_per_block)
+                if old.pages[offset].state is PageState.VALID
+                and base_lpn + offset not in self.log_map
+            ]
+            cost = self.chip.copy_pages(block.pbn, live, cost)
+            self.stats.gc_page_reads += len(live)
+            self.stats.gc_page_writes += len(live)
         # Remove log-map entries that point into this block; entries that
         # point at newer random-log copies stay.
         for offset in range(self.pages_per_block):
@@ -396,11 +398,7 @@ class HybridFTL:
                 self.log_map.remove(page.oob.lbn)
         block.kind = BlockKind.DATA
         self.data_map.insert(group, block.pbn)
-        if old_pbn is not None:
-            old = self.chip.block(old_pbn)
-            for offset in old.valid_offsets():
-                old.invalidate(offset)
-            cost += self._erase(old_pbn)
+        cost += self._erase_data_block(old_pbn)
         if partial:
             self.stats.partial_merges += 1
         else:
@@ -529,11 +527,7 @@ class HybridFTL:
         victim.kind = BlockKind.DATA
         for offset in range(victim.num_pages):
             self.log_map.remove(victim.first_lbn + offset)
-        if old_pbn is not None:
-            old = self.chip.block(old_pbn)
-            for offset in old.valid_offsets():
-                old.invalidate(offset)
-            cost += self._erase(old_pbn)
+        cost += self._erase_data_block(old_pbn)
         self.stats.switch_merges += 1
         if self.tracer is not None:
             self.tracer.emit(
@@ -551,17 +545,16 @@ class HybridFTL:
         pages_per_block = self.pages_per_block
         base_lpn = group * pages_per_block
 
-        live = []  # (offset, source_ppn)
+        live = []  # (source_ppn, offset, lpn)
         old_pages = None if old_pbn is None else self.chip.block(old_pbn).pages
         old_base_ppn = None if old_pbn is None else old_pbn * pages_per_block
         for offset in range(pages_per_block):
             lpn = base_lpn + offset
             ppn = self.log_map.lookup(lpn)
             if ppn is not None:
-                live.append((offset, ppn))
-            elif old_pages is not None:
-                if old_pages[offset].state is PageState.VALID:
-                    live.append((offset, old_base_ppn + offset))
+                live.append((ppn, offset, lpn))
+            elif old_pages is not None and old_pages[offset].state is PageState.VALID:
+                live.append((old_base_ppn + offset, offset, lpn))
 
         if old_pbn is not None:
             self._gc_protected.add(old_pbn)
@@ -572,30 +565,18 @@ class HybridFTL:
                 new_block = self._allocate_block(BlockKind.DATA)
                 self._gc_protected.add(new_block.pbn)
                 chip = self.chip
-                new_base_ppn = new_block.pbn * pages_per_block
-                for offset, src_ppn in live:
-                    data, oob, read_cost = chip.read_page(src_ppn)
-                    cost += read_cost
-                    self.stats.gc_page_reads += 1
-                    new_oob = OOBData(
-                        lbn=base_lpn + offset,
-                        dirty=bool(oob and oob.dirty),
-                        seq=chip.next_seq(),
-                    )
-                    cost += chip.program_page(new_base_ppn + offset, data, new_oob)
-                    self.stats.gc_page_writes += 1
-                    # Invalidate the source copy and drop any log mapping.
+                cost = chip.copy_pages(new_block.pbn, live, cost)
+                self.stats.gc_page_reads += len(live)
+                self.stats.gc_page_writes += len(live)
+                # Invalidate the source copies and drop their log
+                # mappings (a logged map only buffers these records).
+                for src_ppn, _offset, lpn in live:
                     src_pbn, src_offset = divmod(src_ppn, pages_per_block)
                     chip.block(src_pbn).invalidate(src_offset)
-                    self.log_map.remove(base_lpn + offset)
+                    self.log_map.remove(lpn)
                 self.data_map.insert(group, new_block.pbn)
                 self._gc_protected.discard(new_block.pbn)
-
-            if old_pbn is not None:
-                old = self.chip.block(old_pbn)
-                for offset in old.valid_offsets():
-                    old.invalidate(offset)
-                cost += self._erase(old_pbn)
+            cost += self._erase_data_block(old_pbn)
         finally:
             if old_pbn is not None:
                 self._gc_protected.discard(old_pbn)

@@ -175,33 +175,32 @@ class PageMapFTL:
     def _collect(self, victim: EraseBlock) -> float:
         """Copy the victim's live pages forward, then erase it."""
         cost = 0.0
-        base_ppn = victim.pbn * self.pages_per_block
-        for offset in victim.valid_offsets():
-            src_ppn = base_ppn + offset
-            data, oob, read_cost = self.chip.read_page(src_ppn)
-            cost += read_cost
-            self.stats.gc_page_reads += 1
-            block, gc_cost = self._append_slot_for_gc()
-            cost += gc_cost
-            dst_ppn = self.chip.geometry.make_ppn(block.pbn, block.write_pointer)
-            cost += self.chip.program_page(
-                dst_ppn,
-                data,
-                OOBData(lbn=oob.lbn, dirty=oob.dirty, seq=self.chip.next_seq()),
-            )
-            self.stats.gc_page_writes += 1
-            victim.invalidate(offset)
-            self.page_map.insert(oob.lbn, dst_ppn)
+        offsets = victim.valid_offsets()
+        while offsets:
+            # One copy run per append block the live pages fill.
+            block = self._append_slot_for_gc()
+            run, offsets = offsets[:block.free_pages], offsets[block.free_pages:]
+            live = [
+                (victim.pbn * self.pages_per_block + offset,
+                 block.write_pointer + i, victim.pages[offset].oob.lbn)
+                for i, offset in enumerate(run)
+            ]
+            cost = self.chip.copy_pages(block.pbn, live, cost)
+            self.stats.gc_page_reads += len(live)
+            self.stats.gc_page_writes += len(live)
+            for offset, (_src_ppn, dst_offset, lbn) in zip(run, live):
+                victim.invalidate(offset)
+                self.page_map.insert(lbn, block.pbn * self.pages_per_block + dst_offset)
         cost += self.chip.erase_block(victim.pbn)
         return cost
 
-    def _append_slot_for_gc(self) -> Tuple[EraseBlock, float]:
+    def _append_slot_for_gc(self) -> EraseBlock:
         # GC appends must not recurse into GC; the reserved pool
         # guarantees a free block exists while collecting.
         if self._active is None or self._active.is_full:
             plane = max(self.chip.planes, key=lambda plane: plane.free_count)
             self._active = self.wear.pick_block(plane, BlockKind.DATA)
-        return self._active, 0.0
+        return self._active
 
     def background_step(self) -> float:
         """One idle-time GC increment: compact the most-invalid block."""

@@ -68,10 +68,11 @@ class OpRecorder:
             raise RuntimeError("OpRecorder.begin() while a capture is active")
         self.active = True
 
-    def record(self, resource: str, kind: str, duration_us: float) -> None:
-        """Record one timed operation (no-op unless a capture is open)."""
+    def record(self, *ops: DeviceOp) -> None:
+        """Record timed operations in execution order (no-op unless a
+        capture is open); a chip's page-copy run passes all of its ops."""
         if self.active:
-            self._ops.append(DeviceOp(resource, kind, duration_us))
+            self._ops.extend(ops)
 
     def end(self) -> Tuple[DeviceOp, ...]:
         """Close the capture; returns its operations in execution order."""

@@ -1,0 +1,208 @@
+"""FlashChip.copy_pages against a per-page read_page + program_page loop.
+
+Every merge copies its live pages with one ``copy_pages`` call.  These
+tests run the same copies both ways on identically-prepared chips and
+require the same ops, cost, statistics, OOB records and block state,
+including when the copy is rejected or a crash fires mid-copy.
+"""
+
+from dataclasses import asdict
+
+import pytest
+
+from repro.errors import CrashError, WriteToNonErasedPageError
+from repro.flash.chip import FlashChip
+from repro.flash.geometry import FlashGeometry
+from repro.flash.page import OOBData
+from repro.ftl.ssd import SSD
+from repro.sim.crash import CrashInjector
+
+PPB = 8
+DST_PBN = 17  # plane 1; the sources live on planes 0 and 2
+
+
+def _prepared_chip() -> FlashChip:
+    """A chip whose blocks 2 (plane 0) and 33 (plane 2) hold a mix of
+    clean, dirty and invalidated pages."""
+    chip = FlashChip(FlashGeometry(planes=4, blocks_per_plane=16, pages_per_block=PPB))
+    for pbn, first_lbn in ((2, 100), (33, 200)):
+        for offset in range(6):
+            chip.program_page(
+                pbn * PPB + offset,
+                f"data-{first_lbn + offset}",
+                OOBData(lbn=first_lbn + offset, dirty=offset % 2 == 0,
+                        seq=chip.next_seq()),
+            )
+        chip.block(pbn).invalidate(4)
+    return chip
+
+
+def _per_page_copy(chip, dst_pbn, copies):
+    """Reference: the same copies, one read_page + program_page each."""
+    cost = 0.0
+    for src_ppn, offset, lbn in copies:
+        data, oob, read_cost = chip.read_page(src_ppn)
+        cost += read_cost
+        cost += chip.program_page(
+            dst_pbn * PPB + offset,
+            data,
+            OOBData(lbn=lbn, dirty=bool(oob and oob.dirty), seq=chip.next_seq()),
+        )
+    return cost
+
+
+def _bulk_copy(chip, dst_pbn, copies):
+    return chip.copy_pages(dst_pbn, copies)
+
+
+def _chip_state(chip):
+    """Everything a copy can change, in comparable form."""
+    pages = [
+        (page.state, page.data,
+         None if page.oob is None else
+         (page.oob.lbn, page.oob.dirty, page.oob.seq, page.oob.checksum))
+        for plane in chip.planes
+        for block in plane.blocks.values()
+        for page in block.pages
+    ]
+    blocks = [
+        (block.write_pointer, block.valid_count, block.dirty_count,
+         block.sequential, block.first_lbn)
+        for plane in chip.planes
+        for block in plane.blocks.values()
+    ]
+    return asdict(chip.stats), chip.next_seq(), pages, blocks
+
+
+def _run(copy, copies, dst_pbn=DST_PBN, prepare=None, injector=None):
+    chip = _prepared_chip()
+    if prepare is not None:
+        prepare(chip)
+    if injector is not None:
+        chip.crash_injector = injector
+    chip.op_recorder.begin()
+    error = cost = None
+    try:
+        cost = copy(chip, dst_pbn, copies)
+    except (CrashError, WriteToNonErasedPageError) as exc:
+        error = type(exc)
+    ops = chip.op_recorder.end()
+    return cost, error, ops, _chip_state(chip)
+
+
+#: (source ppn, destination offset, logical block) runs: a whole-group
+#: sequential copy, one with holes (skipped offsets), and one from two
+#: source blocks on different planes.
+RUNS = {
+    "sequential": [(2 * PPB + o, o, 100 + o) for o in (0, 1, 2, 3, 5)],
+    "holes": [(2 * PPB + 1, 1, 101), (2 * PPB + 3, 3, 103), (33 * PPB + 5, 7, 107)],
+    "two_planes": [(33 * PPB + 0, 0, 300), (2 * PPB + 2, 1, 301),
+                   (33 * PPB + 2, 2, 302), (33 * PPB + 4, 3, 303)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_bulk_copy_matches_per_page_loop(name):
+    copies = RUNS[name]
+    bulk = _run(_bulk_copy, copies)
+    per_page = _run(_per_page_copy, copies)
+    assert bulk[1] is None
+    assert bulk == per_page
+    cost, _error, ops, _state = bulk
+    assert [op.kind for op in ops] == ["page_read", "page_write"] * len(copies)
+    assert {op.resource for op in ops[1::2]} == {"plane:1"}
+    assert type(cost) is float
+
+
+def test_empty_copy_changes_nothing():
+    assert _run(_bulk_copy, []) == _run(_per_page_copy, [])
+    assert _prepared_chip().copy_pages(DST_PBN, [], 12.5) == 12.5
+
+
+def test_cost_accumulates_onto_caller_total():
+    copies = RUNS["holes"]
+    chip = _prepared_chip()
+    expected = start = 1234.25
+    for _copy in copies:
+        expected += chip.timing.read_cost()
+        expected += chip.timing.write_cost()
+    assert chip.copy_pages(DST_PBN, copies, start) == expected
+
+
+def _advance_write_pointer(chip):
+    for offset in range(3):
+        chip.program_page(DST_PBN * PPB + offset, "old",
+                          OOBData(lbn=offset, seq=chip.next_seq()))
+
+
+def test_copy_below_write_pointer_is_rejected_like_per_page():
+    copies = [(2 * PPB + 0, 3, 100), (2 * PPB + 1, 1, 101), (2 * PPB + 2, 5, 102)]
+    bulk = _run(_bulk_copy, copies, prepare=_advance_write_pointer)
+    per_page = _run(_per_page_copy, copies, prepare=_advance_write_pointer)
+    assert bulk[1] is WriteToNonErasedPageError
+    assert bulk == per_page
+    # The first copy landed; the rejected one was read but not programmed.
+    assert [op.kind for op in bulk[2]] == ["page_read", "page_write", "page_read"]
+
+
+def _crash_boundaries(copies):
+    probe = CrashInjector()
+    _run(_bulk_copy, copies, injector=probe)
+    return probe.ticks
+
+
+@pytest.mark.parametrize("torn", [False, True], ids=["clean", "torn"])
+def test_crash_at_every_program_boundary_matches_per_page(torn):
+    copies = RUNS["two_planes"]
+    boundaries = _crash_boundaries(copies)
+    assert boundaries == 2 * len(copies)  # BEFORE + AFTER per program
+    for after in range(boundaries):
+        results = []
+        for copy in (_bulk_copy, _per_page_copy):
+            injector = CrashInjector()
+            injector.arm(after_events=after, torn=torn)
+            results.append(_run(copy, copies, injector=injector))
+        bulk, per_page = results
+        assert bulk[1] is CrashError, after
+        assert bulk == per_page, after
+
+
+def _full_merge_ssd(shard=None):
+    ssd = SSD(geometry=FlashGeometry(planes=4, blocks_per_plane=32, pages_per_block=16))
+    if shard is not None:
+        ssd.chip.set_resource_shard(shard)
+    return ssd
+
+
+def _write_until_full_merge(ssd, capture):
+    """Random-order writes until one causes a full merge; returns the
+    ops that write recorded (empty when not capturing)."""
+    recorder = ssd.chip.op_recorder
+    for i in range(20_000):
+        lpn = (i * 7919) % ssd.capacity_pages
+        merges = ssd.stats.full_merges
+        if capture:
+            recorder.begin()
+        ssd.write(lpn, f"v{i}")
+        ops = recorder.end() if capture else ()
+        if ssd.stats.full_merges > merges:
+            return ops
+    raise AssertionError("workload never triggered a full merge")
+
+
+def test_full_merge_ops_carry_shard_plane_keys():
+    ssd = _full_merge_ssd(shard=3)
+    ops = _write_until_full_merge(ssd, capture=True)
+    kinds = {op.kind for op in ops}
+    assert {"page_read", "page_write", "erase"} <= kinds
+    assert all(op.resource.startswith("s3:plane:") for op in ops)
+    assert set(ssd.chip.resources()) == {f"s3:plane:{n}" for n in range(4)}
+
+
+def test_merge_without_capture_leaves_nothing_recorded():
+    ssd = _full_merge_ssd()
+    _write_until_full_merge(ssd, capture=False)
+    assert ssd.stats.gc_page_writes > 0
+    recorder = ssd.chip.op_recorder
+    recorder.begin()
+    assert recorder.end() == ()

@@ -54,15 +54,15 @@ class TestEventScheduler:
 class TestOpRecorder:
     def test_inactive_recorder_drops_ops(self):
         recorder = OpRecorder()
-        recorder.record("disk", "read", 100.0)
+        recorder.record(DeviceOp("disk", "read", 100.0))
         recorder.begin()
         assert recorder.end() == ()
 
     def test_capture_brackets_ops(self):
         recorder = OpRecorder()
         recorder.begin()
-        recorder.record("disk", "read", 100.0)
-        recorder.record("plane:0", "page_write", 200.0)
+        recorder.record(DeviceOp("disk", "read", 100.0))
+        recorder.record(DeviceOp("plane:0", "page_write", 200.0))
         ops = recorder.end()
         assert [op.resource for op in ops] == ["disk", "plane:0"]
         assert not recorder.active
@@ -70,7 +70,7 @@ class TestOpRecorder:
     def test_begin_while_active_raises(self):
         recorder = OpRecorder()
         recorder.begin()
-        recorder.record("disk", "read", 1.0)
+        recorder.record(DeviceOp("disk", "read", 1.0))
         with pytest.raises(RuntimeError):
             recorder.begin()
         # The open capture is untouched by the refused begin().
