@@ -22,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 import random
 
-from repro.flash.page import PageState
 from repro.ssc.device import SolidStateCache
 
 
@@ -45,16 +44,15 @@ def flip_page_data(ssc: SolidStateCache, rng: random.Random) -> bool:
     as damaged (checksum mismatch) — recovery must not map it.
     """
     candidates = [
-        page
+        (block, offset)
         for plane in ssc.chip.planes
         for block in plane.blocks.values()
-        for page in block.pages
-        if page.state is PageState.VALID and page.oob is not None
+        for offset in block.valid_offsets()
     ]
     if not candidates:
         return False
-    page = rng.choice(candidates)
-    page.data = ("<bitrot>", page.data)
+    block, offset = rng.choice(candidates)
+    block.data[offset] = ("<bitrot>", block.data[offset])
     return True
 
 

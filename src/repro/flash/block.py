@@ -4,6 +4,22 @@ An erase block is the granularity of the NAND erase operation (64 pages,
 256 KB by default).  Blocks are programmed append-only: NAND requires
 pages within a block to be written in order, which is also what lets the
 FTL detect sequentially-written log blocks eligible for switch merges.
+
+Page state is kept in per-block columns rather than one object per page.
+Each page holds an opaque data payload (the simulator stores a small
+token rather than 4 KB of bytes, in the style of the David emulator the
+paper cites) plus an out-of-band (OOB) record: the *reverse map* (the
+logical block the page holds), its write sequence and a payload
+checksum.  The page's lifecycle and clean/dirty state live in three
+bitmaps, bit ``offset`` per page, matching the per-block valid and dirty
+bitmaps the SSC logs (paper §4.2.2):
+
+* ``written`` — programmed since the last erase (a clear bit is FREE);
+* ``valid`` — holds live, mapped data (written but not valid is stale,
+  awaiting erase);
+* ``dirty`` — the OOB dirty flag: write-back data not yet on disk.  It
+  is stored independently of ``valid``, so a stale page keeps the flag
+  it was written with; only valid dirty pages count in ``dirty_count``.
 """
 
 from __future__ import annotations
@@ -12,12 +28,11 @@ from enum import Enum, auto
 from typing import Any, List, Optional
 
 from repro.errors import WriteToNonErasedPageError
-from repro.flash.page import OOBData, Page, PageState
 
 
 #: Sentinel payload left behind by a torn (partially-completed) page
-#: program.  Recovery must never surface it: the accompanying OOB record
-#: carries no logical address and a checksum that cannot verify.
+#: program.  Recovery must never surface it: the page carries no logical
+#: address and a checksum that cannot verify.
 TORN_PAGE = "<torn-page>"
 
 
@@ -31,11 +46,25 @@ class BlockKind(Enum):
 
 
 class EraseBlock:
-    """One erase block: a page array plus wear and usage accounting."""
+    """One erase block: page columns plus wear and usage accounting.
+
+    ``data``, ``lbns``, ``seqs`` and ``checksums`` are per-page lists
+    indexed by offset.  ``lbns`` is ``None`` on FREE and torn pages;
+    ``checksums`` binds each payload to its logical address, and
+    ``None`` marks a page programmed without one (always treated as
+    intact by recovery).
+    """
 
     __slots__ = (
         "pbn",
-        "pages",
+        "num_pages",
+        "data",
+        "lbns",
+        "seqs",
+        "checksums",
+        "written",
+        "valid",
+        "dirty",
         "kind",
         "erase_count",
         "write_pointer",
@@ -47,9 +76,20 @@ class EraseBlock:
 
     def __init__(self, pbn: int, pages_per_block: int):
         self.pbn = pbn
-        self.pages: List[Page] = [Page() for _ in range(pages_per_block)]
+        self.num_pages = pages_per_block
         self.kind = BlockKind.FREE
         self.erase_count = 0
+        self._reset()
+
+    def _reset(self) -> None:
+        pages = self.num_pages
+        self.data: List[Any] = [None] * pages
+        self.lbns: List[Optional[int]] = [None] * pages
+        self.seqs: List[int] = [0] * pages
+        self.checksums: List[Optional[int]] = [None] * pages
+        self.written = 0
+        self.valid = 0
+        self.dirty = 0
         # Next programmable page offset; NAND programs sequentially.
         self.write_pointer = 0
         self.valid_count = 0
@@ -58,10 +98,6 @@ class EraseBlock:
         # first_lbn + i; such a full log block can be switch-merged.
         self.sequential = True
         self.first_lbn: Optional[int] = None
-
-    @property
-    def num_pages(self) -> int:
-        return len(self.pages)
 
     @property
     def is_full(self) -> bool:
@@ -73,8 +109,16 @@ class EraseBlock:
         """Pages still programmable before the block is full."""
         return self.num_pages - self.write_pointer
 
-    def program(self, offset: int, data: Any, oob: OOBData) -> None:
-        """Program page ``offset``.
+    def program(
+        self,
+        offset: int,
+        data: Any,
+        lbn: Optional[int],
+        dirty: bool = False,
+        seq: int = 0,
+        checksum: Optional[int] = None,
+    ) -> None:
+        """Program page ``offset`` with its payload and OOB record.
 
         NAND programs pages within a block in ascending order; skipping
         forward is allowed (the skipped pages stay FREE — data blocks
@@ -86,77 +130,70 @@ class EraseBlock:
                 f"block {self.pbn}: program at offset {offset} but write "
                 f"pointer is {self.write_pointer} (NAND programs in order)"
             )
-        page = self.pages[offset]
-        if page.state is not PageState.FREE:
-            raise WriteToNonErasedPageError(
-                f"block {self.pbn} page {offset} is {page.state.name}, not FREE"
-            )
-        if offset > self.write_pointer:
-            self.sequential = False
-        page.state = PageState.VALID
-        page.data = data
-        page.oob = oob
-        self.write_pointer = offset + 1
+        # Every programmed page lies below the write pointer, so the
+        # check above also rejects reprogramming without an erase.
+        bit = 1 << offset
+        self.data[offset] = data
+        self.lbns[offset] = lbn
+        self.seqs[offset] = seq
+        self.checksums[offset] = checksum
+        self.written |= bit
+        self.valid |= bit
         self.valid_count += 1
-        if oob.dirty:
+        if dirty:
+            self.dirty |= bit
             self.dirty_count += 1
-        self._track_sequential(offset, oob)
-
-    def _track_sequential(self, offset: int, oob: OOBData) -> None:
-        if not self.sequential or oob.lbn is None:
-            self.sequential = False
-            return
-        if offset == 0:
-            self.first_lbn = oob.lbn
-        elif self.first_lbn is None or oob.lbn != self.first_lbn + offset:
-            self.sequential = False
+        if self.sequential:
+            if lbn is None or offset != self.write_pointer:
+                self.sequential = False
+            elif offset == 0:
+                self.first_lbn = lbn
+            elif self.first_lbn is None or lbn != self.first_lbn + offset:
+                self.sequential = False
+        self.write_pointer = offset + 1
 
     def invalidate(self, offset: int) -> None:
         """Mark page ``offset`` stale (its data was overwritten elsewhere)."""
-        page = self.pages[offset]
-        if page.state is not PageState.VALID:
+        bit = 1 << offset
+        if not self.valid & bit:
             return
-        page.state = PageState.INVALID
+        self.valid ^= bit
         self.valid_count -= 1
-        if page.oob is not None and page.oob.dirty:
+        if self.dirty & bit:
             self.dirty_count -= 1
 
     def mark_clean(self, offset: int) -> None:
-        """Clear the dirty flag on a valid page (SSC ``clean`` support)."""
-        page = self.pages[offset]
-        if page.oob is not None and page.oob.dirty:
-            page.oob.dirty = False
-            if page.state is PageState.VALID:
+        """Clear the dirty flag on a page (SSC ``clean`` support)."""
+        bit = 1 << offset
+        if self.dirty & bit:
+            self.dirty ^= bit
+            if self.valid & bit:
                 self.dirty_count -= 1
 
     def mark_dirty(self, offset: int) -> None:
-        """Set the dirty flag on a valid page (crash rollback of clean)."""
-        page = self.pages[offset]
-        if page.oob is not None and not page.oob.dirty:
-            page.oob.dirty = True
-            if page.state is PageState.VALID:
+        """Set the dirty flag on a programmed page (crash rollback of clean)."""
+        bit = 1 << offset
+        if self.written & bit and not self.dirty & bit:
+            self.dirty |= bit
+            if self.valid & bit:
                 self.dirty_count += 1
 
     def erase(self) -> None:
         """Erase the block: every page returns to FREE; wear increments."""
-        for page in self.pages:
-            page.reset()
+        self._reset()
         self.erase_count += 1
-        self.write_pointer = 0
-        self.valid_count = 0
-        self.dirty_count = 0
-        self.sequential = True
-        self.first_lbn = None
         self.kind = BlockKind.FREE
 
     def valid_offsets(self) -> List[int]:
-        """Offsets of VALID pages, as a list snapshot (safe to iterate
-        while invalidating them)."""
-        return [
-            offset
-            for offset, page in enumerate(self.pages)
-            if page.state is PageState.VALID
-        ]
+        """Offsets of VALID pages, ascending, as a list snapshot (safe to
+        iterate while invalidating them)."""
+        offsets = []
+        valid = self.valid
+        while valid:
+            low = valid & -valid
+            offsets.append(low.bit_length() - 1)
+            valid ^= low
+        return offsets
 
     def utilization(self) -> float:
         """Fraction of pages holding valid data (GC victim metric)."""

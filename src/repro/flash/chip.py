@@ -15,7 +15,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.errors import CrashError
 from repro.flash.block import TORN_PAGE, EraseBlock
 from repro.flash.geometry import FlashGeometry
-from repro.flash.page import OOBData, Page, PageState
 from repro.flash.plane import Plane
 from repro.flash.timing import TimingModel
 from repro.sim.completion import DeviceOp, OpRecorder
@@ -56,14 +55,16 @@ class FlashChip:
         # injector at its BEFORE/AFTER durability boundaries so a crash
         # (or torn program) can fire mid-operation.
         self.crash_injector: Optional[CrashInjector] = None
-        self.planes: List[Plane] = []
-        pages = self.geometry.pages_per_block
-        for plane_id in range(self.geometry.planes):
-            blocks = [
-                EraseBlock(pbn, pages)
-                for pbn in self.geometry.blocks_in_plane(plane_id)
-            ]
-            self.planes.append(Plane(plane_id, blocks))
+        geo = self.geometry
+        self._pages_per_block = geo.pages_per_block
+        # Every block by pbn, for lookups without the plane hop.
+        self._blocks = [
+            EraseBlock(pbn, geo.pages_per_block) for pbn in range(geo.total_blocks)
+        ]
+        self.planes: List[Plane] = [
+            Plane(plane_id, [self._blocks[pbn] for pbn in geo.blocks_in_plane(plane_id)])
+            for plane_id in range(geo.planes)
+        ]
         # The timing model is frozen, so per-op costs are constants.
         self._read_cost_us = self.timing.read_cost()
         self._write_cost_us = self.timing.write_cost()
@@ -77,17 +78,15 @@ class FlashChip:
 
     def block(self, pbn: int) -> EraseBlock:
         """Erase block ``pbn``."""
-        geo = self.geometry
-        geo.check_pbn(pbn)
-        return self.planes[pbn // geo.blocks_per_plane].blocks[pbn]
+        self.geometry.check_pbn(pbn)
+        return self._blocks[pbn]
 
-    def page(self, ppn: int) -> Page:
-        """Page object for ``ppn`` (no timing cost; simulator internal)."""
-        geo = self.geometry
-        geo.check_ppn(ppn)
-        pbn = ppn // geo.pages_per_block
-        plane = self.planes[pbn // geo.blocks_per_plane]
-        return plane.blocks[pbn].pages[ppn - pbn * geo.pages_per_block]
+    def locate(self, ppn: int) -> Tuple[EraseBlock, int]:
+        """(block, offset) holding ``ppn`` (no timing cost; simulator
+        internal)."""
+        self.geometry.check_ppn(ppn)
+        pbn, offset = divmod(ppn, self._pages_per_block)
+        return self._blocks[pbn], offset
 
     def next_seq(self) -> int:
         """Monotonic write sequence number stamped into each page's OOB."""
@@ -121,33 +120,36 @@ class FlashChip:
 
     # ---- timed operations -------------------------------------------------
 
-    def read_page(self, ppn: int) -> Tuple[Any, Optional[OOBData], float]:
-        """Read page ``ppn``; returns (data, oob, cost_us).
+    def read_page(self, ppn: int) -> Tuple[Any, float]:
+        """Read page ``ppn``; returns (data, cost_us).
 
         Reading a FREE or INVALID page is legal at the NAND level (it
         returns whatever is in the cells); the FTL above decides whether
         that is meaningful.
         """
-        page = self.page(ppn)
+        block, offset = self.locate(ppn)
         cost = self._read_cost_us
         self.stats.page_reads += 1
         self.stats.busy_us += cost
         if self.op_recorder.active:
             self.op_recorder.record(self._read_ops[ppn // self._pages_per_plane])
-        return page.data, page.oob, cost
+        return block.data[offset], cost
 
-    def program_page(self, ppn: int, data: Any, oob: OOBData) -> float:
-        """Program page ``ppn`` with data + OOB; returns cost_us.
+    def program_page(
+        self, ppn: int, data: Any, lbn: Optional[int], dirty: bool = False, seq: int = 0
+    ) -> float:
+        """Program page ``ppn`` with data + OOB record; returns cost_us.
 
-        Enforces NAND constraints: the page must be FREE and must be the
-        block's next sequential page.  The OOB write is free (overlapped
-        with the data program, per the paper's assumption).  The OOB
-        checksum binding the payload to its logical address is stamped
-        here, so every programmed page is verifiable at recovery.
+        Enforces NAND constraints: the page must be FREE and must not lie
+        below the block's write pointer.  The OOB write is free
+        (overlapped with the data program, per the paper's assumption).
+        The OOB checksum binding the payload to its logical address is
+        stamped here, so every programmed page is verifiable at recovery.
         """
         geo = self.geometry
         geo.check_ppn(ppn)
         pbn, offset = divmod(ppn, geo.pages_per_block)
+        block = self._blocks[pbn]
         injector = self.crash_injector
         if injector is not None:
             try:
@@ -157,15 +159,10 @@ class FlashChip:
                     # Power failed mid-program: the cells read back as
                     # garbage under an OOB record that can never verify,
                     # and the page cannot be reprogrammed before an erase.
-                    self.block(pbn).program(offset, TORN_PAGE, OOBData(checksum=0))
+                    block.program(offset, TORN_PAGE, None, checksum=0)
                     self.stats.page_writes += 1
                 raise
-        if oob.checksum is None:
-            oob.checksum = crc32_of_payload(oob.lbn, data)
-        # ppn was range-checked above; skip block()'s redundant check.
-        self.planes[pbn // geo.blocks_per_plane].blocks[pbn].program(
-            offset, data, oob
-        )
+        block.program(offset, data, lbn, dirty, seq, crc32_of_payload(lbn, data))
         cost = self._write_cost_us
         self.stats.page_writes += 1
         self.stats.busy_us += cost
@@ -181,20 +178,24 @@ class FlashChip:
         """Copy a merge's pages into block ``dst_pbn`` in one call.
 
         Each ``(src_ppn, dst_offset, lbn)`` is a :meth:`read_page` then a
-        :meth:`program_page` of its data under OOB (``lbn``, the source's
-        dirty flag, the next sequence): same NAND rules, checksums, stats
-        and op order.  Returns ``cost`` plus each op's time, in op order.
+        :meth:`program_page` of its data under ``lbn``, the source's
+        dirty flag and the next sequence: same NAND rules, checksums,
+        stats and op order.  Returns ``cost`` plus each op's time, in op
+        order.
         """
         geo = self.geometry
         if self.crash_injector is not None:
             # Every program must cross its crash boundaries.
             for src_ppn, offset, lbn in copies:
-                data, oob, read_cost = self.read_page(src_ppn)
+                src, src_offset = self.locate(src_ppn)
+                data, read_cost = self.read_page(src_ppn)
                 cost += read_cost
                 cost += self.program_page(
                     dst_pbn * geo.pages_per_block + offset,
                     data,
-                    OOBData(lbn, bool(oob and oob.dirty), self.next_seq()),
+                    lbn,
+                    src.dirty >> src_offset & 1,
+                    self.next_seq(),
                 )
             return cost
         block = self.block(dst_pbn)
@@ -204,15 +205,17 @@ class FlashChip:
         ops: List[DeviceOp] = []
         try:
             for src_ppn, offset, lbn in copies:
-                src = self.page(src_ppn)
+                src, src_offset = self.locate(src_ppn)
                 stats.page_reads += 1
                 stats.busy_us += read_cost
                 cost += read_cost
                 ops.append(read_ops[src_ppn // self._pages_per_plane])
-                data = src.data
-                dirty = bool(src.oob and src.oob.dirty)
-                checksum = crc32_of_payload(lbn, data)
-                block.program(offset, data, OOBData(lbn, dirty, self.next_seq(), checksum))
+                data = src.data[src_offset]
+                self._write_seq += 1
+                block.program(
+                    offset, data, lbn, src.dirty >> src_offset & 1,
+                    self._write_seq, crc32_of_payload(lbn, data),
+                )
                 stats.page_writes += 1
                 stats.busy_us += write_cost
                 cost += write_cost
@@ -234,16 +237,17 @@ class FlashChip:
             self.op_recorder.record(self._erase_ops[plane_id])
         return cost
 
-    def scan_oob(self, ppn: int) -> Tuple[Optional[OOBData], "PageState", float]:
-        """Read only the OOB area of ``ppn`` (used by native recovery)."""
-        page = self.page(ppn)
+    def scan_oob(self, ppn: int) -> Tuple[Optional[int], bool, int, float]:
+        """Read only the OOB area of ``ppn`` (used by native recovery);
+        returns (lbn, dirty, seq, cost_us)."""
+        block, offset = self.locate(ppn)
         cost = self._oob_read_cost_us
         self.stats.oob_scans += 1
         self.stats.busy_us += cost
         if self.op_recorder.active:
             plane = self.planes[ppn // self._pages_per_plane]
             self.op_recorder.record(DeviceOp(plane.resource_key, "oob_scan", cost))
-        return page.oob, page.state, cost
+        return block.lbns[offset], bool(block.dirty >> offset & 1), block.seqs[offset], cost
 
     # ---- wear accounting ----------------------------------------------------
 

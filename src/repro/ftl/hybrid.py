@@ -32,7 +32,6 @@ from typing import Any, Deque, Optional, Tuple
 from repro.errors import ConfigError, InvalidAddressError
 from repro.flash.block import BlockKind, EraseBlock
 from repro.flash.chip import FlashChip
-from repro.flash.page import OOBData, PageState
 from repro.ftl.base import FTLStats
 from repro.ftl.mapping import DenseBlockMap, DensePageMap
 from repro.ftl.wear import WearConfig, WearLeveler
@@ -180,25 +179,20 @@ class HybridFTL:
         self.stats.user_reads += 1
         ppn = self.log_map.lookup(lpn)
         if ppn is not None:
-            data, _oob, cost = self.chip.read_page(ppn)
-            return data, cost
+            return self.chip.read_page(ppn)
         pbn = self.data_map.lookup(self._group_of(lpn))
         if pbn is not None:
-            block = self.chip.block(pbn)
             offset = self._offset_of(lpn)
-            page = block.pages[offset]
-            if page.state is PageState.VALID:
-                data, _oob, cost = self.chip.read_page(
-                    self.chip.geometry.make_ppn(pbn, offset)
-                )
-                return data, cost
+            if self.chip.block(pbn).valid >> offset & 1:
+                return self.chip.read_page(self.chip.geometry.make_ppn(pbn, offset))
         return None, self.chip.timing.control_delay_us
 
     def write(self, lpn: int, data: Any, dirty: bool = False) -> float:
         """Write logical page ``lpn``; returns cost_us.
 
-        ``dirty`` is carried into the page's OOB so the native write-back
-        manager's recovery scan can distinguish dirty cached blocks.
+        ``dirty`` is carried into the page's OOB dirty flag so the native
+        write-back manager's recovery scan can distinguish dirty cached
+        blocks.
 
         Ordering is crash-critical: the new copy is programmed first,
         then :meth:`_install_mapping` re-points the map *before* the old
@@ -232,7 +226,7 @@ class HybridFTL:
         pbn = self.data_map.lookup(self._group_of(lpn))
         if pbn is None:
             return False
-        return self.chip.block(pbn).pages[self._offset_of(lpn)].state is PageState.VALID
+        return bool(self.chip.block(pbn).valid >> self._offset_of(lpn) & 1)
 
     def set_page_dirty(self, lpn: int, dirty: bool) -> None:
         """Flip the OOB dirty flag on ``lpn``'s current flash copy."""
@@ -324,8 +318,7 @@ class HybridFTL:
         block = self._seq_log
         assert block is not None
         ppn = self.chip.geometry.make_ppn(block.pbn, block.write_pointer)
-        oob = OOBData(lbn=lpn, dirty=dirty, seq=self.chip.next_seq())
-        cost += self.chip.program_page(ppn, data, oob)
+        cost += self.chip.program_page(ppn, data, lpn, dirty, self.chip.next_seq())
         cost += self._install_mapping(lpn, ppn)
         self._seq_next_lpn = lpn + 1
         if block.is_full:
@@ -335,8 +328,7 @@ class HybridFTL:
     def _random_log_write(self, lpn: int, data: Any, dirty: bool) -> float:
         block, offset, cost = self._log_write_slot()
         ppn = self.chip.geometry.make_ppn(block.pbn, offset)
-        oob = OOBData(lbn=lpn, dirty=dirty, seq=self.chip.next_seq())
-        cost += self.chip.program_page(ppn, data, oob)
+        cost += self.chip.program_page(ppn, data, lpn, dirty, self.chip.next_seq())
         cost += self._install_mapping(lpn, ppn)
         return cost
 
@@ -384,7 +376,7 @@ class HybridFTL:
             live = [
                 (old_base_ppn + offset, offset, base_lpn + offset)
                 for offset in range(block.write_pointer, self.pages_per_block)
-                if old.pages[offset].state is PageState.VALID
+                if old.valid >> offset & 1
                 and base_lpn + offset not in self.log_map
             ]
             cost = self.chip.copy_pages(block.pbn, live, cost)
@@ -392,10 +384,8 @@ class HybridFTL:
             self.stats.gc_page_writes += len(live)
         # Remove log-map entries that point into this block; entries that
         # point at newer random-log copies stay.
-        for offset in range(self.pages_per_block):
-            page = block.pages[offset]
-            if page.state is PageState.VALID and page.oob is not None:
-                self.log_map.remove(page.oob.lbn)
+        for offset in block.valid_offsets():
+            self.log_map.remove(block.lbns[offset])
         block.kind = BlockKind.DATA
         self.data_map.insert(group, block.pbn)
         cost += self._erase_data_block(old_pbn)
@@ -457,7 +447,7 @@ class HybridFTL:
             else:
                 groups = sorted(
                     {
-                        self._group_of(victim.pages[offset].oob.lbn)
+                        self._group_of(victim.lbns[offset])
                         for offset in victim.valid_offsets()
                     }
                 )
@@ -546,14 +536,14 @@ class HybridFTL:
         base_lpn = group * pages_per_block
 
         live = []  # (source_ppn, offset, lpn)
-        old_pages = None if old_pbn is None else self.chip.block(old_pbn).pages
+        old_valid = 0 if old_pbn is None else self.chip.block(old_pbn).valid
         old_base_ppn = None if old_pbn is None else old_pbn * pages_per_block
         for offset in range(pages_per_block):
             lpn = base_lpn + offset
             ppn = self.log_map.lookup(lpn)
             if ppn is not None:
                 live.append((ppn, offset, lpn))
-            elif old_pages is not None and old_pages[offset].state is PageState.VALID:
+            elif old_valid >> offset & 1:
                 live.append((old_base_ppn + offset, offset, lpn))
 
         if old_pbn is not None:

@@ -20,7 +20,6 @@ from typing import Any, Optional, Tuple
 from repro.errors import ConfigError, InvalidAddressError
 from repro.flash.block import BlockKind, EraseBlock
 from repro.flash.chip import FlashChip
-from repro.flash.page import OOBData
 from repro.ftl.base import FTLStats
 from repro.ftl.mapping import DensePageMap
 from repro.ftl.wear import WearConfig, WearLeveler
@@ -83,8 +82,7 @@ class PageMapFTL:
         ppn = self.page_map.lookup(lpn)
         if ppn is None:
             return None, self.chip.timing.control_delay_us
-        data, _oob, cost = self.chip.read_page(ppn)
-        return data, cost
+        return self.chip.read_page(ppn)
 
     def write(self, lpn: int, data: Any, dirty: bool = False) -> float:
         """Write ``lpn`` out-of-place at the append point."""
@@ -93,8 +91,7 @@ class PageMapFTL:
         block, gc_cost = self._append_slot()
         cost += gc_cost
         ppn = self.chip.geometry.make_ppn(block.pbn, block.write_pointer)
-        oob = OOBData(lbn=lpn, dirty=dirty, seq=self.chip.next_seq())
-        cost += self.chip.program_page(ppn, data, oob)
+        cost += self.chip.program_page(ppn, data, lpn, dirty, self.chip.next_seq())
         self.page_map.insert(lpn, ppn)
         self.stats.user_writes += 1
         return cost
@@ -182,7 +179,7 @@ class PageMapFTL:
             run, offsets = offsets[:block.free_pages], offsets[block.free_pages:]
             live = [
                 (victim.pbn * self.pages_per_block + offset,
-                 block.write_pointer + i, victim.pages[offset].oob.lbn)
+                 block.write_pointer + i, victim.lbns[offset])
                 for i, offset in enumerate(run)
             ]
             cost = self.chip.copy_pages(block.pbn, live, cost)

@@ -34,7 +34,6 @@ from typing import Any, List, Optional, Tuple
 from repro.errors import ConfigError, CrashError, NotPresentError, RecoveryError
 from repro.flash.chip import FlashChip
 from repro.sim.crash import CrashInjector
-from repro.flash.page import PageState
 from repro.ftl.wear import WearConfig
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import TimingModel
@@ -208,8 +207,7 @@ class SolidStateCache:
         if location is None:
             raise NotPresentError(lbn)
         self.engine.stats.user_reads += 1
-        data, _oob, cost = self.chip.read_page(location[2])
-        return data, cost
+        return self.chip.read_page(location[2])
 
     def write_dirty(self, lbn: int, data: Any) -> float:
         """Write ``lbn`` as dirty; durable (data + mapping) on return."""
@@ -266,8 +264,8 @@ class SolidStateCache:
         dirty: List[int] = []
         for lbn, ppn in self.engine.log_map.items():
             if start_lbn <= lbn < end_lbn:
-                page = self.chip.page(ppn)
-                if page.oob is not None and page.oob.dirty:
+                block, offset = self.chip.locate(ppn)
+                if block.dirty >> offset & 1:
                     dirty.append(lbn)
         pages_per_block = self.engine.pages_per_block
         for group, pbn in self.engine.data_map.items():
@@ -275,15 +273,10 @@ class SolidStateCache:
             if base + pages_per_block <= start_lbn or base >= end_lbn:
                 continue
             block = self.chip.block(pbn)
-            for offset, page in enumerate(block.pages):
+            bits = block.dirty & block.valid
+            for offset in range(pages_per_block):
                 lbn = base + offset
-                if not start_lbn <= lbn < end_lbn:
-                    continue
-                if (
-                    page.state is PageState.VALID
-                    and page.oob is not None
-                    and page.oob.dirty
-                ):
+                if bits >> offset & 1 and start_lbn <= lbn < end_lbn:
                     dirty.append(lbn)
         dirty.sort()
         return dirty, self.chip.timing.control_delay_us
@@ -307,10 +300,8 @@ class SolidStateCache:
             location = self.engine.current_location(lbn)
             if location is None:
                 continue
-            page = self.chip.page(location[2])
-            dirty = bool(page.oob is not None and page.oob.dirty)
-            seq = page.oob.seq if page.oob is not None else 0
-            entries.append((lbn, dirty, seq))
+            block, offset = self.chip.locate(location[2])
+            entries.append((lbn, bool(block.dirty >> offset & 1), block.seqs[offset]))
         entries.sort()
         return entries, self.chip.timing.control_delay_us
 
@@ -402,18 +393,15 @@ class SolidStateCache:
     def _page_entries_snapshot(self) -> List[Tuple[int, int, bool]]:
         entries = []
         for lbn, ppn in self.engine.log_map.items():
-            page = self.chip.page(ppn)
-            dirty = bool(page.oob is not None and page.oob.dirty)
-            entries.append((lbn, ppn, dirty))
+            block, offset = self.chip.locate(ppn)
+            entries.append((lbn, ppn, bool(block.dirty >> offset & 1)))
         return entries
 
     def _block_entries_snapshot(self) -> List[Tuple[int, int, int, int]]:
         entries = []
         for group, pbn in self.engine.data_map.items():
-            packed = self.engine.data_map._state_bitmaps(pbn)
-            dirty_bitmap = packed & ((1 << 64) - 1)
-            valid_bitmap = packed >> 64
-            entries.append((group, pbn, dirty_bitmap, valid_bitmap))
+            block = self.chip.block(pbn)
+            entries.append((group, pbn, block.dirty & block.valid, block.valid))
         return entries
 
     # ------------------------------------------------------------------

@@ -35,11 +35,10 @@ from typing import Dict, Iterator, Optional, Tuple
 from repro.errors import CacheFullError, ConfigError, InvalidAddressError
 from repro.flash.block import BlockKind, EraseBlock
 from repro.flash.chip import FlashChip
-from repro.flash.page import PageState
 from repro.ftl.hybrid import HybridFTL, HybridFTLConfig
 from repro.ftl.base import FTLStats
 from repro.ftl.wear import WearConfig, WearLeveler
-from repro.ssc.log import OperationLog, RecordKind
+from repro.ssc.log import OperationLog, RecordKind, bitmap_shift
 from repro.ssc.sparse_map import SparseHashMap
 
 
@@ -82,7 +81,8 @@ class LoggedPageMap:
     """Sparse lbn->ppn map that journals every mutation.
 
     The dirty flag carried on insert records is read from the just-
-    programmed page's OOB, which the engine always writes first.
+    programmed page's OOB dirty bit, which the engine always writes
+    first.
     """
 
     def __init__(self, chip: FlashChip, oplog: OperationLog):
@@ -94,9 +94,8 @@ class LoggedPageMap:
         return self.inner.lookup(lbn)
 
     def insert(self, lbn: int, ppn: int) -> Optional[int]:
-        page = self._chip.page(ppn)
-        dirty = bool(page.oob is not None and page.oob.dirty)
-        self._log.append(RecordKind.INSERT_PAGE, lbn, ppn, extra=int(dirty))
+        block, offset = self._chip.locate(ppn)
+        self._log.append(RecordKind.INSERT_PAGE, lbn, ppn, extra=block.dirty >> offset & 1)
         return self.inner.insert(lbn, ppn)
 
     def remove(self, lbn: int) -> Optional[int]:
@@ -127,20 +126,13 @@ class LoggedBlockMap:
         self.reverse: Dict[int, int] = {}
         self._chip = chip
         self._log = oplog
-        self._pages_per_block = pages_per_block
+        self._shift = bitmap_shift(pages_per_block)
 
     def _state_bitmaps(self, pbn: int) -> int:
-        """Pack the block's dirty (low 64) and valid (high 64) bitmaps."""
+        """Pack the block's valid dirty pages (low bits) and valid pages
+        (from bit :func:`~repro.ssc.log.bitmap_shift` up) into one field."""
         block = self._chip.block(pbn)
-        dirty_bitmap = 0
-        valid_bitmap = 0
-        for offset, page in enumerate(block.pages):
-            if page.state is not PageState.VALID:
-                continue
-            valid_bitmap |= 1 << offset
-            if page.oob is not None and page.oob.dirty:
-                dirty_bitmap |= 1 << offset
-        return dirty_bitmap | (valid_bitmap << 64)
+        return (block.dirty & block.valid) | block.valid << self._shift
 
     def lookup(self, group: int) -> Optional[int]:
         return self.inner.lookup(group)
@@ -280,9 +272,9 @@ class CacheFTL(HybridFTL):
 
     def _retire_block_copy(self, lpn: int, pbn: int) -> None:
         offset = self._offset_of(lpn)
-        page = self.chip.block(pbn).pages[offset]
-        if page.state is PageState.VALID:
-            self.chip.block(pbn).invalidate(offset)
+        block = self.chip.block(pbn)
+        if block.valid >> offset & 1:
+            block.invalidate(offset)
             self.oplog.append(
                 RecordKind.INVALIDATE_PAGE,
                 lpn,
@@ -302,9 +294,9 @@ class CacheFTL(HybridFTL):
         pbn = self.data_map.lookup(self._group_of(lpn))
         if pbn is not None:
             offset = self._offset_of(lpn)
-            page = self.chip.block(pbn).pages[offset]
-            if page.state is PageState.VALID:
-                self.chip.block(pbn).invalidate(offset)
+            block = self.chip.block(pbn)
+            if block.valid >> offset & 1:
+                block.invalidate(offset)
                 self.oplog.append(
                     RecordKind.INVALIDATE_PAGE,
                     lpn,
@@ -466,14 +458,13 @@ class CacheFTL(HybridFTL):
             if pbn is None:
                 return None
             offset = self._offset_of(lbn)
-            if self.chip.block(pbn).pages[offset].state is not PageState.VALID:
+            if not self.chip.block(pbn).valid >> offset & 1:
                 return None
-            ppn = self.chip.geometry.make_ppn(pbn, offset)
-        pbn = self.chip.geometry.ppn_to_pbn(ppn)
-        offset = self.chip.geometry.ppn_to_offset(ppn)
-        if self.chip.block(pbn).pages[offset].state is not PageState.VALID:
+            return pbn, offset, self.chip.geometry.make_ppn(pbn, offset)
+        block, offset = self.chip.locate(ppn)
+        if not block.valid >> offset & 1:
             return None
-        return pbn, offset, ppn
+        return block.pbn, offset, ppn
 
     def is_dirty(self, lbn: int) -> bool:
         """True if ``lbn`` is cached and its newest copy is dirty."""
@@ -481,8 +472,7 @@ class CacheFTL(HybridFTL):
         if location is None:
             return False
         pbn, offset, _ppn = location
-        page = self.chip.block(pbn).pages[offset]
-        return bool(page.oob is not None and page.oob.dirty)
+        return bool(self.chip.block(pbn).dirty >> offset & 1)
 
     def set_clean(self, lbn: int) -> bool:
         """Clear the dirty flag on ``lbn``'s flash copy; True if present."""
@@ -506,10 +496,8 @@ class CacheFTL(HybridFTL):
             yield lbn
         for group, pbn in self.data_map.items():
             base = group * self.pages_per_block
-            block = self.chip.block(pbn)
-            for offset, page in enumerate(block.pages):
-                if page.state is PageState.VALID:
-                    yield base + offset
+            for offset in self.chip.block(pbn).valid_offsets():
+                yield base + offset
 
     def device_memory_bytes(self) -> int:
         """Modeled device DRAM (Table 4).

@@ -56,15 +56,22 @@ def record_checksum(seq: int, kind: "RecordKind", lbn: int, ppn: int,
     ) & 0xFFFFFFFF
 
 
+def bitmap_shift(pages_per_block: int) -> int:
+    """Bit position of the valid bitmap in a block insert's ``extra``:
+    64, or one bit per page for blocks of more than 64 pages."""
+    return max(64, pages_per_block)
+
+
 @dataclass(frozen=True)
 class LogRecord:
     """One durable mapping-change record.
 
     ``extra`` carries the dirty flag for page inserts; for block inserts
-    it packs the dirty-page bitmap in the low 64 bits and the valid-page
-    bitmap in the next 64 (the paper persists per-page state through
-    out-of-band writes "near its associated data"; we journal it, which
-    has the same durability and a simpler replay).
+    it packs the dirty-page bitmap in the low bits and the valid-page
+    bitmap from bit :func:`bitmap_shift` up (the paper persists
+    per-page state through out-of-band writes "near its associated
+    data"; we journal it, which has the same durability and a simpler
+    replay).
 
     ``checksum`` covers every other field.  Recovery verifies it and
     discards the log tail from the first damaged record onward, so a

@@ -29,33 +29,28 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import RecoveryError
-from repro.flash.block import BlockKind
-from repro.flash.page import Page, PageState
+from repro.flash.block import BlockKind, EraseBlock
 from repro.ssc.checkpoint import Checkpoint
-from repro.ssc.log import LogRecord, RecordKind
+from repro.ssc.log import LogRecord, RecordKind, bitmap_shift
 from repro.util.checksum import crc32_of_payload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ssc.engine import CacheFTL
 
 
-_VALID_SHIFT = 64
-_LOW64 = (1 << 64) - 1
-
-
-def _page_intact(page: Page) -> bool:
-    """True if the page's OOB checksum matches its payload.
+def _page_intact(block: EraseBlock, offset: int) -> bool:
+    """True if programmed page ``offset``'s OOB checksum matches its
+    payload.
 
     A torn program (power cut mid-write) or bit rot leaves a page whose
     stored checksum cannot verify; recovery must treat it as damaged and
     never surface its contents.  Pages stamped before checksums existed
     (``checksum is None``) are trusted, matching the log-record rule.
     """
-    if page.oob is None:
-        return False
-    if page.oob.checksum is None:
+    checksum = block.checksums[offset]
+    if checksum is None:
         return True
-    return page.oob.checksum == crc32_of_payload(page.oob.lbn, page.data)
+    return checksum == crc32_of_payload(block.lbns[offset], block.data[offset])
 
 
 @dataclass
@@ -110,10 +105,11 @@ def _apply(state: RecoveredState, record: LogRecord, pages_per_block: int) -> No
         if current is not None and current[0] == record.ppn:
             del state.page_entries[record.lbn]
     elif kind is RecordKind.INSERT_BLOCK:
+        shift = bitmap_shift(pages_per_block)
         state.block_entries[record.lbn] = _BlockEntry(
             pbn=record.ppn,
-            dirty_bitmap=record.extra & _LOW64,
-            valid_bitmap=record.extra >> _VALID_SHIFT,
+            dirty_bitmap=record.extra & ((1 << shift) - 1),
+            valid_bitmap=record.extra >> shift,
         )
     elif kind is RecordKind.REMOVE_BLOCK:
         entry = state.block_entries.get(record.lbn)
@@ -149,7 +145,6 @@ def materialize(engine: "CacheFTL", state: RecoveredState) -> None:
     are reset.
     """
     chip = engine.chip
-    geometry = chip.geometry
 
     expected_pages: Dict[int, Tuple[int, bool]] = {
         ppn: (lbn, dirty) for lbn, (ppn, dirty) in state.page_entries.items()
@@ -185,12 +180,8 @@ def materialize(engine: "CacheFTL", state: RecoveredState) -> None:
     # can never route reads to some other block's data.
     engine.log_map.inner = type(engine.log_map.inner)()
     for lbn, (ppn, _dirty) in state.page_entries.items():
-        page = chip.page(ppn)
-        if (
-            page.state is PageState.VALID
-            and page.oob is not None
-            and page.oob.lbn == lbn
-        ):
+        block, offset = chip.locate(ppn)
+        if block.valid >> offset & 1 and block.lbns[offset] == lbn:
             engine.log_map.inner.insert(lbn, ppn)
     engine.data_map.inner = type(engine.data_map.inner)()
     for group, entry in state.block_entries.items():
@@ -248,43 +239,36 @@ def recover_device(ssc) -> float:
 
 def _reconcile_block(engine, plane, block, expected_pages, expected_blocks,
                      log_blocks) -> None:
-    chip = engine.chip
-    geometry = chip.geometry
-    block.valid_count = 0
-    block.dirty_count = 0
+    geometry = engine.chip.geometry
+    written = block.written
+    valid = dirty = 0
 
     if block.pbn in expected_blocks:
         group, entry = expected_blocks[block.pbn]
         base = group * engine.pages_per_block
         block.kind = BlockKind.DATA
-        for offset, page in enumerate(block.pages):
-            if page.oob is None:
-                continue  # hole: never programmed since last erase
-            # The OOB reverse map must agree with the forward mapping:
-            # a stale block entry (recovered from an old checkpoint over
-            # a gapped log) may reference a block since erased and
-            # reused, whose pages now hold other logical blocks' data.
+        # Holes (never programmed since the last erase) stay FREE.  The
+        # OOB reverse map must agree with the forward mapping: a stale
+        # block entry (recovered from an old checkpoint over a gapped
+        # log) may reference a block since erased and reused, whose
+        # pages now hold other logical blocks' data.
+        candidates = written & entry.valid_bitmap
+        for offset in range(block.num_pages):
+            bit = 1 << offset
             if (
-                entry.valid_bitmap >> offset & 1
-                and page.oob.lbn == base + offset
-                and _page_intact(page)
+                candidates & bit
+                and block.lbns[offset] == base + offset
+                and _page_intact(block, offset)
             ):
-                page.state = PageState.VALID
-                page.oob.dirty = bool(entry.dirty_bitmap >> offset & 1)
-                block.valid_count += 1
-                if page.oob.dirty:
-                    block.dirty_count += 1
-            else:
-                page.state = PageState.INVALID
+                valid |= bit
+        _set_state(block, valid, (block.dirty & ~valid) | (entry.dirty_bitmap & valid))
         return
 
-    programmed = [
-        (offset, page) for offset, page in enumerate(block.pages) if page.oob is not None
-    ]
-    if not programmed:
+    if not written:
         # Fully erased.  It may have been allocated (e.g. a just-opened
         # log block whose first write never happened); return it to the
         # free pool.
+        _set_state(block, 0, 0)
         block.kind = BlockKind.FREE
         block.write_pointer = 0
         block.sequential = True
@@ -298,18 +282,32 @@ def _reconcile_block(engine, plane, block, expected_pages, expected_blocks,
     # record was lost with the log buffer — become invalid, exactly the
     # "as if silently evicted" semantics write-clean promises.
     oldest_seq = None
-    for offset, page in programmed:
-        ppn = geometry.make_ppn(block.pbn, offset)
-        expected = expected_pages.get(ppn)
-        if expected is not None and page.oob.lbn == expected[0] and _page_intact(page):
-            page.state = PageState.VALID
-            page.oob.dirty = expected[1]
-            block.valid_count += 1
-            if page.oob.dirty:
-                block.dirty_count += 1
-        else:
-            page.state = PageState.INVALID
-        if oldest_seq is None or page.oob.seq < oldest_seq:
-            oldest_seq = page.oob.seq
+    for offset in range(block.num_pages):
+        bit = 1 << offset
+        if not written & bit:
+            continue
+        expected = expected_pages.get(geometry.make_ppn(block.pbn, offset))
+        if (
+            expected is not None
+            and block.lbns[offset] == expected[0]
+            and _page_intact(block, offset)
+        ):
+            valid |= bit
+            if expected[1]:
+                dirty |= bit
+        elif block.dirty & bit:
+            dirty |= bit
+        seq = block.seqs[offset]
+        if oldest_seq is None or seq < oldest_seq:
+            oldest_seq = seq
+    _set_state(block, valid, dirty)
     block.kind = BlockKind.LOG
     log_blocks.append((oldest_seq or 0, block.pbn))
+
+
+def _set_state(block: EraseBlock, valid: int, dirty: int) -> None:
+    """Install reconciled valid/dirty bitmaps and their counts."""
+    block.valid = valid
+    block.dirty = dirty
+    block.valid_count = valid.bit_count()
+    block.dirty_count = (dirty & valid).bit_count()

@@ -70,16 +70,18 @@ class TestOOBChecksumStamping:
         ssc = SolidStateCache.ssc(small_geometry)
         ssc.write_dirty(7, ("payload", 7))
         location = ssc.engine.current_location(7)
-        page = ssc.chip.page(location[2])
-        assert page.oob.checksum == crc32_of_payload(7, ("payload", 7))
+        block, offset = ssc.chip.locate(location[2])
+        assert block.checksums[offset] == crc32_of_payload(7, ("payload", 7))
 
     def test_corruption_breaks_checksum(self, small_geometry):
         ssc = SolidStateCache.ssc(small_geometry)
         ssc.write_dirty(7, ("payload", 7))
         location = ssc.engine.current_location(7)
-        page = ssc.chip.page(location[2])
-        page.data = ("CORRUPT",)
-        assert page.oob.checksum != crc32_of_payload(page.oob.lbn, page.data)
+        block, offset = ssc.chip.locate(location[2])
+        block.data[offset] = ("CORRUPT",)
+        assert block.checksums[offset] != crc32_of_payload(
+            block.lbns[offset], block.data[offset]
+        )
 
 
 def make_manager(verify=True):
@@ -134,7 +136,8 @@ class TestWritebackVerification:
         manager.write(5, ("good", 5))
         # Simulate device-side corruption of the cached page.
         location = ssc.engine.current_location(5)
-        ssc.chip.page(location[2]).data = ("CORRUPT",)
+        block, offset = ssc.chip.locate(location[2])
+        block.data[offset] = ("CORRUPT",)
         with pytest.raises(ChecksumError) as exc:
             manager.flush_dirty()
         assert exc.value.lbn == 5
@@ -144,7 +147,8 @@ class TestWritebackVerification:
         manager, ssc, disk = make_manager(verify=False)
         manager.write(5, ("good", 5))
         location = ssc.engine.current_location(5)
-        ssc.chip.page(location[2]).data = ("CORRUPT",)
+        block, offset = ssc.chip.locate(location[2])
+        block.data[offset] = ("CORRUPT",)
         manager.flush_dirty()  # no verification: propagates silently
         assert disk.peek(5) == ("CORRUPT",)
 
@@ -172,6 +176,7 @@ class TestWritebackVerification:
         manager.recover_us(10_000)
         manager.write(5, ("new", 5))
         location = ssc.engine.current_location(5)
-        ssc.chip.page(location[2]).data = ("CORRUPT",)
+        block, offset = ssc.chip.locate(location[2])
+        block.data[offset] = ("CORRUPT",)
         with pytest.raises(ChecksumError):
             manager.flush_dirty()

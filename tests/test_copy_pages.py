@@ -2,7 +2,7 @@
 
 Every merge copies its live pages with one ``copy_pages`` call.  These
 tests run the same copies both ways on identically-prepared chips and
-require the same ops, cost, statistics, OOB records and block state,
+require the same ops, cost, statistics, page columns and block state,
 including when the copy is rejected or a crash fires mid-copy.
 """
 
@@ -13,7 +13,6 @@ import pytest
 from repro.errors import CrashError, WriteToNonErasedPageError
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
-from repro.flash.page import OOBData
 from repro.ftl.ssd import SSD
 from repro.sim.crash import CrashInjector
 
@@ -30,8 +29,9 @@ def _prepared_chip() -> FlashChip:
             chip.program_page(
                 pbn * PPB + offset,
                 f"data-{first_lbn + offset}",
-                OOBData(lbn=first_lbn + offset, dirty=offset % 2 == 0,
-                        seq=chip.next_seq()),
+                first_lbn + offset,
+                dirty=offset % 2 == 0,
+                seq=chip.next_seq(),
             )
         chip.block(pbn).invalidate(4)
     return chip
@@ -41,12 +41,15 @@ def _per_page_copy(chip, dst_pbn, copies):
     """Reference: the same copies, one read_page + program_page each."""
     cost = 0.0
     for src_ppn, offset, lbn in copies:
-        data, oob, read_cost = chip.read_page(src_ppn)
+        src, src_offset = chip.locate(src_ppn)
+        data, read_cost = chip.read_page(src_ppn)
         cost += read_cost
         cost += chip.program_page(
             dst_pbn * PPB + offset,
             data,
-            OOBData(lbn=lbn, dirty=bool(oob and oob.dirty), seq=chip.next_seq()),
+            lbn,
+            dirty=bool(src.dirty >> src_offset & 1),
+            seq=chip.next_seq(),
         )
     return cost
 
@@ -58,12 +61,10 @@ def _bulk_copy(chip, dst_pbn, copies):
 def _chip_state(chip):
     """Everything a copy can change, in comparable form."""
     pages = [
-        (page.state, page.data,
-         None if page.oob is None else
-         (page.oob.lbn, page.oob.dirty, page.oob.seq, page.oob.checksum))
+        (block.written, block.valid, block.dirty, block.data, block.lbns,
+         block.seqs, block.checksums)
         for plane in chip.planes
         for block in plane.blocks.values()
-        for page in block.pages
     ]
     blocks = [
         (block.write_pointer, block.valid_count, block.dirty_count,
@@ -131,8 +132,7 @@ def test_cost_accumulates_onto_caller_total():
 
 def _advance_write_pointer(chip):
     for offset in range(3):
-        chip.program_page(DST_PBN * PPB + offset, "old",
-                          OOBData(lbn=offset, seq=chip.next_seq()))
+        chip.program_page(DST_PBN * PPB + offset, "old", offset, seq=chip.next_seq())
 
 
 def test_copy_below_write_pointer_is_rejected_like_per_page():

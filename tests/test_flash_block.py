@@ -1,28 +1,32 @@
-"""Unit tests for pages and erase blocks (NAND constraints)."""
+"""Unit tests for erase blocks and their page columns (NAND constraints)."""
 
 import pytest
 
 from repro.errors import WriteToNonErasedPageError
 from repro.flash.block import BlockKind, EraseBlock
-from repro.flash.page import OOBData, Page, PageState
+
+
+def assert_free(block, offset):
+    """Page ``offset`` is erased: no payload, no OOB record, no state bits."""
+    bit = 1 << offset
+    assert not (block.written | block.valid | block.dirty) & bit
+    assert block.data[offset] is None
+    assert block.lbns[offset] is None
+    assert block.seqs[offset] == 0
+    assert block.checksums[offset] is None
 
 
 class TestPage:
     def test_fresh_page_is_free(self):
-        page = Page()
-        assert page.state is PageState.FREE
-        assert page.data is None
-        assert page.oob is None
+        block = EraseBlock(0, 4)
+        for offset in range(4):
+            assert_free(block, offset)
 
     def test_reset(self):
-        page = Page()
-        page.state = PageState.VALID
-        page.data = "x"
-        page.oob = OOBData(lbn=1)
-        page.reset()
-        assert page.state is PageState.FREE
-        assert page.data is None
-        assert page.oob is None
+        block = EraseBlock(0, 4)
+        block.program(0, "x", 1, dirty=True, seq=5, checksum=9)
+        block.erase()
+        assert_free(block, 0)
 
 
 class TestProgram:
@@ -32,35 +36,35 @@ class TestProgram:
     def test_sequential_program(self):
         block = self.make_block()
         for offset in range(8):
-            block.program(offset, ("d", offset), OOBData(lbn=offset))
+            block.program(offset, ("d", offset), offset)
         assert block.is_full
         assert block.valid_count == 8
 
     def test_program_below_write_pointer_rejected(self):
         block = self.make_block()
-        block.program(0, "a", OOBData(lbn=0))
+        block.program(0, "a", 0)
         with pytest.raises(WriteToNonErasedPageError):
-            block.program(0, "b", OOBData(lbn=0))
+            block.program(0, "b", 0)
 
     def test_skip_forward_allowed_leaves_holes(self):
         block = self.make_block()
-        block.program(0, "a", OOBData(lbn=0))
-        block.program(3, "b", OOBData(lbn=3))
+        block.program(0, "a", 0)
+        block.program(3, "b", 3)
         assert block.write_pointer == 4
-        assert block.pages[1].state is PageState.FREE
-        assert block.pages[2].state is PageState.FREE
+        assert_free(block, 1)
+        assert_free(block, 2)
         assert block.valid_count == 2
 
     def test_skip_breaks_sequentiality(self):
         block = self.make_block()
-        block.program(0, "a", OOBData(lbn=0))
-        block.program(2, "b", OOBData(lbn=2))
+        block.program(0, "a", 0)
+        block.program(2, "b", 2)
         assert not block.sequential
 
     def test_free_pages(self):
         block = self.make_block()
         assert block.free_pages == 8
-        block.program(0, "a", OOBData(lbn=0))
+        block.program(0, "a", 0)
         assert block.free_pages == 7
 
 
@@ -68,65 +72,65 @@ class TestSequentialDetection:
     def test_sequential_run_detected(self):
         block = EraseBlock(0, 4)
         for offset in range(4):
-            block.program(offset, "d", OOBData(lbn=100 + offset))
+            block.program(offset, "d", 100 + offset)
         assert block.sequential
         assert block.first_lbn == 100
 
     def test_non_sequential_lbns(self):
         block = EraseBlock(0, 4)
-        block.program(0, "d", OOBData(lbn=100))
-        block.program(1, "d", OOBData(lbn=50))
+        block.program(0, "d", 100)
+        block.program(1, "d", 50)
         assert not block.sequential
 
     def test_missing_lbn_breaks_sequentiality(self):
         block = EraseBlock(0, 4)
-        block.program(0, "d", OOBData(lbn=None))
+        block.program(0, "d", None)
         assert not block.sequential
 
 
 class TestInvalidateAndDirty:
     def test_invalidate_decrements_counts(self):
         block = EraseBlock(0, 4)
-        block.program(0, "d", OOBData(lbn=0, dirty=True))
+        block.program(0, "d", 0, dirty=True)
         assert block.dirty_count == 1
         block.invalidate(0)
         assert block.valid_count == 0
         assert block.dirty_count == 0
-        assert block.pages[0].state is PageState.INVALID
+        assert block.written & 1 and not block.valid & 1
 
     def test_invalidate_idempotent(self):
         block = EraseBlock(0, 4)
-        block.program(0, "d", OOBData(lbn=0))
+        block.program(0, "d", 0)
         block.invalidate(0)
         block.invalidate(0)
         assert block.valid_count == 0
 
     def test_mark_clean_and_dirty(self):
         block = EraseBlock(0, 4)
-        block.program(0, "d", OOBData(lbn=0, dirty=True))
+        block.program(0, "d", 0, dirty=True)
         block.mark_clean(0)
         assert block.dirty_count == 0
-        assert not block.pages[0].oob.dirty
+        assert not block.dirty & 1
         block.mark_dirty(0)
         assert block.dirty_count == 1
 
     def test_mark_clean_idempotent(self):
         block = EraseBlock(0, 4)
-        block.program(0, "d", OOBData(lbn=0, dirty=False))
+        block.program(0, "d", 0, dirty=False)
         block.mark_clean(0)
         assert block.dirty_count == 0
 
     def test_utilization(self):
         block = EraseBlock(0, 4)
         assert block.utilization() == 0.0
-        block.program(0, "d", OOBData(lbn=0))
-        block.program(1, "d", OOBData(lbn=1))
+        block.program(0, "d", 0)
+        block.program(1, "d", 1)
         assert block.utilization() == pytest.approx(0.5)
 
     def test_valid_offsets(self):
         block = EraseBlock(0, 4)
-        block.program(0, "d", OOBData(lbn=0))
-        block.program(1, "d", OOBData(lbn=1))
+        block.program(0, "d", 0)
+        block.program(1, "d", 1)
         block.invalidate(0)
         assert block.valid_offsets() == [1]
 
@@ -136,7 +140,7 @@ class TestErase:
         block = EraseBlock(0, 4)
         block.kind = BlockKind.LOG
         for offset in range(4):
-            block.program(offset, "d", OOBData(lbn=offset, dirty=True))
+            block.program(offset, "d", offset, dirty=True)
         block.erase()
         assert block.erase_count == 1
         assert block.write_pointer == 0
@@ -144,7 +148,8 @@ class TestErase:
         assert block.dirty_count == 0
         assert block.kind is BlockKind.FREE
         assert block.sequential
-        assert all(page.state is PageState.FREE for page in block.pages)
+        for offset in range(4):
+            assert_free(block, offset)
 
     def test_wear_accumulates(self):
         block = EraseBlock(0, 4)
@@ -154,7 +159,8 @@ class TestErase:
 
     def test_programmable_after_erase(self):
         block = EraseBlock(0, 4)
-        block.program(0, "a", OOBData(lbn=0))
+        block.program(0, "a", 0)
         block.erase()
-        block.program(0, "b", OOBData(lbn=1))
-        assert block.pages[0].data == "b"
+        block.program(0, "b", 1)
+        assert block.data[0] == "b"
+        assert block.lbns[0] == 1

@@ -6,7 +6,6 @@ from repro.errors import InvalidAddressError, WriteToNonErasedPageError
 from repro.flash.block import BlockKind
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
-from repro.flash.page import OOBData, PageState
 
 
 @pytest.fixture
@@ -56,32 +55,33 @@ class TestPlane:
 
 class TestChipOperations:
     def test_program_and_read_round_trip(self, tiny_chip):
-        oob = OOBData(lbn=42, dirty=True, seq=1)
-        cost_w = tiny_chip.program_page(0, "payload", oob)
-        data, read_oob, cost_r = tiny_chip.read_page(0)
+        cost_w = tiny_chip.program_page(0, "payload", 42, dirty=True, seq=1)
+        data, cost_r = tiny_chip.read_page(0)
         assert data == "payload"
-        assert read_oob.lbn == 42
+        assert tiny_chip.scan_oob(0)[:3] == (42, True, 1)
         assert cost_w == pytest.approx(tiny_chip.timing.write_cost())
         assert cost_r == pytest.approx(tiny_chip.timing.read_cost())
 
     def test_program_enforces_nand_order(self, tiny_chip):
-        tiny_chip.program_page(0, "a", OOBData(lbn=0))
+        tiny_chip.program_page(0, "a", 0)
         with pytest.raises(WriteToNonErasedPageError):
-            tiny_chip.program_page(0, "b", OOBData(lbn=0))
+            tiny_chip.program_page(0, "b", 0)
 
     def test_erase_returns_block_to_free_list(self, tiny_chip):
         plane = tiny_chip.planes[0]
         block = plane.allocate(BlockKind.LOG)
         ppn = tiny_chip.geometry.make_ppn(block.pbn, 0)
-        tiny_chip.program_page(ppn, "x", OOBData(lbn=0))
+        tiny_chip.program_page(ppn, "x", 0)
         free_before = plane.free_count
         cost = tiny_chip.erase_block(block.pbn)
         assert cost == pytest.approx(tiny_chip.timing.erase_cost())
         assert plane.free_count == free_before + 1
-        assert tiny_chip.page(ppn).state is PageState.FREE
+        block, offset = tiny_chip.locate(ppn)
+        assert not block.written >> offset & 1
+        assert block.data[offset] is None
 
     def test_stats_accumulate(self, tiny_chip):
-        tiny_chip.program_page(0, "x", OOBData(lbn=0))
+        tiny_chip.program_page(0, "x", 0)
         tiny_chip.read_page(0)
         tiny_chip.scan_oob(0)
         assert tiny_chip.stats.page_writes == 1

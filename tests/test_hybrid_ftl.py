@@ -83,9 +83,10 @@ class TestReadWrite:
         ftl = make_ftl()
         ftl.write(3, "x", dirty=True)
         location = ftl.log_map.lookup(3)
-        assert ftl.chip.page(location).oob.dirty
+        block, offset = ftl.chip.locate(location)
+        assert block.dirty >> offset & 1
         ftl.set_page_dirty(3, False)
-        assert not ftl.chip.page(location).oob.dirty
+        assert not block.dirty >> offset & 1
 
 
 class TestGarbageCollection:
@@ -159,7 +160,8 @@ class TestGarbageCollection:
             if ppn is None:
                 pbn = ftl.data_map.lookup(lpn // ftl.pages_per_block)
                 ppn = ftl.chip.geometry.make_ppn(pbn, lpn % ftl.pages_per_block)
-            assert ftl.chip.page(ppn).oob.dirty, lpn
+            block, offset = ftl.chip.locate(ppn)
+            assert block.dirty >> offset & 1, lpn
 
     def test_device_memory_accounting(self):
         ftl = make_ftl()

@@ -64,9 +64,10 @@ class TestReadWrite:
         ftl = make_ftl()
         ftl.write(3, "x", dirty=True)
         ppn = ftl.page_map.lookup(3)
-        assert ftl.chip.page(ppn).oob.dirty
+        block, offset = ftl.chip.locate(ppn)
+        assert block.dirty >> offset & 1
         ftl.set_page_dirty(3, False)
-        assert not ftl.chip.page(ppn).oob.dirty
+        assert not block.dirty >> offset & 1
 
 
 class TestGarbageCollection:

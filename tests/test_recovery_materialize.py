@@ -4,7 +4,6 @@ import pytest
 
 from repro.flash.block import BlockKind
 from repro.flash.geometry import FlashGeometry
-from repro.flash.page import PageState
 from repro.ssc.device import SolidStateCache
 
 
@@ -26,8 +25,8 @@ class TestMaterialization:
         lost = ssc.crash()
         assert lost >= 1
         ssc.recover()
-        page = ssc.chip.page(ppn)
-        assert page.state is PageState.INVALID
+        block, offset = ssc.chip.locate(ppn)
+        assert block.written >> offset & 1 and not block.valid >> offset & 1
 
     def test_mapped_pages_stay_valid(self, ssc):
         ssc.write_dirty(100, "durable")
@@ -35,8 +34,9 @@ class TestMaterialization:
         _pbn, _offset, ppn = location
         ssc.crash()
         ssc.recover()
-        assert ssc.chip.page(ppn).state is PageState.VALID
-        assert ssc.chip.page(ppn).oob.dirty
+        block, offset = ssc.chip.locate(ppn)
+        assert block.valid >> offset & 1
+        assert block.dirty >> offset & 1
 
     def test_unwritten_allocated_block_returns_to_free_pool(self, ssc):
         """A log block opened but never programmed before the crash must
@@ -60,7 +60,10 @@ class TestMaterialization:
         oldest_seq = []
         for pbn in queue:
             block = ssc.chip.block(pbn)
-            seqs = [p.oob.seq for p in block.pages if p.oob is not None]
+            seqs = [
+                seq for offset, seq in enumerate(block.seqs)
+                if block.written >> offset & 1
+            ]
             oldest_seq.append(min(seqs))
         assert oldest_seq == sorted(oldest_seq)
 
@@ -86,11 +89,11 @@ class TestMaterialization:
         for plane in ssc.chip.planes:
             for block in plane.blocks.values():
                 valid = sum(
-                    1 for p in block.pages if p.state is PageState.VALID
+                    block.valid >> offset & 1 for offset in range(block.num_pages)
                 )
                 dirty = sum(
-                    1 for p in block.pages
-                    if p.state is PageState.VALID and p.oob and p.oob.dirty
+                    block.valid >> offset & block.dirty >> offset & 1
+                    for offset in range(block.num_pages)
                 )
                 assert block.valid_count == valid, block
                 assert block.dirty_count == dirty, block
@@ -102,3 +105,19 @@ class TestMaterialization:
         ssc.recover()
         for group, pbn in ssc.engine.data_map.items():
             assert ssc.engine.data_map.group_of(pbn) == group
+
+    def test_lost_clean_of_block_mapped_page_reverts_to_dirty(self, ssc):
+        """A data block's dirty flags come from the recovered block-map
+        entry, so a CLEAN record lost with the log buffer rolls the page
+        back to dirty even though the flash copy was marked clean."""
+        # Block 7 leads into a sequential run over group 1 (blocks 8-15),
+        # which becomes group 1's data block when full.
+        for lbn in range(7, 16):
+            ssc.write_dirty(lbn, lbn)
+        assert ssc.engine.data_map.lookup(1) is not None
+        ssc.clean(11)  # asynchronous: the CLEAN record stays buffered
+        assert not ssc.is_dirty(11)
+        assert ssc.crash() >= 1
+        ssc.recover()
+        dirty, _cost = ssc.exists(7, 16)
+        assert dirty == list(range(7, 16))

@@ -38,13 +38,13 @@ TARGET = 1  # the member that takes the torn write
 
 def durable_fingerprint(ssc):
     """Byte-level identity of one member's durable state: every flash
-    page (state, payload, OOB), the flushed log, and the checkpoints."""
+    page (state bits, payload, OOB columns), the flushed log, and the
+    checkpoints."""
     pages = tuple(
-        (plane.plane_id, pbn, index, page.state.name,
-         repr(page.data), repr(page.oob))
+        (plane.plane_id, pbn, block.written, block.valid, block.dirty,
+         repr(block.data), block.lbns, block.seqs, block.checksums)
         for plane in ssc.chip.planes
         for pbn, block in sorted(plane.blocks.items())
-        for index, page in enumerate(block.pages)
     )
     log = tuple(repr(record) for record in ssc.oplog.flushed)
     checkpoint = ssc.checkpoints.latest()

@@ -276,9 +276,10 @@ class TestShardedSSD:
         array.write(4, "x", dirty=True)
         ssd, local = array._route(4)
         location = ssd.ftl.log_map.lookup(local)
-        assert ssd.chip.page(location).oob.dirty
+        block, offset = ssd.chip.locate(location)
+        assert block.dirty >> offset & 1
         array.set_page_dirty(4, False)
-        assert not ssd.chip.page(location).oob.dirty
+        assert not block.dirty >> offset & 1
 
     def test_memory_sums_and_scan_is_max(self):
         array = make_ssd_array(2)

@@ -59,7 +59,7 @@ class TestSilentEviction:
         for lbn, expected in dirty.items():
             location = engine.current_location(lbn)
             assert location is not None, f"dirty block {lbn} was evicted"
-            data, _oob, _cost = engine.chip.read_page(location[2])
+            data, _cost = engine.chip.read_page(location[2])
             assert data == expected
 
     def test_eviction_prefers_low_utilization(self):
@@ -165,7 +165,7 @@ class TestHelpers:
         for lbn, expected in shadow.items():
             location = engine.current_location(lbn)
             if location is not None:
-                data, _oob, _cost = engine.chip.read_page(location[2])
+                data, _cost = engine.chip.read_page(location[2])
                 assert data == expected
                 checked += 1
         assert checked > 0

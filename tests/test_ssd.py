@@ -29,7 +29,8 @@ class TestInterface:
         ssd.write(1, "x", dirty=True)
         ssd.set_page_dirty(1, False)
         ppn = ssd.ftl.log_map.lookup(1)
-        assert not ssd.chip.page(ppn).oob.dirty
+        block, offset = ssd.chip.locate(ppn)
+        assert not block.dirty >> offset & 1
 
 
 class TestRecoveryAccounting:

@@ -14,7 +14,6 @@ import pytest
 from repro.check import faults
 from repro.errors import CrashError, NotPresentError
 from repro.flash.block import TORN_PAGE
-from repro.flash.page import PageState
 from repro.sim.crash import CrashInjector, CrashPoint
 from repro.ssc.device import SolidStateCache, SSCConfig
 from repro.ssc.engine import EvictionPolicy
@@ -36,20 +35,22 @@ class TestTornDataPage:
             ssc.write_dirty(3, "v1")
         # The partial program left detectable garbage on flash...
         torn_pages = [
-            page
+            (block, offset)
             for plane in ssc.chip.planes
             for block in plane.blocks.values()
-            for page in block.pages
-            if page.data == TORN_PAGE
+            for offset, data in enumerate(block.data)
+            if data == TORN_PAGE
         ]
         assert len(torn_pages) == 1
-        assert torn_pages[0].oob.checksum == 0  # can never verify
+        block, offset = torn_pages[0]
+        assert block.lbns[offset] is None
+        assert block.checksums[offset] == 0  # can never verify
         # ...but recovery discards it: the block is absent and the torn
         # page is not part of any mapping.
         ssc.recover()
         with pytest.raises(NotPresentError):
             ssc.read(3)
-        assert torn_pages[0].state is PageState.INVALID
+        assert block.written >> offset & 1 and not block.valid >> offset & 1
 
     def test_torn_page_advances_write_pointer(self, small_geometry):
         """NAND cannot reprogram a torn page without an erase; the device
@@ -158,13 +159,46 @@ class TestBitFlips:
         ssc.write_dirty(3, "v1")
         ssc.crash()
         location = ssc.engine.current_location(3)
-        page = ssc.chip.page(location[2])
-        page.data = ("<bitrot>", page.data)  # checksum now stale
+        block, offset = ssc.chip.locate(location[2])
+        block.data[offset] = ("<bitrot>", block.data[offset])  # checksum now stale
         ssc.recover()
         # The damaged page must not be mapped; absence is the only
         # correct answer (the cache has no redundant copy).
         with pytest.raises(NotPresentError):
             ssc.read(3)
+
+    def test_flipped_data_block_payload_not_served(self, small_geometry):
+        ssc, _injector = make_ssc(small_geometry)
+        # Block 7 leads into a sequential run that becomes group 1's
+        # (blocks 8-15) data block, so block 11 is block-mapped.
+        for lbn in range(7, 16):
+            ssc.write_dirty(lbn, f"v{lbn}")
+        assert ssc.engine.data_map.lookup(1) is not None
+        ssc.crash()
+        block, offset = ssc.chip.locate(ssc.engine.current_location(11)[2])
+        block.data[offset] = ("<bitrot>", block.data[offset])
+        ssc.recover()
+        with pytest.raises(NotPresentError):
+            ssc.read(11)
+        for lbn in (7, 8, 10, 12, 15):
+            assert ssc.read(lbn)[0] == f"v{lbn}"
+
+    def test_flip_page_data_damages_one_valid_page(self, small_geometry):
+        ssc, _injector = make_ssc(small_geometry)
+        for lbn in range(3):
+            ssc.write_dirty(lbn, f"v{lbn}")
+        ssc.crash()
+        assert faults.flip_page_data(ssc, random.Random(0))
+        ssc.recover()
+        served = []
+        for lbn in range(3):
+            try:
+                value, _completion = ssc.read(lbn)
+            except NotPresentError:
+                continue
+            assert value == f"v{lbn}"
+            served.append(lbn)
+        assert len(served) == 2
 
     def test_flipped_checkpoint_falls_back(self, small_geometry):
         ssc, _injector = make_ssc(small_geometry)
