@@ -3,8 +3,8 @@
 Torn writes (handled inside the device model, ``CrashInjector.torn``)
 damage the write that was in flight at the power cut.  Bit flips model
 the other hazard class: state that was durably written and later rots —
-a flipped cell in a flushed log record, a flash page payload, or a
-checkpoint region.
+a flipped cell in a flushed log record, a flash page payload, or any
+field of a checkpoint entry.
 
 Every injector here corrupts the data while leaving the *stored
 checksum* untouched, so the damage is detectable: recovery must notice
@@ -19,7 +19,6 @@ Each injector returns True if it found something to corrupt.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 from repro.ssc.device import SolidStateCache
@@ -33,7 +32,7 @@ def flip_log_record(ssc: SolidStateCache, rng: random.Random) -> bool:
     index = rng.randrange(len(flushed))
     record = flushed[index]
     # Damage the physical address; the stored CRC no longer matches.
-    flushed[index] = dataclasses.replace(record, ppn=record.ppn ^ 1)
+    flushed[index] = record._replace(ppn=record.ppn ^ 1)
     return True
 
 
@@ -57,20 +56,26 @@ def flip_page_data(ssc: SolidStateCache, rng: random.Random) -> bool:
 
 
 def flip_checkpoint(ssc: SolidStateCache, rng: random.Random) -> bool:
-    """Corrupt the most recent checkpoint's serialized mapping.
+    """Corrupt one field of one entry in the most recent checkpoint.
 
-    Its checksum no longer verifies, so recovery must fall back to the
-    other (older) slot, or to pure log replay if none is intact.
+    The entry and the field are drawn from ``rng``: lbn, ppn or dirty
+    of a page entry; group, pbn, dirty bitmap or valid bitmap of a
+    block entry.  Its checksum no longer verifies, so recovery must
+    fall back to the other (older) slot, or to pure log replay if none
+    is intact.
     """
     checkpoint = ssc.checkpoints.latest()
     if checkpoint is None:
         return False
-    if checkpoint.page_entries:
-        lbn, ppn, dirty = checkpoint.page_entries[0]
-        checkpoint.page_entries[0] = (lbn ^ 1, ppn, dirty)
-    elif checkpoint.block_entries:
-        group, pbn, dirty_bm, valid_bm = checkpoint.block_entries[0]
-        checkpoint.block_entries[0] = (group ^ 1, pbn, dirty_bm, valid_bm)
+    pages, blocks = checkpoint.page_entries, checkpoint.block_entries
+    if pages or blocks:
+        index = rng.randrange(len(pages) + len(blocks))
+        entries = pages
+        if index >= len(pages):
+            entries, index = blocks, index - len(pages)
+        entry = list(entries[index])
+        entry[rng.randrange(len(entry))] ^= 1
+        entries[index] = tuple(entry)
     else:
         checkpoint.checksum ^= 0x1
     # In-place entry mutation bypasses the memoized entry CRC; drop it

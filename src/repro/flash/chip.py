@@ -270,7 +270,12 @@ class FlashChip:
 
     def free_blocks_total(self) -> int:
         """Free erased blocks summed over all planes."""
-        return sum(plane.free_count for plane in self.planes)
+        # A plain loop: asked on every SSC write, where a generator's
+        # setup outweighs summing a few planes.
+        total = 0
+        for plane in self.planes:
+            total += plane.free_count
+        return total
 
     def __repr__(self) -> str:
         return (

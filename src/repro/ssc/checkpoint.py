@@ -15,14 +15,15 @@ checkpointing always leaves one intact checkpoint (the previous one).
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional, Tuple
 
 from repro.errors import CrashError
 from repro.flash.timing import TimingModel
 from repro.sim.crash import CrashInjector, CrashPoint
 from repro.stats.counters import counter
-from repro.util.checksum import crc32_of_pairs
 
 #: Serialized entry sizes: page entries carry lbn + ppn + flags; block
 #: entries additionally carry the 8-byte dirty-page bitmap (§4.1) and an
@@ -48,13 +49,17 @@ class Checkpoint:
             self.checksum = self.compute_checksum()
 
     def compute_checksum(self) -> int:
-        pairs = [(lbn, ppn) for lbn, ppn, _ in self.page_entries]
-        pairs += [
-            (group ^ dirty_bm, pbn ^ valid_bm)
-            for group, pbn, dirty_bm, valid_bm in self.block_entries
-        ]
-        pairs.append((self.seq, len(pairs)))
-        return crc32_of_pairs(pairs)
+        """CRC32 over every field of every entry, then ``seq``.
+
+        One %-format pass.  Fields are separated by ``:`` and entries
+        end in ``;``, so each entry's field count shows its kind and the
+        encoding is unambiguous.
+        """
+        pages, blocks = self.page_entries, self.block_entries
+        template = "%d:%d:%d;" * len(pages) + "%d:%d:%d:%d;" * len(blocks) + "%d"
+        encoded = template % (
+            *chain.from_iterable(pages), *chain.from_iterable(blocks), self.seq)
+        return zlib.crc32(encoded.encode("ascii")) & 0xFFFFFFFF
 
     def is_intact(self) -> bool:
         """True if the checksum matches (detects torn checkpoint writes).
@@ -117,15 +122,18 @@ class CheckpointStore:
         self._active = 0
 
     def latest(self) -> Optional[Checkpoint]:
-        """The most recent intact checkpoint, or None."""
-        candidates = [
-            checkpoint
-            for checkpoint in self._slots
-            if checkpoint is not None and checkpoint.is_intact()
-        ]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda checkpoint: checkpoint.seq)
+        """The most recent intact checkpoint, or None.
+
+        Re-verified on every call (the checkpoint policy asks after each
+        write), so damage injected between calls is always seen.  On
+        equal ``seq`` slot 0 wins.
+        """
+        first, second = self._slots
+        if first is None or not first.is_intact():
+            return second if second is not None and second.is_intact() else None
+        if second is None or second.seq <= first.seq or not second.is_intact():
+            return first
+        return second
 
     def write(self, checkpoint: Checkpoint) -> float:
         """Persist ``checkpoint`` into the non-active slot; returns cost.

@@ -19,11 +19,10 @@ buffer is volatile.
 
 from __future__ import annotations
 
-import dataclasses
 import zlib
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.errors import CrashError
 from repro.flash.timing import TimingModel
@@ -42,7 +41,11 @@ class RecordKind(Enum):
     CLEAN = auto()            # block marked clean (future-evictable)
 
 
-def record_checksum(seq: int, kind: "RecordKind", lbn: int, ppn: int,
+#: Each kind's name as CRC input bytes, encoded once.
+_KIND_BYTES = {kind: kind.name.encode("ascii") for kind in RecordKind}
+
+
+def record_checksum(seq: int, kind: RecordKind, lbn: int, ppn: int,
                     extra: int) -> int:
     """Per-record CRC over every field; detects torn log pages and bit rot.
 
@@ -51,8 +54,7 @@ def record_checksum(seq: int, kind: "RecordKind", lbn: int, ppn: int,
     change so the generic chunk loop was measurable.
     """
     return zlib.crc32(
-        b"i%d|s%s|i%d|i%d|i%d|"
-        % (seq, kind.name.encode("ascii"), lbn, ppn, extra)
+        b"i%d|s%s|i%d|i%d|i%d|" % (seq, _KIND_BYTES[kind], lbn, ppn, extra)
     ) & 0xFFFFFFFF
 
 
@@ -62,9 +64,8 @@ def bitmap_shift(pages_per_block: int) -> int:
     return max(64, pages_per_block)
 
 
-@dataclass(frozen=True)
-class LogRecord:
-    """One durable mapping-change record.
+class LogRecord(NamedTuple):
+    """One durable (immutable) mapping-change record.
 
     ``extra`` carries the dirty flag for page inserts; for block inserts
     it packs the dirty-page bitmap in the low bits and the valid-page
@@ -77,7 +78,8 @@ class LogRecord:
     discards the log tail from the first damaged record onward, so a
     torn log flush or flipped bit can lose buffered work but never
     materialize a garbage mapping.  ``None`` (hand-built records in
-    tests) is treated as intact.
+    tests) is treated as intact.  Damage is modeled with ``_replace``,
+    which leaves the stored checksum stale.
     """
 
     seq: int
@@ -153,10 +155,9 @@ class OperationLog:
 
     def append(self, kind: RecordKind, lbn: int, ppn: int = 0, extra: int = 0) -> LogRecord:
         """Buffer a record; it becomes durable at the next flush."""
-        record = LogRecord(
-            self._next_seq, kind, lbn, ppn, extra,
-            checksum=record_checksum(self._next_seq, kind, lbn, ppn, extra),
-        )
+        seq = self._next_seq
+        record = LogRecord(seq, kind, lbn, ppn, extra,
+                           record_checksum(seq, kind, lbn, ppn, extra))
         self._next_seq += 1
         self.buffer.append(record)
         if self.tracer is not None:
@@ -227,7 +228,7 @@ class OperationLog:
         if keep < count:
             torn = self.flushed[start + keep]
             # Field damaged by the cut; the stored checksum goes stale.
-            survivors.append(dataclasses.replace(torn, lbn=torn.lbn ^ (1 << 61)))
+            survivors.append(torn._replace(lbn=torn.lbn ^ (1 << 61)))
         self.flushed = survivors
         self.flushed_bytes = len(self.flushed) * RECORD_BYTES
 
@@ -287,10 +288,9 @@ class NvramOperationLog(OperationLog):
     """
 
     def append(self, kind: RecordKind, lbn: int, ppn: int = 0, extra: int = 0) -> LogRecord:
-        record = LogRecord(
-            self._next_seq, kind, lbn, ppn, extra,
-            checksum=record_checksum(self._next_seq, kind, lbn, ppn, extra),
-        )
+        seq = self._next_seq
+        record = LogRecord(seq, kind, lbn, ppn, extra,
+                           record_checksum(seq, kind, lbn, ppn, extra))
         self._next_seq += 1
         self.flushed.append(record)
         self.flushed_bytes += RECORD_BYTES

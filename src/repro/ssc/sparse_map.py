@@ -8,22 +8,33 @@ allocated block addresses and an occupancy bitmap of size M, with one
 bit for each bucket.  A lookup for bucket i calculates the value
 location from the number of 1s in the bitmap before location i."
 
-This is that structure, from scratch: open addressing (linear probing
-after a 64-bit hash mix) over buckets, each group storing only its
-occupied entries in a packed array ranked by the occupancy bitmap.  The
-table is fully associative, so entries store the complete key.
+The probe sequence and the memory model are that structure, from
+scratch: open addressing (linear probing after a 64-bit hash mix) over
+buckets divided into groups of M, and Table 4's group-of-M accounting.
+The table is fully associative, so entries store the complete key.
+
+The Python state is not a packed group array, though, because every
+SSC request probes the map and rank-by-bitmap arithmetic costs microseconds
+per probe on the host.  It is a key -> (bucket, probes, value) dict,
+one occupancy byte per bucket and a bucket -> key list.  A hit is one
+dict lookup that adds the probe count stored when the key was placed;
+a miss or an insert walks nothing: the first empty bucket at or after
+the home bucket is one ``bytearray.find``.  The counts are exact
+because deletion is tombstone-free, so a key always sits in the
+occupied run that starts at its home bucket, and a key only moves when
+it is re-placed, which recomputes its count.
 
 Memory accounting mirrors the paper's Table 4 arithmetic: each occupied
 entry costs :data:`ENTRY_BYTES` (key + value + structure state, the same
 constant the dense SSD tables use so the comparison is fair), and each
-*allocated group* additionally costs its occupancy bitmap plus array
-pointer — the ~8.4 bytes/entry sparse overhead the paper quotes for
-M = 32.
+*allocated group* (one with an occupied bucket) additionally costs its
+occupancy bitmap plus array pointer — the ~8.4 bytes/entry sparse
+overhead the paper quotes for M = 32.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.ftl.mapping import ENTRY_BYTES
@@ -46,22 +57,6 @@ def _hash_key(key: int) -> int:
     return value ^ (value >> 31)
 
 
-class _Group:
-    """One group of M buckets: occupancy bits + packed (key, value) array.
-
-    A bucket ``slot`` is occupied iff bit ``slot`` of ``bits`` is set;
-    its entry lives at packed index ``popcount(bits & ((1 << slot) - 1))``
-    (the paper's rank-by-bitmap lookup).  The map's probe loops inline
-    that arithmetic, so the group is pure state.
-    """
-
-    __slots__ = ("bits", "entries")
-
-    def __init__(self):
-        self.bits = 0
-        self.entries: List[Tuple[int, int]] = []
-
-
 class SparseHashMap:
     """Open-addressed sparse hash map from int keys to int values.
 
@@ -81,12 +76,16 @@ class SparseHashMap:
             raise ConfigError("max_load must be in [0.1, 1.0)")
         self.group_size = group_size
         self.max_load = max_load
-        self._buckets = self._round_up(max(initial_buckets, group_size))
-        self._groups: List[Optional[_Group]] = [None] * (self._buckets // group_size)
-        self._count = 0
+        self._reset(self._round_up(max(initial_buckets, group_size)))
         # Probe-length statistics ("typically no more than 4-5 probes").
         self.total_probes = 0
         self.total_lookups = 0
+
+    def _reset(self, buckets: int) -> None:
+        self._buckets = buckets
+        self._entries: Dict[int, Tuple[int, int, int]] = {}
+        self._occupied = bytearray(buckets)
+        self._keys: List[Optional[int]] = [None] * buckets
 
     @staticmethod
     def _round_up(value: int) -> int:
@@ -96,7 +95,7 @@ class SparseHashMap:
         return power
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._entries)
 
     def __contains__(self, key: int) -> bool:
         return self.lookup(key) is not None
@@ -108,167 +107,124 @@ class SparseHashMap:
     @property
     def allocated_groups(self) -> int:
         """Groups that hold at least one entry (they cost real memory)."""
-        return sum(1 for group in self._groups if group is not None and group.bits)
+        occupied = self._occupied
+        size = self.group_size
+        return sum(
+            1 for start in range(0, self._buckets, size)
+            if occupied.find(1, start, start + size) >= 0
+        )
 
     # ------------------------------------------------------------------
 
     # The probe order is linear: start at _hash_key(key) & (buckets-1)
     # and step by +1 mod buckets.  Linear probing (after a strong 64-bit
     # mix) keeps chains short at our load factor and — unlike quadratic
-    # probing — admits tombstone-free deletion by re-inserting the run
-    # that follows the removed bucket (see _rehash_cluster_after).  The
-    # hot paths below inline the loop together with the group/slot and
-    # rank-by-bitmap arithmetic.
+    # probing — admits tombstone-free deletion by re-placing the run
+    # that follows the removed bucket (see _rehash_cluster_after).  A probe
+    # sequence ends at the key's bucket or at the first empty bucket,
+    # so its length is that bucket's distance from home, plus one.
+
+    def _first_empty(self, home: int) -> int:
+        """First unoccupied bucket at or after ``home``, wrapping."""
+        empty = self._occupied.find(0, home)
+        return empty if empty >= 0 else self._occupied.find(0)
 
     def lookup(self, key: int) -> Optional[int]:
         """Return the value mapped to ``key``, or None."""
         self.total_lookups += 1
+        entry = self._entries.get(key)
+        if entry is not None:
+            self.total_probes += entry[1]
+            return entry[2]
         mask = self._buckets - 1
-        group_size = self.group_size
-        groups = self._groups
-        index = _hash_key(key) & mask
-        probes = 1
-        while True:
-            group = groups[index // group_size]
-            if group is None:
-                self.total_probes += probes
-                return None
-            slot = index % group_size
-            bits = group.bits
-            if not (bits >> slot) & 1:
-                self.total_probes += probes
-                return None
-            entry = group.entries[(bits & ((1 << slot) - 1)).bit_count()]
-            if entry[0] == key:
-                self.total_probes += probes
-                return entry[1]
-            if probes > self._buckets:  # pragma: no cover - table invariant
-                raise RuntimeError("probe loop exceeded table size")
-            index = (index + 1) & mask
-            probes += 1
+        home = _hash_key(key) & mask
+        self.total_probes += ((self._first_empty(home) - home) & mask) + 1
+        return None
 
     def insert(self, key: int, value: int) -> Optional[int]:
         """Map ``key`` to ``value``; returns the previous value if any."""
-        if (self._count + 1) / self._buckets > self.max_load:
+        if (len(self._entries) + 1) / self._buckets > self.max_load:
             self._grow()
-        return self._insert_no_grow(key, value)
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries[key] = (entry[0], entry[1], value)
+            return entry[2]
+        self._place(key, value)
+        return None
 
-    def _insert_no_grow(self, key: int, value: int) -> Optional[int]:
-        """Insert fast path: the load-factor check already happened.
+    def _place(self, key: int, value: int) -> None:
+        """Put an absent ``key`` in the first empty bucket of its run.
 
         Bulk callers (:meth:`_grow`, :meth:`_rehash_cluster_after`) use
-        this directly — re-insertion can never push the table past
+        this directly — re-placement can never push the table past
         ``max_load``, so re-checking per entry would be pure overhead.
         """
         mask = self._buckets - 1
-        group_size = self.group_size
-        groups = self._groups
-        index = _hash_key(key) & mask
-        while True:
-            group_index = index // group_size
-            group = groups[group_index]
-            if group is None:
-                group = _Group()
-                groups[group_index] = group
-            slot = index % group_size
-            bits = group.bits
-            rank = (bits & ((1 << slot) - 1)).bit_count()
-            if not (bits >> slot) & 1:
-                group.entries.insert(rank, (key, value))
-                group.bits = bits | (1 << slot)
-                self._count += 1
-                return None
-            entry = group.entries[rank]
-            if entry[0] == key:
-                group.entries[rank] = (key, value)
-                return entry[1]
-            index = (index + 1) & mask
+        home = _hash_key(key) & mask
+        bucket = self._first_empty(home)
+        self._occupied[bucket] = 1
+        self._keys[bucket] = key
+        self._entries[key] = (bucket, ((bucket - home) & mask) + 1, value)
 
     def remove(self, key: int) -> Optional[int]:
         """Unmap ``key``; returns the value it held, or None.
 
         Deletion is tombstone-free: the occupied run following the
-        removed bucket is re-inserted, which keeps probe chains short —
+        removed bucket is re-placed, which keeps probe chains short —
         important because the SSC removes entries constantly during
         silent eviction.
         """
-        mask = self._buckets - 1
-        group_size = self.group_size
-        groups = self._groups
-        index = _hash_key(key) & mask
-        while True:
-            group = groups[index // group_size]
-            if group is None:
-                return None
-            slot = index % group_size
-            bits = group.bits
-            if not (bits >> slot) & 1:
-                return None
-            rank = (bits & ((1 << slot) - 1)).bit_count()
-            entry = group.entries[rank]
-            if entry[0] == key:
-                del group.entries[rank]
-                group.bits = bits & ~(1 << slot)
-                self._count -= 1
-                self._rehash_cluster_after(index)
-                return entry[1]
-            index = (index + 1) & mask
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            return None
+        bucket = entry[0]
+        self._occupied[bucket] = 0
+        self._keys[bucket] = None
+        self._rehash_cluster_after(bucket)
+        return entry[2]
 
     def _rehash_cluster_after(self, bucket: int) -> None:
-        """Re-insert entries whose probe chain may pass through ``bucket``.
+        """Re-place entries whose probe chain may pass through ``bucket``.
 
         With linear probing, any entry whose probe chain passed through
         the removed bucket lives in the contiguous occupied run that
-        follows it.  Deleting and re-inserting that run restores the
-        invariant that every entry is reachable from its hash position.
+        follows it.  Clearing that run and re-placing its keys in
+        bucket order restores the invariant that every entry is
+        reachable from its hash position.
         """
-        mask = self._buckets - 1
-        group_size = self.group_size
-        groups = self._groups
-        index = (bucket + 1) & mask
-        displaced: List[Tuple[int, int]] = []
-        # Collect the contiguous run of occupied buckets after the hole.
-        # Any entry in it might have probed through the removed bucket.
-        steps = 0
-        while steps < self._buckets:
-            group = groups[index // group_size]
-            if group is None:
-                break
-            slot = index % group_size
-            bits = group.bits
-            if not (bits >> slot) & 1:
-                break
-            rank = (bits & ((1 << slot) - 1)).bit_count()
-            displaced.append(group.entries[rank])
-            del group.entries[rank]
-            group.bits = bits & ~(1 << slot)
-            self._count -= 1
-            index = (index + 1) & mask
-            steps += 1
-        for key, value in displaced:
-            self._insert_no_grow(key, value)
+        start = (bucket + 1) & (self._buckets - 1)
+        end = self._first_empty(start)
+        spans = [(start, end)] if end >= start else [
+            (start, self._buckets), (0, end)]
+        keys = self._keys
+        displaced: List[int] = []
+        for low, high in spans:
+            displaced += keys[low:high]
+            keys[low:high] = [None] * (high - low)
+            self._occupied[low:high] = bytes(high - low)
+        entries = self._entries
+        for key in displaced:
+            self._place(key, entries[key][2])
 
     def _grow(self) -> None:
         entries = list(self.items())
-        self._buckets *= 2
+        buckets = self._buckets * 2
         # One doubling suffices at any max_load >= 0.5; the loop keeps
         # the end state identical to repeated growth for smaller loads.
-        while len(entries) / self._buckets > self.max_load:
-            self._buckets *= 2
-        self._groups = [None] * (self._buckets // self.group_size)
-        self._count = 0
+        while len(entries) / buckets > self.max_load:
+            buckets *= 2
+        self._reset(buckets)
         for key, value in entries:
-            self._insert_no_grow(key, value)
+            self._place(key, value)
 
     def items(self) -> Iterator[Tuple[int, int]]:
-        """Yield (key, value) pairs in unspecified order."""
-        for group in self._groups:
-            if group is not None:
-                yield from group.entries
+        """Yield (key, value) pairs in bucket order."""
+        entries = self._entries
+        for key in self.keys():
+            yield key, entries[key][2]
 
     def keys(self) -> Iterator[int]:
-        for key, _value in self.items():
-            yield key
+        return (key for key in self._keys if key is not None)
 
     # ------------------------------------------------------------------
 
@@ -287,6 +243,6 @@ class SparseHashMap:
         overhead of allocated groups for simplicity.
         """
         return (
-            self._count * ENTRY_BYTES
+            len(self._entries) * ENTRY_BYTES
             + self.allocated_groups * (self.group_size // 8 + GROUP_OVERHEAD_BYTES)
         )

@@ -1,14 +1,14 @@
 """Checksum helpers.
 
 The native FlashCache manager stores an optional 8-byte checksum per
-cached block; the SSC checkpoint format checksums its serialized mapping
-so recovery can detect torn checkpoint writes.
+cached block, and every flash page stores a CRC binding its payload to
+its logical address in the OOB area.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Iterable, Tuple, Union
+from typing import Union
 
 Chunk = Union[bytes, str, int, None]
 
@@ -33,17 +33,6 @@ def crc32_of(*parts: Chunk) -> int:
         else:
             chunks.append(b"b" + part + b"|")
     return zlib.crc32(b"".join(chunks)) & 0xFFFFFFFF
-
-
-def crc32_of_pairs(pairs: Iterable[Tuple[int, int]]) -> int:
-    """CRC32 over an iterable of integer pairs (used by checkpoints).
-
-    One CRC pass over the joined encoding — bit-identical to feeding
-    zlib.crc32 chunk by chunk, at a fraction of the call overhead.
-    """
-    return zlib.crc32(
-        "".join(f"{a}:{b};" for a, b in pairs).encode("ascii")
-    ) & 0xFFFFFFFF
 
 
 def crc32_of_payload(lbn: Union[int, None], data: object) -> int:

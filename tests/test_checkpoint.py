@@ -36,11 +36,52 @@ class TestCheckpoint:
         checkpoint.block_entries[0] = (group, pbn, dirty ^ 1, valid)
         assert not checkpoint.is_intact()
 
+    def test_page_dirty_flag_tamper_detected(self):
+        # A dirty page restored as clean could be silently evicted while
+        # it holds the only copy of its data.
+        checkpoint = make_checkpoint()
+        lbn, ppn, dirty = checkpoint.page_entries[1]
+        checkpoint.page_entries[1] = (lbn, ppn, not dirty)
+        assert not checkpoint.is_intact()
+
+    def test_paired_group_and_bitmap_flip_detected(self):
+        # group and dirty_bm bit 0 flipped together keep their XOR.
+        checkpoint = make_checkpoint()
+        group, pbn, dirty, valid = checkpoint.block_entries[0]
+        checkpoint.block_entries[0] = (group ^ 1, pbn, dirty ^ 1, valid)
+        assert not checkpoint.is_intact()
+
     def test_size_formula(self):
         checkpoint = make_checkpoint(pages=3, blocks=2)
         assert checkpoint.size_bytes() == (
             HEADER_BYTES + 3 * PAGE_ENTRY_BYTES + 2 * BLOCK_ENTRY_BYTES
         )
+
+
+class TestCheckpointChecksum:
+    def test_deterministic(self):
+        assert make_checkpoint().checksum == make_checkpoint().checksum
+
+    def test_sensitive_to_values(self):
+        checkpoint = make_checkpoint()
+        lbn, ppn, dirty = checkpoint.page_entries[0]
+        checkpoint.page_entries[0] = (lbn, ppn + 1, dirty)
+        assert checkpoint.compute_checksum() != make_checkpoint().checksum
+
+    def test_sensitive_to_order(self):
+        checkpoint = make_checkpoint()
+        checkpoint.page_entries.reverse()
+        assert checkpoint.compute_checksum() != make_checkpoint().checksum
+
+    def test_empty_checkpoint_covers_seq(self):
+        assert (make_checkpoint(seq=1, pages=0, blocks=0).checksum
+                != make_checkpoint(seq=2, pages=0, blocks=0).checksum)
+
+    def test_entry_kinds_not_interchangeable(self):
+        # Same leading fields: the field count tells the kinds apart.
+        pages = Checkpoint(seq=1, page_entries=[(1, 2, 3)], block_entries=[])
+        blocks = Checkpoint(seq=1, page_entries=[], block_entries=[(1, 2, 3, 0)])
+        assert pages.checksum != blocks.checksum
 
 
 class TestCheckpointStore:
@@ -87,6 +128,34 @@ class TestCheckpointStore:
         store.write(make_checkpoint(seq=9))
         store.write(make_checkpoint(seq=5))
         assert store.latest().seq == 9
+
+    def test_equal_seq_returns_slot_zero(self):
+        store = self.make_store()
+        first, second = make_checkpoint(seq=7), make_checkpoint(seq=7)
+        store.write(first)   # slot 1
+        store.write(second)  # slot 0
+        assert store.latest() is second
+        store.write(make_checkpoint(seq=7))  # slot 1 again
+        assert store.latest() is second
+
+    def test_one_torn_slot_falls_back_to_the_other(self):
+        store = self.make_store()
+        older, newer = make_checkpoint(seq=5), make_checkpoint(seq=9)
+        store.write(older)
+        store.write(newer)
+        newer.checksum ^= 0x1
+        assert store.latest() is older
+        newer.checksum ^= 0x1
+        older.checksum ^= 0x1
+        assert store.latest() is newer
+
+    def test_both_torn_returns_none(self):
+        store = self.make_store()
+        checkpoints = [make_checkpoint(seq=5), make_checkpoint(seq=9)]
+        for checkpoint in checkpoints:
+            store.write(checkpoint)
+            checkpoint.checksum ^= 0x1
+        assert store.latest() is None
 
     def test_read_cost_scales_with_size(self):
         store = self.make_store()

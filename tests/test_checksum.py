@@ -10,7 +10,7 @@ from repro.flash.geometry import FlashGeometry
 from repro.manager.dirty_table import DirtyBlockTable
 from repro.manager.writeback import FlashTierWBManager, WriteBackConfig
 from repro.ssc.device import SolidStateCache
-from repro.util.checksum import crc32_of, crc32_of_pairs, crc32_of_payload
+from repro.util.checksum import crc32_of, crc32_of_payload
 
 
 class TestCrc32Of:
@@ -30,21 +30,6 @@ class TestCrc32Of:
 
     def test_fits_32_bits(self):
         assert 0 <= crc32_of("anything", 42) < 2**32
-
-
-class TestCrc32OfPairs:
-    def test_deterministic(self):
-        pairs = [(1, 2), (3, 4)]
-        assert crc32_of_pairs(pairs) == crc32_of_pairs(pairs)
-
-    def test_sensitive_to_values(self):
-        assert crc32_of_pairs([(1, 2)]) != crc32_of_pairs([(1, 3)])
-
-    def test_sensitive_to_order(self):
-        assert crc32_of_pairs([(1, 2), (3, 4)]) != crc32_of_pairs([(3, 4), (1, 2)])
-
-    def test_empty(self):
-        assert crc32_of_pairs([]) == 0
 
 
 class TestCrc32OfPayload:

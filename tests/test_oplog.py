@@ -8,7 +8,9 @@ from repro.ssc.log import (
     OperationLog,
     RECORD_BYTES,
     RecordKind,
+    record_checksum,
 )
+from repro.util.checksum import crc32_of
 
 
 @pytest.fixture
@@ -58,6 +60,26 @@ class TestAppendFlush:
         lost = oplog.drop_buffer()
         assert lost == 1
         assert [record.lbn for record in oplog.flushed] == [1]
+
+
+class TestLogRecord:
+    def test_fields_are_read_only(self, oplog):
+        record = oplog.append(RecordKind.INSERT_PAGE, 1, 2)
+        with pytest.raises(AttributeError):
+            record.ppn = 3
+
+    def test_replaced_field_fails_checksum(self, oplog):
+        record = oplog.append(RecordKind.INSERT_BLOCK, 1, 2, extra=5)
+        assert record.is_intact()
+        for field, value in (("seq", record.seq + 1), ("lbn", 0), ("ppn", 3),
+                             ("extra", 4), ("kind", RecordKind.CLEAN)):
+            assert not record._replace(**{field: value}).is_intact(), field
+
+    def test_checksum_encodes_kind_by_name(self):
+        # The precomputed kind bytes keep the generic crc32_of encoding.
+        for kind in RecordKind:
+            assert record_checksum(1, kind, 2, 3, 4) == crc32_of(
+                1, kind.name, 2, 3, 4)
 
 
 class TestTruncation:

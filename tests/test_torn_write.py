@@ -200,6 +200,37 @@ class TestBitFlips:
             served.append(lbn)
         assert len(served) == 2
 
+    def test_flip_checkpoint_reaches_every_field(self, small_geometry):
+        ssc, _injector = make_ssc(small_geometry)
+        # lbns 7-15 make group 1 block-mapped; 40 stays page-mapped.
+        for lbn in (*range(7, 16), 40):
+            ssc.write_dirty(lbn, f"v{lbn}")
+        ssc.checkpoint_now()
+        checkpoint = ssc.checkpoints.latest()
+        pages = list(checkpoint.page_entries)
+        blocks = list(checkpoint.block_entries)
+        assert pages and blocks
+        damaged = set()
+        for seed in range(100):
+            assert faults.flip_checkpoint(ssc, random.Random(seed))
+            assert ssc.checkpoints.latest() is not checkpoint
+            changed = [
+                (kind, field)
+                for kind, before, after in (
+                    ("page", pages, checkpoint.page_entries),
+                    ("block", blocks, checkpoint.block_entries))
+                for old, new in zip(before, after)
+                for field, (a, b) in enumerate(zip(old, new)) if a != b
+            ]
+            assert len(changed) == 1
+            damaged.update(changed)
+            checkpoint.page_entries[:] = pages
+            checkpoint.block_entries[:] = blocks
+            checkpoint.invalidate_checksum_memo()
+            assert ssc.checkpoints.latest() is checkpoint
+        assert damaged == {("page", field) for field in range(3)} | {
+            ("block", field) for field in range(4)}
+
     def test_flipped_checkpoint_falls_back(self, small_geometry):
         ssc, _injector = make_ssc(small_geometry)
         ssc.write_dirty(3, "v1")
