@@ -36,6 +36,16 @@ from repro.errors import WriteToNonErasedPageError
 TORN_PAGE = "<torn-page>"
 
 
+def out_of_order_program(
+    pbn: int, offset: int, write_pointer: int
+) -> WriteToNonErasedPageError:
+    """The error for programming ``offset`` at or below the write pointer."""
+    return WriteToNonErasedPageError(
+        f"block {pbn}: program at offset {offset} but write "
+        f"pointer is {write_pointer} (NAND programs in order)"
+    )
+
+
 class BlockKind(Enum):
     """Role the FTL currently assigns to a block."""
 
@@ -126,10 +136,7 @@ class EraseBlock:
         but programming at or below the write pointer is rejected.
         """
         if offset < self.write_pointer:
-            raise WriteToNonErasedPageError(
-                f"block {self.pbn}: program at offset {offset} but write "
-                f"pointer is {self.write_pointer} (NAND programs in order)"
-            )
+            raise out_of_order_program(self.pbn, offset, self.write_pointer)
         # Every programmed page lies below the write pointer, so the
         # check above also rejects reprogramming without an erase.
         bit = 1 << offset
@@ -161,6 +168,11 @@ class EraseBlock:
         self.valid_count -= 1
         if self.dirty & bit:
             self.dirty_count -= 1
+
+    def invalidate_all(self) -> None:
+        """Mark every page stale, as :meth:`invalidate` on each valid
+        offset would (dirty flags stay with their pages)."""
+        self.valid = self.valid_count = self.dirty_count = 0
 
     def mark_clean(self, offset: int) -> None:
         """Clear the dirty flag on a page (SSC ``clean`` support)."""

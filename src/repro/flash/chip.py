@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import CrashError
-from repro.flash.block import TORN_PAGE, EraseBlock
+from repro.flash.block import TORN_PAGE, EraseBlock, out_of_order_program
 from repro.flash.geometry import FlashGeometry
 from repro.flash.plane import Plane
 from repro.flash.timing import TimingModel
@@ -179,49 +179,93 @@ class FlashChip:
 
         Each ``(src_ppn, dst_offset, lbn)`` is a :meth:`read_page` then a
         :meth:`program_page` of its data under ``lbn``, the source's
-        dirty flag and the next sequence: same NAND rules, checksums,
-        stats and op order.  Returns ``cost`` plus each op's time, in op
+        dirty flag and the next sequence: same NAND rules, crash
+        boundaries, stats and op order.  A copy that keeps the source's
+        OOB ``lbn`` is a copyback and carries the source's stored
+        checksum, so damage the source already holds stays detectable;
+        a relabelling copy re-stamps it.  No source may be a page this
+        call programs.  Returns ``cost`` plus each op's time, in op
         order.
         """
-        geo = self.geometry
-        if self.crash_injector is not None:
-            # Every program must cross its crash boundaries.
-            for src_ppn, offset, lbn in copies:
-                src, src_offset = self.locate(src_ppn)
-                data, read_cost = self.read_page(src_ppn)
-                cost += read_cost
-                cost += self.program_page(
-                    dst_pbn * geo.pages_per_block + offset,
-                    data,
-                    lbn,
-                    src.dirty >> src_offset & 1,
-                    self.next_seq(),
-                )
-            return cost
-        block = self.block(dst_pbn)
-        stats = self.stats
+        block, stats, injector = self.block(dst_pbn), self.stats, self.crash_injector
+        blocks, pages_per_block = self._blocks, self._pages_per_block
+        pages_per_plane, total_pages = self._pages_per_plane, self.geometry.total_pages
         read_cost, write_cost = self._read_cost_us, self._write_cost_us
-        read_ops, write_op = self._read_ops, self._write_ops[dst_pbn // geo.blocks_per_plane]
+        read_ops = self._read_ops
+        write_op = self._write_ops[dst_pbn // self.geometry.blocks_per_plane]
+        # Page columns are written in place; block state, stats and ops
+        # gather in locals and are committed once, however the loop ends.
+        data_col, lbns_col, seqs_col, checksums_col = (
+            block.data, block.lbns, block.seqs, block.checksums)
+        write_pointer, sequential, first_lbn = (
+            block.write_pointer, block.sequential, block.first_lbn)
+        seq, busy = self._write_seq, stats.busy_us
+        programmed = dirty_bits = reads = 0
+        torn_offset = None
         ops: List[DeviceOp] = []
         try:
             for src_ppn, offset, lbn in copies:
-                src, src_offset = self.locate(src_ppn)
-                stats.page_reads += 1
-                stats.busy_us += read_cost
+                if not 0 <= src_ppn < total_pages:
+                    self.geometry.check_ppn(src_ppn)
+                src, src_offset = blocks[src_ppn // pages_per_block], src_ppn % pages_per_block
+                reads += 1
+                busy += read_cost
                 cost += read_cost
-                ops.append(read_ops[src_ppn // self._pages_per_plane])
+                ops.append(read_ops[src_ppn // pages_per_plane])
+                seq += 1
+                if injector is not None:
+                    try:
+                        injector.tick(CrashPoint.BEFORE_DATA_WRITE)
+                    except CrashError:
+                        if injector.torn:
+                            torn_offset = offset
+                        raise
+                if offset < write_pointer:
+                    raise out_of_order_program(dst_pbn, offset, write_pointer)
                 data = src.data[src_offset]
-                self._write_seq += 1
-                block.program(
-                    offset, data, lbn, src.dirty >> src_offset & 1,
-                    self._write_seq, crc32_of_payload(lbn, data),
-                )
-                stats.page_writes += 1
-                stats.busy_us += write_cost
+                bit = 1 << offset
+                data_col[offset] = data
+                lbns_col[offset] = lbn
+                seqs_col[offset] = seq
+                if lbn == src.lbns[src_offset]:
+                    checksums_col[offset] = src.checksums[src_offset]
+                else:
+                    checksums_col[offset] = crc32_of_payload(lbn, data)
+                programmed |= bit
+                if src.dirty >> src_offset & 1:
+                    dirty_bits |= bit
+                if sequential:
+                    if lbn is None or offset != write_pointer:
+                        sequential = False
+                    elif offset == 0:
+                        first_lbn = lbn
+                    elif first_lbn is None or lbn != first_lbn + offset:
+                        sequential = False
+                write_pointer = offset + 1
+                busy += write_cost
                 cost += write_cost
                 ops.append(write_op)
+                if injector is not None:
+                    injector.tick(CrashPoint.AFTER_DATA_WRITE)
         finally:
+            writes = programmed.bit_count()
+            block.written |= programmed
+            block.valid |= programmed
+            block.dirty |= dirty_bits
+            block.valid_count += writes
+            block.dirty_count += dirty_bits.bit_count()
+            block.write_pointer = write_pointer
+            block.sequential = sequential
+            block.first_lbn = first_lbn
+            self._write_seq = seq
+            stats.page_reads += reads
+            stats.page_writes += writes
+            stats.busy_us = busy
             self.op_recorder.record(*ops)
+            if torn_offset is not None:
+                # Torn mid-program, exactly as in program_page.
+                block.program(torn_offset, TORN_PAGE, None, checksum=0)
+                stats.page_writes += 1
         return cost
 
     def erase_block(self, pbn: int) -> float:

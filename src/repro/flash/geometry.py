@@ -61,16 +61,6 @@ class FlashGeometry:
         if not 0 <= pbn < self.total_blocks:
             raise InvalidAddressError(f"pbn {pbn} out of range [0, {self.total_blocks})")
 
-    def ppn_to_pbn(self, ppn: int) -> int:
-        """Physical block containing page ``ppn``."""
-        self.check_ppn(ppn)
-        return ppn // self.pages_per_block
-
-    def ppn_to_offset(self, ppn: int) -> int:
-        """Page offset of ``ppn`` within its erase block."""
-        self.check_ppn(ppn)
-        return ppn % self.pages_per_block
-
     def pbn_to_plane(self, pbn: int) -> int:
         """Plane index owning block ``pbn``."""
         self.check_pbn(pbn)

@@ -122,7 +122,14 @@ class HybridFTL:
     # ------------------------------------------------------------------
 
     def _plane_with_most_free(self):
-        return max(self.chip.planes, key=lambda plane: plane.free_count)
+        # A plain loop (asked per block allocation); the first plane
+        # with the most free blocks wins, as with max().
+        best, most = None, -1
+        for plane in self.chip.planes:
+            free = plane.free_count
+            if free > most:
+                best, most = plane, free
+        return best
 
     def _allocate_block(self, kind: BlockKind) -> EraseBlock:
         plane = self._plane_with_most_free()
@@ -160,9 +167,7 @@ class HybridFTL:
         """Invalidate a superseded data block's live pages and erase it."""
         if pbn is None:
             return 0.0
-        block = self.chip.block(pbn)
-        for offset in block.valid_offsets():
-            block.invalidate(offset)
+        self.chip.block(pbn).invalidate_all()
         return self._erase(pbn)
 
     # ------------------------------------------------------------------
@@ -236,8 +241,7 @@ class HybridFTL:
             if pbn is None:
                 return
             ppn = self.chip.geometry.make_ppn(pbn, self._offset_of(lpn))
-        block = self.chip.block(self.chip.geometry.ppn_to_pbn(ppn))
-        offset = self.chip.geometry.ppn_to_offset(ppn)
+        block, offset = self.chip.locate(ppn)
         if dirty:
             block.mark_dirty(offset)
         else:
@@ -256,8 +260,8 @@ class HybridFTL:
         """
         previous = self.log_map.insert(lpn, ppn)
         if previous is not None and previous != ppn:
-            pbn = self.chip.geometry.ppn_to_pbn(previous)
-            self.chip.block(pbn).invalidate(self.chip.geometry.ppn_to_offset(previous))
+            block, offset = self.chip.locate(previous)
+            block.invalidate(offset)
         pbn = self.data_map.lookup(self._group_of(lpn))
         if pbn is not None:
             self._retire_block_copy(lpn, pbn)
@@ -271,8 +275,8 @@ class HybridFTL:
         """Invalidate any current flash copy of ``lpn`` (metadata only)."""
         ppn = self.log_map.remove(lpn)
         if ppn is not None:
-            pbn = self.chip.geometry.ppn_to_pbn(ppn)
-            self.chip.block(pbn).invalidate(self.chip.geometry.ppn_to_offset(ppn))
+            block, offset = self.chip.locate(ppn)
+            block.invalidate(offset)
             return 0.0
         pbn = self.data_map.lookup(self._group_of(lpn))
         if pbn is not None:
@@ -561,8 +565,8 @@ class HybridFTL:
                 # Invalidate the source copies and drop their log
                 # mappings (a logged map only buffers these records).
                 for src_ppn, _offset, lpn in live:
-                    src_pbn, src_offset = divmod(src_ppn, pages_per_block)
-                    chip.block(src_pbn).invalidate(src_offset)
+                    src, src_offset = chip.locate(src_ppn)
+                    src.invalidate(src_offset)
                     self.log_map.remove(lpn)
                 self.data_map.insert(group, new_block.pbn)
                 self._gc_protected.discard(new_block.pbn)

@@ -107,8 +107,7 @@ class PageMapFTL:
         ppn = self.page_map.lookup(lpn)
         if ppn is None:
             return
-        block = self.chip.block(self.chip.geometry.ppn_to_pbn(ppn))
-        offset = self.chip.geometry.ppn_to_offset(ppn)
+        block, offset = self.chip.locate(ppn)
         if dirty:
             block.mark_dirty(offset)
         else:
@@ -119,8 +118,8 @@ class PageMapFTL:
     def _invalidate(self, lpn: int) -> float:
         ppn = self.page_map.remove(lpn)
         if ppn is not None:
-            pbn = self.chip.geometry.ppn_to_pbn(ppn)
-            self.chip.block(pbn).invalidate(self.chip.geometry.ppn_to_offset(ppn))
+            block, offset = self.chip.locate(ppn)
+            block.invalidate(offset)
         return 0.0
 
     def _append_slot(self) -> Tuple[EraseBlock, float]:

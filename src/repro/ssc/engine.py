@@ -289,8 +289,8 @@ class CacheFTL(HybridFTL):
         ppn = self.log_map.lookup(lpn)
         if ppn is not None:
             self.log_map.remove(lpn)  # journals REMOVE_PAGE
-            pbn = self.chip.geometry.ppn_to_pbn(ppn)
-            self.chip.block(pbn).invalidate(self.chip.geometry.ppn_to_offset(ppn))
+            block, offset = self.chip.locate(ppn)
+            block.invalidate(offset)
         pbn = self.data_map.lookup(self._group_of(lpn))
         if pbn is not None:
             offset = self._offset_of(lpn)
@@ -411,8 +411,7 @@ class CacheFTL(HybridFTL):
         evicted = victim.valid_count
         if group is not None:
             self.data_map.remove(group)  # journals REMOVE_BLOCK
-        for offset in victim.valid_offsets():
-            victim.invalidate(offset)
+        victim.invalidate_all()
         cost = self._erase(victim.pbn)
         self.stats.silent_evictions += 1
         self.stats.evicted_valid_pages += evicted

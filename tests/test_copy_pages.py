@@ -3,7 +3,9 @@
 Every merge copies its live pages with one ``copy_pages`` call.  These
 tests run the same copies both ways on identically-prepared chips and
 require the same ops, cost, statistics, page columns and block state,
-including when the copy is rejected or a crash fires mid-copy.
+including when the copy is rejected or a crash fires mid-copy.  A copy
+that keeps the source's logical block carries its stored checksum, so
+damage the source already holds survives the copy.
 """
 
 from dataclasses import asdict
@@ -13,17 +15,22 @@ import pytest
 from repro.errors import CrashError, WriteToNonErasedPageError
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
+from repro.flash.timing import TimingModel
 from repro.ftl.ssd import SSD
 from repro.sim.crash import CrashInjector
+from repro.ssc.recovery import _page_intact
+from repro.util.checksum import crc32_of_payload
 
 PPB = 8
 DST_PBN = 17  # plane 1; the sources live on planes 0 and 2
 
 
-def _prepared_chip() -> FlashChip:
+def _prepared_chip(timing=None) -> FlashChip:
     """A chip whose blocks 2 (plane 0) and 33 (plane 2) hold a mix of
     clean, dirty and invalidated pages."""
-    chip = FlashChip(FlashGeometry(planes=4, blocks_per_plane=16, pages_per_block=PPB))
+    chip = FlashChip(
+        FlashGeometry(planes=4, blocks_per_plane=16, pages_per_block=PPB), timing
+    )
     for pbn, first_lbn in ((2, 100), (33, 200)):
         for offset in range(6):
             chip.program_page(
@@ -130,6 +137,19 @@ def test_cost_accumulates_onto_caller_total():
     assert chip.copy_pages(DST_PBN, copies, start) == expected
 
 
+def test_float_sums_match_per_page_loop_for_any_timing():
+    """Non-integral op costs: cost and busy_us must be summed op by op."""
+    timing = TimingModel(page_read_us=65.3, page_write_us=85.1, bus_delay_us=0.7)
+    sums = []
+    for copy in (_bulk_copy, _per_page_copy):
+        chip = _prepared_chip(timing)
+        cost = copy(chip, DST_PBN, RUNS["two_planes"])
+        sums.append((cost, chip.stats.busy_us))
+    assert sums[0] == sums[1]
+    for total in sums[0]:
+        assert total != round(total, 3)  # the sums carry float error
+
+
 def _advance_write_pointer(chip):
     for offset in range(3):
         chip.program_page(DST_PBN * PPB + offset, "old", offset, seq=chip.next_seq())
@@ -206,3 +226,35 @@ def test_merge_without_capture_leaves_nothing_recorded():
     recorder = ssd.chip.op_recorder
     recorder.begin()
     assert recorder.end() == ()
+
+
+def _rot(chip, ppn):
+    """Damage a page's payload as faults.flip_page_data does."""
+    block, offset = chip.locate(ppn)
+    block.data[offset] = ("<bitrot>", block.data[offset])
+
+
+@pytest.mark.parametrize("injector", [False, True], ids=["plain", "injector"])
+def test_copyback_keeps_bit_rot_detectable(injector):
+    chip = _prepared_chip()
+    if injector:
+        chip.crash_injector = CrashInjector()
+    src_ppn = 2 * PPB + 3
+    _rot(chip, src_ppn)
+    assert not _page_intact(*chip.locate(src_ppn))
+    chip.copy_pages(DST_PBN, [(2 * PPB + 1, 0, 101), (src_ppn, 1, 103)])
+    dst = chip.block(DST_PBN)
+    assert dst.data[1] == ("<bitrot>", "data-103")
+    assert not _page_intact(dst, 1)
+    assert _page_intact(dst, 0)
+
+
+def test_relabelling_copy_restamps_its_checksum():
+    chip = _prepared_chip()
+    src, src_offset = chip.locate(33 * PPB + 2)
+    chip.copy_pages(DST_PBN, [(33 * PPB + 2, 0, 302)])
+    dst = chip.block(DST_PBN)
+    assert dst.lbns[0] == 302 != src.lbns[src_offset]
+    assert dst.checksums[0] == crc32_of_payload(302, "data-202")
+    assert dst.checksums[0] != src.checksums[src_offset]
+    assert _page_intact(dst, 0)

@@ -1,5 +1,7 @@
 """Unit tests for erase blocks and their page columns (NAND constraints)."""
 
+import random
+
 import pytest
 
 from repro.errors import WriteToNonErasedPageError
@@ -164,3 +166,39 @@ class TestErase:
         block.program(0, "b", 1)
         assert block.data[0] == "b"
         assert block.lbns[0] == 1
+
+
+def _random_block(seed, pages=16):
+    """A block with a seeded mix of clean, dirty, stale and free pages."""
+    rng = random.Random(seed)
+    block = EraseBlock(0, pages)
+    for offset in range(pages):
+        if rng.random() < 0.2:
+            continue  # a hole stays FREE
+        block.program(offset, ("d", offset), offset, dirty=rng.random() < 0.5)
+        if rng.random() < 0.3:
+            block.invalidate(offset)
+        elif rng.random() < 0.2:
+            block.mark_clean(offset)
+    return block
+
+
+def _bitmap_state(block):
+    return (block.valid, block.valid_count, block.dirty, block.dirty_count,
+            block.written)
+
+
+class TestInvalidateAll:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_per_offset_invalidate_loop(self, seed):
+        looped, whole = _random_block(seed), _random_block(seed)
+        for offset in looped.valid_offsets():
+            looped.invalidate(offset)
+        whole.invalidate_all()
+        assert _bitmap_state(whole) == _bitmap_state(looped)
+        assert whole.valid == whole.valid_count == whole.dirty_count == 0
+
+    def test_empty_block(self):
+        block = EraseBlock(0, 4)
+        block.invalidate_all()
+        assert _bitmap_state(block) == (0, 0, 0, 0, 0)

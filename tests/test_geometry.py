@@ -37,8 +37,7 @@ class TestAddressing:
 
     def test_ppn_round_trip(self):
         for ppn in range(self.geometry.total_pages):
-            pbn = self.geometry.ppn_to_pbn(ppn)
-            offset = self.geometry.ppn_to_offset(ppn)
+            pbn, offset = divmod(ppn, self.geometry.pages_per_block)
             assert self.geometry.make_ppn(pbn, offset) == ppn
 
     def test_pbn_round_trip(self):
@@ -102,7 +101,6 @@ class TestForCapacity:
 def test_property_address_round_trip(planes, blocks, pages, seed):
     geometry = FlashGeometry(planes=planes, blocks_per_plane=blocks, pages_per_block=pages)
     ppn = seed % geometry.total_pages
-    pbn = geometry.ppn_to_pbn(ppn)
-    offset = geometry.ppn_to_offset(ppn)
+    pbn, offset = divmod(ppn, geometry.pages_per_block)
     assert geometry.make_ppn(pbn, offset) == ppn
     assert 0 <= geometry.pbn_to_plane(pbn) < planes

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.errors import ConfigError, InvalidAddressError
+from repro.flash.block import BlockKind
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.hybrid import HybridFTL, HybridFTLConfig
@@ -170,3 +171,16 @@ class TestGarbageCollection:
         )
         assert ftl.device_memory_bytes() == expected
         assert expected > 0
+
+
+class TestAllocation:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_plane_with_most_free_takes_first_maximum(self, seed):
+        ftl = make_ftl()
+        rng = random.Random(seed)
+        planes = ftl.chip.planes
+        for plane in planes:
+            for _ in range(rng.choice((0, 2, 2, 5))):  # frequent ties
+                plane.allocate(BlockKind.DATA)
+        expected = max(planes, key=lambda plane: plane.free_count)
+        assert ftl._plane_with_most_free() is expected

@@ -269,3 +269,33 @@ class TestReplayUnit:
         entry = state.block_entries[2]
         assert entry.valid_bitmap == 0b110
         assert entry.dirty_bitmap == 0b000
+
+
+def test_bit_rot_before_a_full_merge_is_never_recovered(medium_geometry):
+    """A page damaged before a merge copies it stays damaged: recovery
+    must not map it, and no read may return its payload."""
+    ssc = SolidStateCache.ssc(medium_geometry)
+    engine = ssc.engine
+    group = 1
+    lbns = [group * medium_geometry.pages_per_block + i for i in range(4)]
+    for lbn in lbns:
+        ssc.write_dirty(lbn, ("d", lbn))
+    rotten = lbns[1]
+    pbn, offset, _ppn = engine.current_location(rotten)
+    block = ssc.chip.block(pbn)
+    block.data[offset] = ("<bitrot>", block.data[offset])  # as flip_page_data
+
+    merges = engine.stats.full_merges
+    engine._full_merge_group(group)
+    assert engine.stats.full_merges == merges + 1
+    assert engine.current_location(rotten)[0] != pbn  # the merge moved it
+    ssc.write_dirty(10_000, "sync")  # its flush makes the merge durable
+    ssc.crash()
+    ssc.recover()
+
+    assert not ssc.contains(rotten)
+    with pytest.raises(NotPresentError):
+        ssc.read(rotten)
+    for lbn in lbns:
+        if lbn != rotten:
+            assert ssc.read(lbn)[0] == ("d", lbn)
