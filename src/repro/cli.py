@@ -281,68 +281,6 @@ def cmd_recover(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    import json
-
-    from repro.perf import (
-        compare_reports,
-        default_matrix,
-        quick_matrix,
-        run_bench,
-        validate_report,
-    )
-
-    matrix = quick_matrix() if args.quick else default_matrix()
-    if args.workloads:
-        matrix["workloads"] = tuple(args.workloads.split(","))
-    if args.queue_depths:
-        matrix["queue_depths"] = tuple(
-            int(depth) for depth in args.queue_depths.split(",")
-        )
-    if args.scale is not None:
-        matrix["scale"] = args.scale
-    if args.seed is not None:
-        matrix["seed"] = args.seed
-
-    shard_note = f", shards {args.shards}" if args.shards > 1 else ""
-    print(f"benchmarking (scale {matrix['scale']}, seed {matrix['seed']}"
-          f"{shard_note}):")
-    report = run_bench(
-        workloads=matrix["workloads"],
-        queue_depths=matrix["queue_depths"],
-        scale=matrix["scale"],
-        seed=matrix["seed"],
-        shards=args.shards,
-        progress=print,
-    )
-    validate_report(report)
-
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=False)
-            handle.write("\n")
-        print(f"wrote {args.output}")
-
-    if args.compare:
-        with open(args.compare) as handle:
-            baseline = json.load(handle)
-        failures, warnings = compare_reports(
-            report, baseline, max_regress=args.max_regress
-        )
-        for warning in warnings:
-            print(f"warning: {warning}")
-        if failures:
-            print(f"\nPERF REGRESSION ({len(failures)}):", file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            return 1
-        print(
-            f"no wall-clock regression beyond "
-            f"{100 * args.max_regress:.0f}% vs {args.compare}"
-        )
-    return 0
-
-
 def cmd_trace_report(args) -> int:
     from repro.obs import format_report, load_events, summarize
 
@@ -519,32 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--warmup", type=float, default=0.15)
     compare.add_argument("--no-consistency", action="store_true")
     compare.set_defaults(func=cmd_compare)
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="wall-clock benchmark of the replay pipeline (BENCH_wallclock.json)",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="CI-sized subset (one workload, two queue depths)")
-    bench.add_argument("--workloads",
-                       help="comma-separated workload names (default per matrix)")
-    bench.add_argument("--queue-depths",
-                       help="comma-separated queue depths (default per matrix)")
-    bench.add_argument("--scale", type=float, default=None,
-                       help="workload scale factor override")
-    bench.add_argument("--seed", type=int, default=None,
-                       help="trace RNG seed override")
-    bench.add_argument("-o", "--output", default=None,
-                       help="write the schema-versioned report to this path")
-    bench.add_argument("--compare", default=None,
-                       help="baseline BENCH_*.json to gate against")
-    bench.add_argument("--max-regress", type=float, default=0.20,
-                       help="tolerated wall-clock throughput regression "
-                            "(default 0.20 = 20%%)")
-    bench.add_argument("--shards", type=int, default=1,
-                       help="run every cache device as an array of this many "
-                            "shards at fixed total capacity (default 1)")
-    bench.set_defaults(func=cmd_bench)
 
     crashcheck = subparsers.add_parser(
         "crashcheck",

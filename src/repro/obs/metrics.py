@@ -25,7 +25,7 @@ when their bounds agree.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 
 class Counter:
@@ -300,9 +300,3 @@ class MetricsSnapshot:
                 f"gauges={len(self.gauges)}, "
                 f"histograms={len(self.histograms)})")
 
-
-def histogram_rows(hist: Mapping[str, Any]) -> List[Tuple[str, int]]:
-    """Bucket label/count pairs for display (``<=bound`` then ``+Inf``)."""
-    bounds: Iterable[float] = hist["bounds"]
-    labels = [f"<= {bound:g}" for bound in bounds] + ["+Inf"]
-    return list(zip(labels, hist["counts"]))

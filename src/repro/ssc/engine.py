@@ -35,7 +35,7 @@ from typing import Dict, Iterator, Optional, Tuple
 from repro.errors import CacheFullError, ConfigError, InvalidAddressError
 from repro.flash.block import BlockKind, EraseBlock
 from repro.flash.chip import FlashChip
-from repro.ftl.hybrid import HybridFTL, HybridFTLConfig
+from repro.ftl.hybrid import HybridFTL
 from repro.ftl.base import FTLStats
 from repro.ftl.wear import WearConfig, WearLeveler
 from repro.ssc.log import OperationLog, RecordKind, bitmap_shift

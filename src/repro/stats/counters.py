@@ -182,10 +182,10 @@ class ReplayStats:
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable form, key order and nesting fixed.
 
-        This is the schema BENCH_*.json embeds; the golden-file test in
-        ``tests/test_bench_schema.py`` pins it so benchmark output stays
-        machine-comparable across PRs.  Extend it by *adding* keys, never
-        by renaming or restructuring existing ones.
+        ``tests/test_replay_stats_golden.py`` pins it, and
+        ``tests/golden/wallclock_sim.json`` stores it for 27 replays, so
+        stored results stay comparable across changes.  Extend it by
+        *adding* keys, never by renaming or restructuring existing ones.
         """
         return {
             "ops": self.ops,

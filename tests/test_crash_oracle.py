@@ -8,7 +8,6 @@ the harness's own acid test: a deliberately buggy recovery must be
 caught.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.check.explorer import build_device, run_trial, run_workload

@@ -25,7 +25,7 @@ from repro.obs import (
     build_registry,
     collect,
 )
-from repro.obs.metrics import Histogram, histogram_rows
+from repro.obs.metrics import Histogram
 from repro.traces.synthetic import PROFILES, generate_trace
 
 
@@ -112,12 +112,6 @@ class TestHistogramBuckets:
         assert LATENCY_BUCKETS_US[0] <= 100.0
         assert LATENCY_BUCKETS_US[-1] >= 20_000.0
         assert list(LATENCY_BUCKETS_US) == sorted(set(LATENCY_BUCKETS_US))
-
-    def test_histogram_rows_labels(self):
-        rows = histogram_rows(
-            {"bounds": [10.0, 20.0], "counts": [1, 2, 3]}
-        )
-        assert rows == [("<= 10", 1), ("<= 20", 2), ("+Inf", 3)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """The trace bus: golden schema, Chrome export, and the zero-cost-off
 differential.
 
-Three external contracts live here, mirroring
-``tests/test_bench_schema.py``:
+Three external contracts live here:
 
 * ``tests/golden/trace_schema.json`` pins every declared event type's
   category and argument keys, and the JSONL line shape.  Renaming an

@@ -17,7 +17,7 @@ from repro.ftl.pagemap import PageMapFTL
 from repro.ssc.device import SolidStateCache, SSCConfig
 from repro.ssc.log import RecordKind
 from repro.stats.counters import LatencyStats
-from repro.stats.report import format_histogram, format_percentiles, format_table
+from repro.stats.report import format_table
 
 
 class TestSeqLogSupersededPages:
@@ -171,53 +171,16 @@ class TestFormatTableRaggedRows:
         assert [len(line.split()) for line in table.splitlines()[2:]] == [1, 3, 2]
 
 
-class TestEmptyHistogramFormatting:
-    """format_histogram scaled bars by the peak bucket count, so an
-    all-zero histogram — any replay with no measured requests, or a
-    metrics snapshot taken before traffic — divided by zero.  Empty
-    must render as a placeholder, never raise."""
-
-    def test_all_zero_counts(self):
-        assert format_histogram([10.0, 20.0], [0, 0, 0]) == "(no samples)"
-
-    def test_single_bucket_histogram(self):
-        out = format_histogram([50.0], [3, 1])
-        lines = out.splitlines()
-        assert lines[0].lstrip().startswith("<= 50")
-        assert lines[1].lstrip().startswith("+Inf")
-        # Peak bucket gets the full-width bar, the other scales down.
-        assert lines[0].count("#") > lines[1].count("#") > 0
-
-    def test_count_length_mismatch_rejected(self):
-        import pytest
-        with pytest.raises(ValueError, match="expected 3 counts"):
-            format_histogram([10.0, 20.0], [1, 2])
-
-
 class TestSingleSamplePercentiles:
     """Nearest-rank percentile with one sample computes rank
     ceil(1 * pct / 100), which is 0 for pct=0 — an index-out-of-range
-    unless clamped; and format_percentiles called percentile() on an
-    empty population.  Both degenerate inputs must answer, not raise."""
+    unless clamped.  The degenerate input must answer, not raise."""
 
     def test_one_sample_answers_every_percentile(self):
         latency = LatencyStats(keep_samples=True)
         latency.record(312.0)
         for pct in (0.0, 50.0, 99.0, 100.0):
             assert latency.percentile(pct) == 312.0
-
-    def test_format_percentiles_single_sample(self):
-        latency = LatencyStats(keep_samples=True)
-        latency.record(312.0)
-        assert format_percentiles(latency) == [
-            ("p50", "312.0us"), ("p90", "312.0us"), ("p99", "312.0us"),
-        ]
-
-    def test_format_percentiles_empty_is_na(self):
-        latency = LatencyStats(keep_samples=True)
-        assert format_percentiles(latency) == [
-            ("p50", "n/a"), ("p90", "n/a"), ("p99", "n/a"),
-        ]
 
 
 class TestWideBlockDirtyRecovery:

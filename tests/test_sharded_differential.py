@@ -18,8 +18,8 @@ from repro import CacheMode, ReplayEngine, SystemConfig, SystemKind, build_syste
 from repro.core.flashtier import assemble_system, replay_trace
 from repro.core.sharding import ShardedSSC, ShardedSSD
 from repro.disk.model import Disk
-from repro.perf.wallclock import ZIPF_PROFILE
 from repro.traces.synthetic import HOMES, generate_trace
+from tests.test_wallclock_sim_golden import ZIPF
 
 ALL_COMBOS = [
     (kind, mode)
@@ -28,7 +28,7 @@ ALL_COMBOS = [
 ]
 
 WORKLOADS = {
-    "zipf": lambda: generate_trace(ZIPF_PROFILE.scaled(0.02), seed=7).records,
+    "zipf": lambda: generate_trace(ZIPF.scaled(0.02), seed=7).records,
     "homes": lambda: generate_trace(HOMES.scaled(0.02), seed=11).records,
 }
 

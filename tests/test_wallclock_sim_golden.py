@@ -1,14 +1,12 @@
-"""Golden-file test pinning the simulated results of the wall-clock matrix.
+"""Golden-file test pinning the simulated results of a 27-scenario matrix.
 
-``repro bench`` replays 27 scenarios (three workloads x three systems x
-queue depths 1, 8 and 32, at scale 0.05, seed 1) and records each one's
-``ReplayStats.to_dict()`` as its ``sim`` block.  Those values are
-deterministic, so ``tests/golden/wallclock_sim.json`` holds them, copied
-unchanged from the committed ``BENCH_wallclock.json``, plus the
-simulated recovery time of a crash right after each SSC replay.  Each
-scenario is replayed here through :func:`build_system` and compared
-exactly, so a drift in simulated behaviour fails the build instead of
-printing a warning from the bench comparison.
+The matrix is three workloads (zipf, homes, usr) x three systems x queue
+depths 1, 8 and 32, at scale 0.05, seed 1.  Each scenario's
+``ReplayStats.to_dict()`` is its ``sim`` block; SSC scenarios also keep
+the simulated recovery time of a crash right after the replay.  Those
+values are deterministic, so ``tests/golden/wallclock_sim.json`` holds
+them and each scenario is replayed here through :func:`build_system`
+and compared exactly: a drift in simulated behaviour fails the build.
 
 Regenerate (only for a reviewed change in simulated behaviour) with::
 
@@ -30,8 +28,10 @@ SCALE = 0.05
 SEED = 1
 WARMUP_FRACTION = 0.15
 
-#: Pure skewed random references with a 70/30 read/write mix: the
-#: matrix's hot-path workload.
+#: Pure skewed random references with a 70/30 read/write mix and no
+#: sequential runs: the matrix's hot-path workload, which hammers the
+#: sparse map and the log-write path.  The sharded differential tests
+#: replay it too.
 ZIPF = WorkloadProfile(
     name="zipf",
     address_range_blocks=200_000,
