@@ -33,9 +33,10 @@ import subprocess
 import sys
 import time
 
-#: Pairs per workload.  Three workloads x 4 pairs took 9.3-11.2 minutes
-#: on a 2-core VM.
-PAIRS = 4
+#: Pairs per workload.  Odd, so each median is one run rather than the
+#: mean of two.  Three workloads x 5 pairs took 14.7 minutes on a 2-core
+#: VM; 4 pairs took 9.3-11.2.
+PAIRS = 5
 
 #: ``--seconds`` for every run.  Shorter than a minimal run, so each run
 #: replays each of the workload's derived trace seeds exactly once.

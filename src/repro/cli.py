@@ -21,6 +21,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro import CacheMode, SystemConfig, SystemKind, build_system
+from repro.core.flashtier import member_cache_blocks
 from repro.stats.report import format_table
 from repro.traces.analyze import analyze
 from repro.traces.filefmt import read_trace, write_trace
@@ -201,6 +202,10 @@ def cmd_replay(args) -> int:
     if args.shards > 1:
         loop += f", {args.shards} shards/{args.routing}"
     print(f"system:              {kind.value} ({args.mode}, {loop})")
+    config = system.config
+    provisioned = config.shards * member_cache_blocks(config, config.shards)
+    print(f"cache blocks:        {config.cache_blocks:,} requested, "
+          f"{provisioned:,} provisioned")
     print(f"requests measured:   {stats.ops:,}")
     print(f"IOPS:                {stats.iops():,.0f}")
     print(f"mean latency:        {stats.latency.mean_us:.0f} us")

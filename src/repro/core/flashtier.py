@@ -46,20 +46,27 @@ def replay_trace(
     )
 
 
-def cache_geometry(config: SystemConfig, shard_count: int = 1) -> FlashGeometry:
-    """Flash geometry provisioning ``cache_blocks`` with slack.
+def member_cache_blocks(config: SystemConfig, shard_count: int = 1) -> int:
+    """Cache blocks provisioned for each of ``shard_count`` members.
 
-    With ``shard_count > 1`` the geometry is for *one member device* of
-    a sharded array at fixed total capacity: each shard gets
-    ``ceil(cache_blocks / shard_count)`` blocks (rounding up, so the
-    array never holds less than a single device would), subject to a
-    viability floor — a member must still fit its FTL's log pool and
-    spare blocks, so sharding a very small cache provisions slightly
-    more than ``cache_blocks`` in total rather than failing.
+    ``ceil(cache_blocks / shard_count)``, rounding up so an array never
+    holds less than a single device would.  A member of an array gets
+    at least ``16 * pages_per_block`` blocks (256 at the default 16
+    pages per block) so it still fits its FTL's log pool and spare
+    blocks.  Below that floor the array holds ``shard_count`` times
+    the floor, several times ``cache_blocks`` (4 shards of a 128-block
+    cache hold 1,024 blocks, 8x the request).
     """
     blocks = -(-config.cache_blocks // shard_count)  # ceil
     if shard_count > 1:
         blocks = max(blocks, 16 * config.pages_per_block)
+    return blocks
+
+
+def cache_geometry(config: SystemConfig, shard_count: int = 1) -> FlashGeometry:
+    """Flash geometry of one cache device: :func:`member_cache_blocks`
+    with ``capacity_slack``."""
+    blocks = member_cache_blocks(config, shard_count)
     capacity = int(blocks * config.capacity_slack) * config.page_size
     return FlashGeometry.for_capacity(
         capacity,
@@ -120,7 +127,7 @@ def build_system(config: SystemConfig) -> FlashTierSystem:
 
     With ``config.shards > 1`` the cache is an array of that many member
     devices at fixed total capacity: each member is provisioned
-    ``cache_blocks / shards`` blocks (see :func:`cache_geometry`), and
+    ``cache_blocks / shards`` blocks (see :func:`member_cache_blocks`), and
     the array partitions the disk LBN space across them by the
     ``config.routing`` policy.  The managers run unmodified against the
     array — it exposes the exact device interface they already speak.

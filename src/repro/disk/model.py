@@ -109,14 +109,6 @@ class Disk:
         self._data[lbn] = data
         return cost
 
-    def reserve(self, start_us: float, duration_us: float):
-        """Claim the spindle for ``duration_us``, no earlier than
-        ``start_us``; returns ``(actual_start_us, finish_us)``."""
-        start = start_us if start_us >= self.busy_until_us else self.busy_until_us
-        finish = start + duration_us
-        self.busy_until_us = finish
-        return start, finish
-
     def reset_busy(self) -> None:
         """Forget availability history (new measurement epoch)."""
         self.busy_until_us = 0.0

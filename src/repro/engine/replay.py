@@ -107,7 +107,7 @@ class ReplayEngine:
         resources; untraced service time (controller/log overhead) is
         serial within the request and never waits.  With a ``tracer``
         attached, each operation's op.device slice is emitted at the
-        time it actually ran (its resource reservation).
+        time it actually ran on its resource's timeline.
         """
         busy = stats.device_busy_us
         if serial:
@@ -128,9 +128,11 @@ class ReplayEngine:
         cursor = at_us
         resources = self._resources
         for resource_key, kind, duration_us in completion.ops:
-            start, finish = resources[resource_key].reserve(cursor, duration_us)
+            resource = resources[resource_key]
+            free_us = resource.busy_until_us
+            start = cursor if cursor >= free_us else free_us
             wait_us += start - cursor
-            cursor = finish
+            cursor = resource.busy_until_us = start + duration_us
             busy[resource_key] = busy.get(resource_key, 0.0) + duration_us
             if tracer is not None:
                 tracer.emit(

@@ -23,8 +23,8 @@ class Plane:
     operation at a time, so ``busy_until_us`` tracks when it next
     becomes available.  Operations on distinct planes may overlap in
     simulated time; operations on the same plane queue behind each
-    other (the event-driven replay engine enforces this via
-    :meth:`reserve`).
+    other (the event-driven replay engine places each operation at the
+    later of its ready time and ``busy_until_us``, then advances it).
     """
 
     #: Optional trace bus (repro.obs); None keeps allocation zero-cost.
@@ -160,19 +160,6 @@ class Plane:
     def is_free(self, pbn: int) -> bool:
         """True if block ``pbn`` sits on this plane's free list."""
         return pbn in self._free_set
-
-    def reserve(self, start_us: float, duration_us: float):
-        """Claim this plane for ``duration_us``, no earlier than ``start_us``.
-
-        Returns ``(actual_start_us, finish_us)``: the operation begins
-        when both the requester is ready *and* the plane is free, so a
-        busy plane queues the operation while an idle one starts it
-        immediately.
-        """
-        start = start_us if start_us >= self.busy_until_us else self.busy_until_us
-        finish = start + duration_us
-        self.busy_until_us = finish
-        return start, finish
 
     def reset_busy(self) -> None:
         """Forget availability history (start of a measurement epoch)."""

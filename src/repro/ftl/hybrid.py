@@ -540,6 +540,7 @@ class HybridFTL:
         base_lpn = group * pages_per_block
 
         live = []  # (source_ppn, offset, lpn)
+        logged = []  # (source_ppn, lpn) of the sources in log blocks
         old_valid = 0 if old_pbn is None else self.chip.block(old_pbn).valid
         old_base_ppn = None if old_pbn is None else old_pbn * pages_per_block
         for offset in range(pages_per_block):
@@ -547,6 +548,7 @@ class HybridFTL:
             ppn = self.log_map.lookup(lpn)
             if ppn is not None:
                 live.append((ppn, offset, lpn))
+                logged.append((ppn, lpn))
             elif old_valid >> offset & 1:
                 live.append((old_base_ppn + offset, offset, lpn))
 
@@ -562,9 +564,10 @@ class HybridFTL:
                 cost = chip.copy_pages(new_block.pbn, live, cost)
                 self.stats.gc_page_reads += len(live)
                 self.stats.gc_page_writes += len(live)
-                # Invalidate the source copies and drop their log
-                # mappings (a logged map only buffers these records).
-                for src_ppn, _offset, lpn in live:
+                # Retire the log-resident sources page by page (a logged
+                # map only buffers their records); the old data block
+                # is invalidated whole before its erase below.
+                for src_ppn, lpn in logged:
                     src, src_offset = chip.locate(src_ppn)
                     src.invalidate(src_offset)
                     self.log_map.remove(lpn)

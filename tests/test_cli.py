@@ -73,6 +73,17 @@ class TestReplayCompare:
         assert "IOPS:" in out
         assert "write amplification" in out
 
+    def test_replay_prints_provisioned_cache_blocks(self, capsys):
+        # mail at scale 0.02 asks for 120 blocks; each of 4 shards is
+        # floored at 16 * 16 pages-per-block = 256 blocks.
+        assert main([
+            "replay", "--workload", "mail", "--scale", "0.02",
+            "--system", "ssc-r", "--shards", "4",
+        ]) == 0
+        assert "cache blocks:        120 requested, 1,024 provisioned" in (
+            capsys.readouterr().out
+        )
+
     def test_replay_native_wt_no_consistency(self, capsys):
         assert main([
             "replay", "--workload", "usr", "--scale", "0.02",

@@ -7,10 +7,14 @@ depend on depth, and open-loop replay must dispatch from record arrival
 timestamps.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro import CacheMode, ReplayEngine, SystemConfig, SystemKind, build_system
-from repro.sim.completion import Completion
+from repro.disk.model import Disk
+from repro.flash.plane import Plane
+from repro.sim.completion import Completion, DeviceOp
 from repro.stats.counters import LatencyStats
 from repro.traces.record import OpKind, TraceRecord
 from repro.traces.synthetic import HOMES, USR, generate_trace
@@ -89,6 +93,35 @@ class TestConcurrency:
         utilization = stats.utilization()
         assert any(key.startswith("plane:") for key in utilization)
         assert all(0.0 <= value <= 1.0 for value in utilization.values())
+
+    def test_ops_queue_on_a_shared_plane_and_disk(self):
+        """Two requests dispatched together at QD 2, placed by hand.
+
+        A: plane:0 0-200, disk 200-250, service 300 -> wait 0, finish 300.
+        B: disk busy until 250 -> 250-290 (wait 250); plane:0 free since
+        200 -> 290-315; service 130 -> finish 0 + 250 + 130 = 380.
+        """
+        plane, disk = Plane(0, []), Disk(100)
+        completions = iter([
+            Completion(300.0, (DeviceOp("plane:0", "page_write", 200.0),
+                               DeviceOp("disk", "write", 50.0))),
+            Completion(130.0, (DeviceOp("disk", "write", 40.0),
+                               DeviceOp("plane:0", "page_read", 25.0))),
+        ])
+        manager = SimpleNamespace(
+            stats=SimpleNamespace(read_hits=0, read_misses=0), tracer=None,
+            resources=lambda: {"plane:0": plane, "disk": disk},
+            write=lambda lbn, data: next(completions),
+        )
+        trace = [TraceRecord(OpKind.WRITE, lbn) for lbn in (1, 2)]
+        stats = ReplayEngine(manager, queue_depth=2).run(trace, keep_latencies=True)
+        # Both dispatch at 0, so each latency is that request's finish.
+        assert stats.latency.samples == (300.0, 380.0)
+        assert stats.queue_wait.total_us == stats.queue_wait.max_us == 250.0
+        assert stats.service.total_us == 430.0
+        assert stats.elapsed_us == 380.0
+        assert stats.device_busy_us == {"plane:0": 225.0, "disk": 90.0}
+        assert (plane.busy_until_us, disk.busy_until_us) == (315.0, 290.0)
 
     def test_bad_queue_depth_rejected(self):
         system = _build()

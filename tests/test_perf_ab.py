@@ -59,13 +59,13 @@ def test_bound_applies_in_the_better_direction(metric, base, head, worse):
 
 
 def test_equal_runs_pass(capsys):
-    pairs = [(result(), result()) for _ in range(4)]
+    pairs = [(result(), result()) for _ in range(perf_ab.PAIRS)]
     assert perf_ab.compare(SPEC, "w", pairs) == []
     assert "sim figure differs" not in capsys.readouterr().out
 
 
 def test_slower_head_fails_on_every_slower_metric():
-    pairs = [(result(), result(scale=0.7)) for _ in range(4)]
+    pairs = [(result(), result(scale=0.7)) for _ in range(perf_ab.PAIRS)]
     failures = perf_ab.compare(SPEC, "w", pairs)
     assert [failure.split(":")[0] for failure in failures] == [
         "w replay_rec_per_calib", "w setup_s",
@@ -73,7 +73,17 @@ def test_slower_head_fails_on_every_slower_metric():
 
 
 def test_one_slow_pair_does_not_move_the_median():
-    pairs = [(result(), result())] * 3 + [(result(), result(scale=0.5))]
+    pairs = [(result(), result())] * (perf_ab.PAIRS - 1) + [(result(), result(scale=0.5))]
+    assert perf_ab.compare(SPEC, "w", pairs) == []
+
+
+def test_a_minority_of_slow_pairs_does_not_move_the_median():
+    # With an odd pair count the median is one run: fewer than half
+    # the pairs slow, however slow, leave it where the others put it.
+    slow = perf_ab.PAIRS // 2
+    pairs = [(result(), result())] * (perf_ab.PAIRS - slow) + [
+        (result(), result(scale=0.5))
+    ] * slow
     assert perf_ab.compare(SPEC, "w", pairs) == []
 
 
@@ -82,8 +92,7 @@ def test_failed_run_and_failed_operations_fail():
         (None, result()),
         (result(), result(failed=1)),
         (result(correct=False), result()),
-        (result(), result()),
-    ]
+    ] + [(result(), result())] * (perf_ab.PAIRS - 3)
     failures = perf_ab.compare(SPEC, "w", pairs)
     assert len(failures) == 3
     assert "pair 1: the base run failed" in failures[0]
@@ -92,7 +101,9 @@ def test_failed_run_and_failed_operations_fail():
 
 
 def test_differing_sim_figure_is_flagged_within_its_bound(capsys):
-    pairs = [(result(), result())] * 3 + [(result(), result(sim_iops=101.0))]
+    pairs = [(result(), result())] * (perf_ab.PAIRS - 1) + [
+        (result(), result(sim_iops=101.0))
+    ]
     assert perf_ab.compare(SPEC, "w", pairs) == []
     flagged = [
         line for line in capsys.readouterr().out.splitlines()
