@@ -79,6 +79,8 @@ def flip_checkpoint(ssc: SolidStateCache, rng: random.Random) -> bool:
     else:
         checkpoint.checksum ^= 0x1
     # In-place entry mutation bypasses the memoized entry CRC; drop it
-    # so is_intact() re-reads the damaged contents.
+    # so is_intact() re-reads the damaged contents, and make the
+    # checkpoint policy re-derive its trigger from the slots.
     checkpoint.invalidate_checksum_memo()
+    ssc.checkpoint_trigger_bytes = None
     return True

@@ -57,12 +57,15 @@ class FlashChip:
         self.crash_injector: Optional[CrashInjector] = None
         geo = self.geometry
         self._pages_per_block = geo.pages_per_block
-        # Every block by pbn, for lookups without the plane hop.
-        self._blocks = [
+        #: Every block by pbn, for lookups without the plane hop.
+        self.blocks = [
             EraseBlock(pbn, geo.pages_per_block) for pbn in range(geo.total_blocks)
         ]
+        #: Free erased blocks over all planes; the planes keep it.
+        self.free_total = geo.total_blocks
         self.planes: List[Plane] = [
-            Plane(plane_id, [self._blocks[pbn] for pbn in geo.blocks_in_plane(plane_id)])
+            Plane(plane_id, [self.blocks[pbn] for pbn in geo.blocks_in_plane(plane_id)],
+                  chip=self)
             for plane_id in range(geo.planes)
         ]
         # The timing model is frozen, so per-op costs are constants.
@@ -71,6 +74,7 @@ class FlashChip:
         self._erase_cost_us = self.timing.erase_cost()
         self._oob_read_cost_us = self.timing.oob_read_cost()
         self._pages_per_plane = self.geometry.pages_per_block * self.geometry.blocks_per_plane
+        self._total_pages = geo.total_pages
         self._write_seq = 0
         self._build_ops()
 
@@ -79,14 +83,15 @@ class FlashChip:
     def block(self, pbn: int) -> EraseBlock:
         """Erase block ``pbn``."""
         self.geometry.check_pbn(pbn)
-        return self._blocks[pbn]
+        return self.blocks[pbn]
 
     def locate(self, ppn: int) -> Tuple[EraseBlock, int]:
         """(block, offset) holding ``ppn`` (no timing cost; simulator
         internal)."""
-        self.geometry.check_ppn(ppn)
+        if not 0 <= ppn < self._total_pages:
+            self.geometry.check_ppn(ppn)
         pbn, offset = divmod(ppn, self._pages_per_block)
-        return self._blocks[pbn], offset
+        return self.blocks[pbn], offset
 
     def next_seq(self) -> int:
         """Monotonic write sequence number stamped into each page's OOB."""
@@ -149,7 +154,7 @@ class FlashChip:
         geo = self.geometry
         geo.check_ppn(ppn)
         pbn, offset = divmod(ppn, geo.pages_per_block)
-        block = self._blocks[pbn]
+        block = self.blocks[pbn]
         injector = self.crash_injector
         if injector is not None:
             try:
@@ -188,7 +193,7 @@ class FlashChip:
         order.
         """
         block, stats, injector = self.block(dst_pbn), self.stats, self.crash_injector
-        blocks, pages_per_block = self._blocks, self._pages_per_block
+        blocks, pages_per_block = self.blocks, self._pages_per_block
         pages_per_plane, total_pages = self._pages_per_plane, self.geometry.total_pages
         read_cost, write_cost = self._read_cost_us, self._write_cost_us
         read_ops = self._read_ops
@@ -314,12 +319,7 @@ class FlashChip:
 
     def free_blocks_total(self) -> int:
         """Free erased blocks summed over all planes."""
-        # A plain loop: asked on every SSC write, where a generator's
-        # setup outweighs summing a few planes.
-        total = 0
-        for plane in self.planes:
-            total += plane.free_count
-        return total
+        return self.free_total
 
     def __repr__(self) -> str:
         return (

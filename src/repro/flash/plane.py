@@ -30,8 +30,11 @@ class Plane:
     #: Optional trace bus (repro.obs); None keeps allocation zero-cost.
     tracer = None
 
-    def __init__(self, plane_id: int, blocks: List[EraseBlock]):
+    def __init__(self, plane_id: int, blocks: List[EraseBlock], chip=None):
         self.plane_id = plane_id
+        # The owning chip, whose ``free_total`` this plane keeps equal
+        # to the sum of its planes' ``free_count`` (None: standalone).
+        self.chip = chip
         #: Availability-timeline key: "plane:<n>", or "s<k>:plane:<n>"
         #: once a sharded array re-keys its member chips (which also
         #: rebuilds the chip's prebuilt ops).  Doubles as the trace lane.
@@ -47,6 +50,9 @@ class Plane:
         # an entry is stale iff its pbn left the pool or was re-released
         # after another erase (higher count).
         self._free_set: Set[int] = set(self.blocks)
+        #: Number of erased, unassigned blocks: ``len(_free_set)``,
+        #: kept by allocate_specific and release.
+        self.free_count = len(self._free_set)
         self._free: Deque[int] = deque(sorted(self.blocks))
         self._wear_heap: List[Tuple[int, int]] = [
             (self.blocks[pbn].erase_count, pbn) for pbn in self._free
@@ -61,11 +67,6 @@ class Plane:
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
-
-    @property
-    def free_count(self) -> int:
-        """Number of erased, unassigned blocks."""
-        return len(self._free_set)
 
     def block(self, pbn: int) -> EraseBlock:
         """Look up a block owned by this plane."""
@@ -99,6 +100,9 @@ class Plane:
                 f"block {pbn} is not free in plane {self.plane_id}"
             )
         self._free_set.discard(pbn)
+        self.free_count -= 1
+        if self.chip is not None:
+            self.chip.free_total -= 1
         block = self.blocks[pbn]
         block.kind = kind
         if self.tracer is not None:
@@ -148,7 +152,11 @@ class Plane:
                 f"block {block.pbn} must be erased before release "
                 f"(kind={block.kind.name})"
             )
-        self._free_set.add(block.pbn)
+        if block.pbn not in self._free_set:
+            self._free_set.add(block.pbn)
+            self.free_count += 1
+            if self.chip is not None:
+                self.chip.free_total += 1
         self._free.append(block.pbn)
         heapq.heappush(self._wear_heap, (block.erase_count, block.pbn))
         heapq.heappush(self._hot_heap, (-block.erase_count, -block.pbn))

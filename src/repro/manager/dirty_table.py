@@ -13,9 +13,9 @@ reduction over the native manager comes from.
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, Iterator, List, Optional
 
-from repro.util.checksum import crc32_of
 from repro.util.lru import LRUList
 
 #: Modeled bytes per entry (the paper's upper figure, with checksum).
@@ -23,6 +23,11 @@ ENTRY_BYTES = 22
 
 # Default for ``add``'s data: the block's contents are not known.
 _UNKNOWN = object()
+
+
+def _data_checksum(data) -> int:
+    """``crc32_of(repr(data))`` as one format step (bit-identical)."""
+    return zlib.crc32(b"s%s|" % repr(data).encode("utf-8")) & 0xFFFFFFFF
 
 
 class DirtyBlockTable:
@@ -48,7 +53,7 @@ class DirtyBlockTable:
         table from ``exists``) gets no checksum.
         """
         verifiable = self.with_checksums and data is not _UNKNOWN
-        self._entries[lbn] = crc32_of(repr(data)) if verifiable else None
+        self._entries[lbn] = _data_checksum(data) if verifiable else None
         self._lru.touch(lbn)
 
     def checksum_matches(self, lbn: int, data) -> bool:
@@ -58,7 +63,7 @@ class DirtyBlockTable:
         disabled, the block untracked, or re-added without its data.
         """
         expected = self._entries.get(lbn)
-        return expected is None or expected == crc32_of(repr(data))
+        return expected is None or expected == _data_checksum(data)
 
     def touch(self, lbn: int) -> None:
         """Refresh LRU position of ``lbn`` if tracked."""

@@ -124,9 +124,10 @@ class CheckpointStore:
     def latest(self) -> Optional[Checkpoint]:
         """The most recent intact checkpoint, or None.
 
-        Re-verified on every call (the checkpoint policy asks after each
-        write), so damage injected between calls is always seen.  On
-        equal ``seq`` slot 0 wins.
+        Re-verified on every call, so damage injected between calls is
+        always seen.  Recovery asks, and so does the checkpoint policy
+        when it re-derives its cached trigger.  On equal ``seq`` slot 0
+        wins.
         """
         first, second = self._slots
         if first is None or not first.is_intact():
@@ -134,6 +135,10 @@ class CheckpointStore:
         if second is None or second.seq <= first.seq or not second.is_intact():
             return first
         return second
+
+    def previous(self) -> Optional[Checkpoint]:
+        """The checkpoint in the slot the next write overwrites."""
+        return self._slots[1 - self._active]
 
     def write(self, checkpoint: Checkpoint) -> float:
         """Persist ``checkpoint`` into the non-active slot; returns cost.

@@ -38,7 +38,13 @@ from repro.ftl.wear import WearConfig
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import TimingModel
 from repro.ssc import recovery as recovery_mod
-from repro.ssc.checkpoint import Checkpoint, CheckpointStore
+from repro.ssc.checkpoint import (
+    BLOCK_ENTRY_BYTES,
+    HEADER_BYTES,
+    PAGE_ENTRY_BYTES,
+    Checkpoint,
+    CheckpointStore,
+)
 from repro.ssc.engine import CacheFTL, CacheFTLConfig, EvictionPolicy
 from repro.ssc.log import (
     NullOperationLog,
@@ -135,6 +141,12 @@ class SolidStateCache:
             name=f"{name}/checkpoint" if name else "",
         )
         self._writes_since_checkpoint = 0
+        #: Durable log bytes beyond which the next checkpoint is due:
+        #: ``checkpoint_log_ratio`` times the latest checkpoint's size.
+        #: None means "derive it from ``checkpoints.latest()``"; whatever
+        #: changes the slots other than checkpoint_now (recovery, fault
+        #: injection) sets it back to None.
+        self.checkpoint_trigger_bytes: Optional[float] = None
         self._crashed = False
         # Fault-injection hook (crash-state explorer) and the count of
         # damaged log records the last recovery discarded.
@@ -323,14 +335,14 @@ class SolidStateCache:
 
     def _finish_op(self, sync: bool, erases_before: int) -> float:
         """Apply the log-flush and checkpoint policy after an operation."""
-        if not self.oplog.enabled:
+        oplog = self.oplog
+        if not oplog.enabled:
             return 0.0
         cost = 0.0
-        erased = self.chip.stats.block_erases > erases_before
-        if sync or erased:
-            cost += self.oplog.flush(sync=True)
-        elif self.oplog.pending() >= self.config.group_commit_ops:
-            cost += self.oplog.flush(sync=False)
+        if sync or self.chip.stats.block_erases > erases_before:
+            cost += oplog.flush(sync=True)
+        elif len(oplog.buffer) >= self.config.group_commit_ops:
+            cost += oplog.flush(sync=False)
         cost += self._maybe_checkpoint()
         if cost:
             self.engine.stats.meta_page_writes = (
@@ -339,26 +351,32 @@ class SolidStateCache:
         return cost
 
     def _maybe_checkpoint(self) -> float:
-        """Checkpoint when the log outgrows the last checkpoint (§6.4:
-        "if the log size exceeds two-thirds of the checkpoint size or
-        after 1 million writes, whichever occurs earlier")."""
-        latest = self.checkpoints.latest()
-        base_bytes = latest.size_bytes() if latest is not None else self._snapshot_bytes()
-        due = (
-            self.oplog.flushed_bytes > self.config.checkpoint_log_ratio * base_bytes
+        """Checkpoint when the durable log outgrows the latest intact
+        checkpoint (§6.4: "if the log size exceeds two-thirds of the
+        checkpoint size or after 1 million writes, whichever occurs
+        earlier"), and return the checkpoint's cost.
+
+        Asked after every operation, so it compares against the cached
+        :attr:`checkpoint_trigger_bytes`.  A cleared cache is derived
+        once from ``checkpoints.latest()``; while no intact checkpoint
+        exists, the base is the size a checkpoint taken now would have.
+        """
+        trigger = self.checkpoint_trigger_bytes
+        if trigger is None:
+            latest = self.checkpoints.latest()
+            if latest is None:
+                trigger = self.config.checkpoint_log_ratio * self._snapshot_bytes()
+            else:
+                trigger = self.config.checkpoint_log_ratio * latest.size_bytes()
+                self.checkpoint_trigger_bytes = trigger
+        if (
+            self.oplog.flushed_bytes > trigger
             or self._writes_since_checkpoint >= self.config.checkpoint_interval_writes
-        )
-        if not due:
-            return 0.0
-        return self.checkpoint_now()
+        ):
+            return self.checkpoint_now()
+        return 0.0
 
     def _snapshot_bytes(self) -> int:
-        from repro.ssc.checkpoint import (
-            BLOCK_ENTRY_BYTES,
-            HEADER_BYTES,
-            PAGE_ENTRY_BYTES,
-        )
-
         return (
             HEADER_BYTES
             + len(self.engine.log_map) * PAGE_ENTRY_BYTES
@@ -386,21 +404,40 @@ class SolidStateCache:
         except CrashError:
             self.crash()
             raise
+        previous = self.checkpoints.previous()
+        if previous is None or previous.seq < seq:
+            self.checkpoint_trigger_bytes = (
+                self.config.checkpoint_log_ratio * checkpoint.size_bytes())
+        else:
+            # latest() keeps the other slot when it is at least as new
+            # (a checkpoint of an already truncated log has seq 0).
+            self.checkpoint_trigger_bytes = None
         cost += self.oplog.truncate_through(seq)
         self._writes_since_checkpoint = 0
         return cost
 
     def _page_entries_snapshot(self) -> List[Tuple[int, int, bool]]:
+        """(lbn, ppn, dirty) of every page mapping, in bucket order."""
+        geometry, blocks = self.chip.geometry, self.chip.blocks
+        total_pages, pages_per_block = geometry.total_pages, geometry.pages_per_block
         entries = []
         for lbn, ppn in self.engine.log_map.items():
-            block, offset = self.chip.locate(ppn)
-            entries.append((lbn, ppn, bool(block.dirty >> offset & 1)))
+            if not 0 <= ppn < total_pages:
+                geometry.check_ppn(ppn)
+            pbn, offset = divmod(ppn, pages_per_block)
+            entries.append((lbn, ppn, bool(blocks[pbn].dirty >> offset & 1)))
         return entries
 
     def _block_entries_snapshot(self) -> List[Tuple[int, int, int, int]]:
+        """(group, pbn, dirty & valid, valid) of every block mapping, in
+        bucket order."""
+        geometry, blocks = self.chip.geometry, self.chip.blocks
+        total_blocks = geometry.total_blocks
         entries = []
         for group, pbn in self.engine.data_map.items():
-            block = self.chip.block(pbn)
+            if not 0 <= pbn < total_blocks:
+                geometry.check_pbn(pbn)
+            block = blocks[pbn]
             entries.append((group, pbn, block.dirty & block.valid, block.valid))
         return entries
 

@@ -30,7 +30,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import CacheFullError, ConfigError, InvalidAddressError
 from repro.flash.block import BlockKind, EraseBlock
@@ -110,7 +110,7 @@ class LoggedPageMap:
     def __len__(self) -> int:
         return len(self.inner)
 
-    def items(self) -> Iterator[Tuple[int, int]]:
+    def items(self) -> List[Tuple[int, int]]:
         return self.inner.items()
 
     def memory_bytes(self) -> int:
@@ -167,7 +167,7 @@ class LoggedBlockMap:
     def __len__(self) -> int:
         return len(self.inner)
 
-    def items(self) -> Iterator[Tuple[int, int]]:
+    def items(self) -> List[Tuple[int, int]]:
         return self.inner.items()
 
     def memory_bytes(self) -> int:

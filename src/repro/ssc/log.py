@@ -41,8 +41,9 @@ class RecordKind(Enum):
     CLEAN = auto()            # block marked clean (future-evictable)
 
 
-#: Each kind's name as CRC input bytes, encoded once.
-_KIND_BYTES = {kind: kind.name.encode("ascii") for kind in RecordKind}
+#: Each kind's name as CRC input bytes, encoded once.  Keyed by the
+#: kind's value: an int hashes in C, an Enum member through Python.
+_KIND_BYTES = {kind._value_: kind.name.encode("ascii") for kind in RecordKind}
 
 
 def record_checksum(seq: int, kind: RecordKind, lbn: int, ppn: int,
@@ -54,7 +55,7 @@ def record_checksum(seq: int, kind: RecordKind, lbn: int, ppn: int,
     change so the generic chunk loop was measurable.
     """
     return zlib.crc32(
-        b"i%d|s%s|i%d|i%d|i%d|" % (seq, _KIND_BYTES[kind], lbn, ppn, extra)
+        b"i%d|s%s|i%d|i%d|i%d|" % (seq, _KIND_BYTES[kind._value_], lbn, ppn, extra)
     ) & 0xFFFFFFFF
 
 
@@ -95,6 +96,11 @@ class LogRecord(NamedTuple):
         return self.checksum == record_checksum(
             self.seq, self.kind, self.lbn, self.ppn, self.extra
         )
+
+
+#: Builds a LogRecord from a full field tuple without the NamedTuple's
+#: generated ``__new__`` (one Python frame per logged mapping change).
+_new_record = tuple.__new__
 
 
 #: Modeled on-flash size of one record: 8 B sequence number, 8 B logical
@@ -139,9 +145,8 @@ class OperationLog:
         # Total durable log footprint since the covering checkpoint.
         self.flushed_bytes = 0
 
-    @property
-    def enabled(self) -> bool:
-        return True
+    #: False only for the no-consistency log, which persists nothing.
+    enabled = True
 
     @property
     def last_seq(self) -> int:
@@ -156,9 +161,9 @@ class OperationLog:
     def append(self, kind: RecordKind, lbn: int, ppn: int = 0, extra: int = 0) -> LogRecord:
         """Buffer a record; it becomes durable at the next flush."""
         seq = self._next_seq
-        record = LogRecord(seq, kind, lbn, ppn, extra,
-                           record_checksum(seq, kind, lbn, ppn, extra))
-        self._next_seq += 1
+        self._next_seq = seq + 1
+        record = _new_record(LogRecord, (
+            seq, kind, lbn, ppn, extra, record_checksum(seq, kind, lbn, ppn, extra)))
         self.buffer.append(record)
         if self.tracer is not None:
             self.tracer.emit(
@@ -289,9 +294,9 @@ class NvramOperationLog(OperationLog):
 
     def append(self, kind: RecordKind, lbn: int, ppn: int = 0, extra: int = 0) -> LogRecord:
         seq = self._next_seq
-        record = LogRecord(seq, kind, lbn, ppn, extra,
-                           record_checksum(seq, kind, lbn, ppn, extra))
-        self._next_seq += 1
+        self._next_seq = seq + 1
+        record = _new_record(LogRecord, (
+            seq, kind, lbn, ppn, extra, record_checksum(seq, kind, lbn, ppn, extra)))
         self.flushed.append(record)
         self.flushed_bytes += RECORD_BYTES
         self.records_written += 1
@@ -319,9 +324,7 @@ class NullOperationLog(OperationLog):
     matching a device that keeps its mapping only in RAM.
     """
 
-    @property
-    def enabled(self) -> bool:
-        return False
+    enabled = False
 
     def append(self, kind: RecordKind, lbn: int, ppn: int = 0, extra: int = 0) -> LogRecord:
         record = LogRecord(self._next_seq, kind, lbn, ppn, extra)

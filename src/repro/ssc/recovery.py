@@ -212,6 +212,10 @@ def recover_device(ssc) -> float:
     log_cost = ssc.oplog.replay_read_cost(from_seq)
     state = replay(checkpoint, records, ssc.engine.pages_per_block)
     materialize(ssc.engine, state)
+    # The slots may differ from what the cached checkpoint trigger was
+    # taken from (a checkpoint committed by the operation that crashed,
+    # or a damaged slot): the next operation derives it afresh.
+    ssc.checkpoint_trigger_bytes = None
     ssc._crashed = False
     tracer = ssc.tracer
     if tracer is not None:

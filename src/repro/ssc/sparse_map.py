@@ -207,7 +207,7 @@ class SparseHashMap:
             self._place(key, entries[key][2])
 
     def _grow(self) -> None:
-        entries = list(self.items())
+        entries = self.items()
         buckets = self._buckets * 2
         # One doubling suffices at any max_load >= 0.5; the loop keeps
         # the end state identical to repeated growth for smaller loads.
@@ -217,11 +217,11 @@ class SparseHashMap:
         for key, value in entries:
             self._place(key, value)
 
-    def items(self) -> Iterator[Tuple[int, int]]:
-        """Yield (key, value) pairs in bucket order."""
+    def items(self) -> List[Tuple[int, int]]:
+        """(key, value) pairs in bucket order, from one pass over the
+        buckets."""
         entries = self._entries
-        for key in self.keys():
-            yield key, entries[key][2]
+        return [(key, entries[key][2]) for key in self._keys if key is not None]
 
     def keys(self) -> Iterator[int]:
         return (key for key in self._keys if key is not None)

@@ -1,11 +1,14 @@
 """Unit tests for planes and the flash chip (timing, wear, free lists)."""
 
+import random
+
 import pytest
 
 from repro.errors import InvalidAddressError, WriteToNonErasedPageError
 from repro.flash.block import BlockKind
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
+from repro.ftl.hybrid import HybridFTL, HybridFTLConfig
 
 
 @pytest.fixture
@@ -120,3 +123,39 @@ class TestWearAccounting:
         assert tiny_chip.free_blocks_total() == total
         tiny_chip.planes[0].allocate(BlockKind.DATA)
         assert tiny_chip.free_blocks_total() == total - 1
+
+
+class TestFreeCounts:
+    """``Plane.free_count`` and ``FlashChip.free_blocks_total()`` are
+    kept counts; they must track the free sets through every path."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_counts_track_free_sets(self, seed):
+        ftl = HybridFTL(
+            FlashChip(FlashGeometry(planes=3, blocks_per_plane=6, pages_per_block=4)),
+            HybridFTLConfig(),
+        )
+        chip, rng = ftl.chip, random.Random(seed)
+        used = []
+        for _ in range(300):
+            action = rng.random()
+            plane = rng.choice(chip.planes)
+            if action < 0.3 and plane.free_count:
+                used.append(plane.allocate(BlockKind.DATA).pbn)
+            elif action < 0.5 and plane.free_count:
+                pbn = rng.choice(sorted(plane._free_set))
+                used.append(plane.allocate_specific(pbn, BlockKind.LOG).pbn)
+            elif action < 0.8 and used:
+                chip.erase_block(used.pop(rng.randrange(len(used))))
+            else:
+                # Re-release a block that is already free.
+                free = [block for block in plane.blocks.values()
+                        if plane.is_free(block.pbn)]
+                if free:
+                    plane.release(rng.choice(free))
+            for each in chip.planes:
+                assert each.free_count == len(each._free_set)
+            assert chip.free_blocks_total() == sum(
+                len(each._free_set) for each in chip.planes)
+            expected = max(chip.planes, key=lambda each: len(each._free_set))
+            assert ftl._plane_with_most_free() is expected
