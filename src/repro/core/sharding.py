@@ -44,20 +44,7 @@ from repro.ftl.ssd import SSD
 from repro.flash.chip import FlashStats
 from repro.sim.crash import CrashInjector
 from repro.ssc.device import SolidStateCache
-
-_MASK = (1 << 64) - 1
-
-
-def mix64(value: int) -> int:
-    """The 64-bit finalizer of MurmurHash3: a cheap, well-mixed hash.
-
-    Same mixer the native manager uses for set selection; here it
-    spreads erase groups across shards so that regionally clustered
-    workloads (every real trace) still load every shard.
-    """
-    value = (value ^ (value >> 33)) * 0xFF51AFD7ED558CCD & _MASK
-    value = (value ^ (value >> 33)) * 0xC4CEB9FE1A85EC53 & _MASK
-    return value ^ (value >> 33)
+from repro.util.hashing import mix64
 
 
 class ShardRouter:

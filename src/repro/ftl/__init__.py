@@ -8,7 +8,7 @@ read/write/trim block-device interface the native baseline caches on.
 """
 
 from repro.ftl.base import FTLStats
-from repro.ftl.mapping import DenseBlockMap, DensePageMap
+from repro.ftl.mapping import DenseMap
 from repro.ftl.hybrid import HybridFTL, HybridFTLConfig
 from repro.ftl.pagemap import PageMapFTL, PageMapFTLConfig
 from repro.ftl.wear import WearConfig, WearLeveler
@@ -16,8 +16,7 @@ from repro.ftl.ssd import SSD
 
 __all__ = [
     "FTLStats",
-    "DenseBlockMap",
-    "DensePageMap",
+    "DenseMap",
     "HybridFTL",
     "HybridFTLConfig",
     "PageMapFTL",

@@ -33,7 +33,7 @@ from repro.errors import ConfigError, InvalidAddressError
 from repro.flash.block import BlockKind, EraseBlock
 from repro.flash.chip import FlashChip
 from repro.ftl.base import FTLStats
-from repro.ftl.mapping import DenseBlockMap, DensePageMap
+from repro.ftl.mapping import DenseMap
 from repro.ftl.wear import WearConfig, WearLeveler
 
 
@@ -84,8 +84,8 @@ class HybridFTL:
         self.pages_per_block = geometry.pages_per_block
         self.logical_pages = self.logical_groups * self.pages_per_block
 
-        self.data_map = DenseBlockMap(self.logical_groups)
-        self.log_map = DensePageMap(self.log_blocks_target * self.pages_per_block)
+        self.data_map = DenseMap(self.logical_groups)
+        self.log_map = DenseMap(self.log_blocks_target * self.pages_per_block)
         # Random log blocks in allocation (age) order; the merge victim is
         # the oldest.  FAST additionally dedicates one *sequential* log
         # block to runs that start at a group boundary, so streaming
@@ -613,8 +613,10 @@ class HybridFTL:
         return self.data_map.memory_bytes() + self.log_map.memory_bytes()
 
     def __repr__(self) -> str:
+        # The SSC's CacheFTL has no fixed logical capacity.
+        groups = getattr(self, "logical_groups", None)
+        head = "" if groups is None else f"groups={groups}, "
         return (
-            f"HybridFTL(groups={self.logical_groups}, "
-            f"log_target={self.log_blocks_target}, "
+            f"{type(self).__name__}({head}log_target={self.log_blocks_target}, "
             f"log_in_use={len(self._log_blocks)}, free={self.free_blocks()})"
         )

@@ -25,82 +25,44 @@ from repro.errors import InvalidAddressError
 ENTRY_BYTES = 32
 
 
-class DensePageMap:
-    """Logical page -> physical page map, dense over a fixed capacity.
+class DenseMap:
+    """Logical address -> physical address map, dense over a fixed capacity.
 
-    Used for the SSD's page-mapped log region.  The table is sized by
-    ``capacity_pages`` slots regardless of occupancy.
+    The hybrid FTL keys one by logical group (its block-mapped data
+    region) and one by logical page (its page-mapped log region); the
+    page-mapped FTL keys one by logical page.  The table is sized by
+    ``capacity`` slots regardless of occupancy.
     """
 
-    def __init__(self, capacity_pages: int):
-        if capacity_pages < 0:
-            raise InvalidAddressError("capacity_pages must be >= 0")
-        self.capacity_pages = capacity_pages
+    def __init__(self, capacity: int):
+        if capacity < 0:
+            raise InvalidAddressError("capacity must be >= 0")
+        self.capacity = capacity
         self._map: Dict[int, int] = {}
 
-    def lookup(self, lpn: int) -> Optional[int]:
-        """Return the PPN for ``lpn``, or None if unmapped."""
-        return self._map.get(lpn)
+    def lookup(self, key: int) -> Optional[int]:
+        """Return the physical address for ``key``, or None if unmapped."""
+        return self._map.get(key)
 
-    def insert(self, lpn: int, ppn: int) -> Optional[int]:
-        """Map ``lpn`` to ``ppn``; returns the previous PPN if any."""
-        previous = self._map.get(lpn)
-        self._map[lpn] = ppn
+    def insert(self, key: int, value: int) -> Optional[int]:
+        """Map ``key`` to ``value``; returns the previous value if any."""
+        previous = self._map.get(key)
+        self._map[key] = value
         return previous
 
-    def remove(self, lpn: int) -> Optional[int]:
-        """Unmap ``lpn``; returns the PPN it held, or None."""
-        return self._map.pop(lpn, None)
+    def remove(self, key: int) -> Optional[int]:
+        """Unmap ``key``; returns the value it held, or None."""
+        return self._map.pop(key, None)
 
     def __len__(self) -> int:
         return len(self._map)
 
-    def __contains__(self, lpn: int) -> bool:
-        return lpn in self._map
+    def __contains__(self, key: int) -> bool:
+        return key in self._map
 
     def items(self) -> Iterator[Tuple[int, int]]:
         return iter(self._map.items())
 
     def memory_bytes(self) -> int:
         """Device memory a dense table of this capacity would occupy."""
-        return self.capacity_pages * ENTRY_BYTES
-
-
-class DenseBlockMap:
-    """Logical block group -> physical erase block map, dense.
-
-    One slot per logical group over the device's full logical capacity.
-    """
-
-    def __init__(self, capacity_groups: int):
-        if capacity_groups < 0:
-            raise InvalidAddressError("capacity_groups must be >= 0")
-        self.capacity_groups = capacity_groups
-        self._map: Dict[int, int] = {}
-
-    def lookup(self, group: int) -> Optional[int]:
-        """Return the PBN holding ``group``, or None."""
-        return self._map.get(group)
-
-    def insert(self, group: int, pbn: int) -> Optional[int]:
-        """Map ``group`` to ``pbn``; returns the PBN it replaced, if any."""
-        previous = self._map.get(group)
-        self._map[group] = pbn
-        return previous
-
-    def remove(self, group: int) -> Optional[int]:
-        """Unmap ``group``; returns the PBN it held, or None."""
-        return self._map.pop(group, None)
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-    def __contains__(self, group: int) -> bool:
-        return group in self._map
-
-    def items(self) -> Iterator[Tuple[int, int]]:
-        return iter(self._map.items())
-
-    def memory_bytes(self) -> int:
-        """Device memory a dense block table of this capacity occupies."""
-        return self.capacity_groups * ENTRY_BYTES
+        return self.capacity * ENTRY_BYTES

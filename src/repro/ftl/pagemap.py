@@ -21,7 +21,7 @@ from repro.errors import ConfigError, InvalidAddressError
 from repro.flash.block import BlockKind, EraseBlock
 from repro.flash.chip import FlashChip
 from repro.ftl.base import FTLStats
-from repro.ftl.mapping import DensePageMap
+from repro.ftl.mapping import DenseMap
 from repro.ftl.wear import WearConfig, WearLeveler
 
 
@@ -61,7 +61,7 @@ class PageMapFTL:
             raise ConfigError("chip too small after over-provisioning")
         self.pages_per_block = chip.geometry.pages_per_block
         self.logical_pages = logical_blocks * self.pages_per_block
-        self.page_map = DensePageMap(self.logical_pages)
+        self.page_map = DenseMap(self.logical_pages)
         self._active: Optional[EraseBlock] = None
 
     # ------------------------------------------------------------------

@@ -14,9 +14,8 @@ reduction over the native manager comes from.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterator, List, Optional
-
-from repro.util.lru import LRUList
+from collections import OrderedDict
+from typing import List, Optional
 
 #: Modeled bytes per entry (the paper's upper figure, with checksum).
 ENTRY_BYTES = 22
@@ -36,9 +35,9 @@ class DirtyBlockTable:
     def __init__(self, with_checksums: bool = True):
         self.with_checksums = with_checksums
         # lbn -> checksum, or None when there is nothing to verify
-        # against (checksums disabled, or the block's data unknown).
-        self._entries: Dict[int, Optional[int]] = {}
-        self._lru = LRUList()
+        # against (checksums disabled, or the block's data unknown);
+        # least recently used first.
+        self._entries: "OrderedDict[int, Optional[int]]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -54,7 +53,7 @@ class DirtyBlockTable:
         """
         verifiable = self.with_checksums and data is not _UNKNOWN
         self._entries[lbn] = _data_checksum(data) if verifiable else None
-        self._lru.touch(lbn)
+        self._entries.move_to_end(lbn)
 
     def checksum_matches(self, lbn: int, data) -> bool:
         """Verify ``data`` against the checksum recorded at write time.
@@ -68,18 +67,15 @@ class DirtyBlockTable:
     def touch(self, lbn: int) -> None:
         """Refresh LRU position of ``lbn`` if tracked."""
         if lbn in self._entries:
-            self._lru.touch(lbn)
+            self._entries.move_to_end(lbn)
 
     def remove(self, lbn: int) -> bool:
         """Drop ``lbn`` (after cleaning it); True if it was tracked."""
-        if self._entries.pop(lbn, _UNKNOWN) is _UNKNOWN:
-            return False
-        self._lru.remove(lbn)
-        return True
+        return self._entries.pop(lbn, _UNKNOWN) is not _UNKNOWN
 
     def lru_block(self) -> Optional[int]:
         """Least-recently-used dirty block, or None."""
-        return self._lru.lru()
+        return next(iter(self._entries), None)
 
     def contiguous_run(self, lbn: int, limit: int = 32) -> List[int]:
         """Dirty blocks forming a contiguous run around ``lbn``.
@@ -100,9 +96,12 @@ class DirtyBlockTable:
             right += 1
         return run
 
-    def iter_lru(self) -> Iterator[int]:
-        """Dirty blocks from least to most recently used."""
-        return self._lru.iter_lru_to_mru()
+    def iter_lru(self) -> List[int]:
+        """Dirty blocks from least to most recently used.
+
+        A snapshot, so callers may remove blocks while iterating it.
+        """
+        return list(self._entries)
 
     def memory_bytes(self) -> int:
         """Modeled host memory (22 bytes per dirty block)."""
@@ -110,4 +109,3 @@ class DirtyBlockTable:
 
     def clear(self) -> None:
         self._entries.clear()
-        self._lru.clear()

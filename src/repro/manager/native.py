@@ -21,6 +21,7 @@ paper notes it "cannot" recover after a crash) and writes no metadata.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -29,19 +30,11 @@ from repro.errors import ConfigError
 from repro.ftl.ssd import SSD
 from repro.manager.base import CacheManager
 from repro.manager.dirty_table import DirtyBlockTable
-from repro.util.lru import LRUList
+from repro.util.hashing import mix64
 
 #: Host bytes per cached block (paper §6.3: "22 bytes/block for a disk
 #: block number, checksum, LRU indexes and block state").
 HOST_ENTRY_BYTES = 22
-
-_MASK = (1 << 64) - 1
-
-
-def _mix(value: int) -> int:
-    value = (value ^ (value >> 33)) * 0xFF51AFD7ED558CCD & _MASK
-    value = (value ^ (value >> 33)) * 0xC4CEB9FE1A85EC53 & _MASK
-    return value ^ (value >> 33)
 
 
 @dataclass(frozen=True)
@@ -101,10 +94,13 @@ class NativeCacheManager(CacheManager):
 
         self._attach_devices(ssd.chip, disk)
 
-        # Host-side state: the full mapping table plus per-set LRU.
+        # Host-side state: the full mapping table plus per-set LRU
+        # order (cached lbns, least recently used first).
         self._map: Dict[int, int] = {}        # disk lbn -> ssd slot
         self._slot_lbn: Dict[int, int] = {}   # ssd slot -> disk lbn
-        self._set_lru: List[LRUList] = [LRUList() for _ in range(self.num_sets)]
+        self._set_lru: List["OrderedDict[int, None]"] = [
+            OrderedDict() for _ in range(self.num_sets)
+        ]
         self._free_slots: List[List[int]] = [[] for _ in range(self.num_sets)]
         for slot in range(self.data_pages):
             self._free_slots[self._set_of_slot(slot)].append(slot)
@@ -118,7 +114,7 @@ class NativeCacheManager(CacheManager):
         return slot // self._set_size % self.num_sets
 
     def _set_of_lbn(self, lbn: int) -> int:
-        return _mix(lbn) % self.num_sets
+        return mix64(lbn) % self.num_sets
 
     # ------------------------------------------------------------------
     # Public interface
@@ -130,7 +126,7 @@ class NativeCacheManager(CacheManager):
         if slot is not None:
             self.stats.read_hits += 1
             data, cost = self.ssd.read(slot)
-            self._set_lru[self._set_of_lbn(lbn)].touch(lbn)
+            self._set_lru[self._set_of_lbn(lbn)].move_to_end(lbn)
             self._dirty.touch(lbn)
             return data, cost, True
         self.stats.read_misses += 1
@@ -151,7 +147,7 @@ class NativeCacheManager(CacheManager):
     def flush_dirty(self) -> float:
         """Write back every dirty block (clean shutdown)."""
         cost = 0.0
-        for lbn in list(self._dirty.iter_lru()):
+        for lbn in self._dirty.iter_lru():
             cost += self._clean_block(lbn)
         return cost
 
@@ -173,7 +169,9 @@ class NativeCacheManager(CacheManager):
             if was_dirty != dirty:
                 cost += self._meta_update(sync=dirty, lbn=lbn)
         cost += self.ssd.write(slot, data, dirty=dirty)
-        self._set_lru[set_index].touch(lbn)
+        lru = self._set_lru[set_index]
+        lru[lbn] = None
+        lru.move_to_end(lbn)
         if dirty:
             self._dirty.add(lbn)
         else:
@@ -184,9 +182,10 @@ class NativeCacheManager(CacheManager):
         free = self._free_slots[set_index]
         if free:
             return free.pop(), 0.0
-        victim = self._set_lru[set_index].pop_lru()
-        if victim is None:
+        lru = self._set_lru[set_index]
+        if not lru:
             raise ConfigError("associativity set has neither free slots nor victims")
+        victim, _ = lru.popitem(last=False)
         return self._evict(victim)
 
     def _evict(self, victim_lbn: int) -> Tuple[int, float]:

@@ -177,7 +177,7 @@ class FlashTierWBManager(CacheManager):
     def flush_dirty(self) -> float:
         """Write back every dirty block (clean shutdown)."""
         cost = 0.0
-        for lbn in list(self.dirty_table.iter_lru()):
+        for lbn in self.dirty_table.iter_lru():
             cost += self._clean_block(lbn)
         return cost
 

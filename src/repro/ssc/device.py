@@ -34,7 +34,6 @@ from typing import Any, List, Optional, Tuple
 from repro.errors import ConfigError, CrashError, NotPresentError, RecoveryError
 from repro.flash.chip import FlashChip
 from repro.sim.crash import CrashInjector
-from repro.ftl.wear import WearConfig
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import TimingModel
 from repro.ssc import recovery as recovery_mod
@@ -55,8 +54,9 @@ from repro.ssc.log import (
 
 
 @dataclass(frozen=True)
-class SSCConfig:
-    """Device configuration.
+class SSCConfig(CacheFTLConfig):
+    """Device configuration: the cache engine's tunables plus the
+    consistency ones.
 
     ``clean_durability`` selects the write-clean contract:
 
@@ -70,21 +70,15 @@ class SSCConfig:
     for the garbage-collection experiments of Fig. 6 / Table 5).
     """
 
-    policy: EvictionPolicy = EvictionPolicy.UTIL
     consistency: bool = True
     clean_durability: str = "replace-sync"
     group_commit_ops: int = 10_000
     checkpoint_log_ratio: float = 2.0 / 3.0
     checkpoint_interval_writes: int = 1_000_000
-    log_fraction: float = 0.07
-    max_log_fraction: float = 0.20
-    spare_blocks: int = 8
-    sequential_log: bool = True
-    evict_batch: int = 4
-    wear: WearConfig = WearConfig()
     nvram: bool = False
 
     def __post_init__(self):
+        super().__post_init__()
         if self.clean_durability not in ("replace-sync", "sync", "buffered"):
             raise ConfigError(
                 "clean_durability must be replace-sync, sync or buffered"
@@ -95,17 +89,6 @@ class SSCConfig:
             raise ConfigError("checkpoint_log_ratio must be in (0, 10]")
         if self.checkpoint_interval_writes < 1:
             raise ConfigError("checkpoint_interval_writes must be >= 1")
-
-    def engine_config(self) -> CacheFTLConfig:
-        return CacheFTLConfig(
-            policy=self.policy,
-            log_fraction=self.log_fraction,
-            max_log_fraction=self.max_log_fraction,
-            spare_blocks=self.spare_blocks,
-            sequential_log=self.sequential_log,
-            evict_batch=self.evict_batch,
-            wear=self.wear,
-        )
 
 
 class SolidStateCache:
@@ -135,7 +118,7 @@ class SolidStateCache:
             self.chip.timing, geometry.page_size, geometry.pages_per_block,
             name=f"{name}/log" if name else "",
         )
-        self.engine = CacheFTL(self.chip, self.oplog, self.config.engine_config())
+        self.engine = CacheFTL(self.chip, self.oplog, self.config)
         self.checkpoints = CheckpointStore(
             self.chip.timing, geometry.page_size, geometry.pages_per_block,
             name=f"{name}/checkpoint" if name else "",
@@ -394,7 +377,10 @@ class SolidStateCache:
             )
         try:
             cost = self.oplog.flush(sync=True)
-            seq = self.oplog.last_flushed_seq
+            # Every appended record is durable or was lost in a crash,
+            # so the checkpoint covers them all.  The last durable seq
+            # is 0 once a checkpoint has truncated the log.
+            seq = self.oplog.last_seq
             checkpoint = Checkpoint(
                 seq=seq,
                 page_entries=self._page_entries_snapshot(),
@@ -409,8 +395,8 @@ class SolidStateCache:
             self.checkpoint_trigger_bytes = (
                 self.config.checkpoint_log_ratio * checkpoint.size_bytes())
         else:
-            # latest() keeps the other slot when it is at least as new
-            # (a checkpoint of an already truncated log has seq 0).
+            # latest() keeps the other slot when it is as new (no
+            # record was appended between the two checkpoints).
             self.checkpoint_trigger_bytes = None
         cost += self.oplog.truncate_through(seq)
         self._writes_since_checkpoint = 0

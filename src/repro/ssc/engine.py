@@ -35,9 +35,9 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.errors import CacheFullError, ConfigError, InvalidAddressError
 from repro.flash.block import BlockKind, EraseBlock
 from repro.flash.chip import FlashChip
-from repro.ftl.hybrid import HybridFTL
+from repro.ftl.hybrid import HybridFTL, HybridFTLConfig
 from repro.ftl.base import FTLStats
-from repro.ftl.wear import WearConfig, WearLeveler
+from repro.ftl.wear import WearLeveler
 from repro.ssc.log import OperationLog, RecordKind, bitmap_shift
 from repro.ssc.sparse_map import SparseHashMap
 
@@ -50,29 +50,19 @@ class EvictionPolicy(Enum):
 
 
 @dataclass(frozen=True)
-class CacheFTLConfig:
-    """Tunables for the cache engine.
-
-    Field names ``spare_blocks`` / ``sequential_log`` intentionally match
-    :class:`~repro.ftl.hybrid.HybridFTLConfig`, since the merge machinery
-    is inherited.
-    """
+class CacheFTLConfig(HybridFTLConfig):
+    """Tunables for the cache engine: the hybrid FTL's, whose merge
+    machinery it inherits, plus the eviction policy, the SE-Merge log
+    pool ceiling and the silent-eviction batch."""
 
     policy: EvictionPolicy = EvictionPolicy.UTIL
-    log_fraction: float = 0.07
     max_log_fraction: float = 0.20
-    spare_blocks: int = 8
-    sequential_log: bool = True
     evict_batch: int = 4
-    wear: WearConfig = WearConfig()
 
     def __post_init__(self):
-        if not 0.0 < self.log_fraction < 0.5:
-            raise ConfigError("log_fraction must be in (0, 0.5)")
+        super().__post_init__()
         if not self.log_fraction <= self.max_log_fraction < 0.5:
             raise ConfigError("max_log_fraction must be in [log_fraction, 0.5)")
-        if self.spare_blocks < 4:
-            raise ConfigError("spare_blocks must be >= 4")
         if self.evict_batch < 1:
             raise ConfigError("evict_batch must be >= 1")
 

@@ -38,6 +38,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.ftl.mapping import ENTRY_BYTES
+from repro.util.hashing import splitmix64
 
 #: Buckets per group (the paper sets M = 32).
 DEFAULT_GROUP_SIZE = 32
@@ -46,15 +47,8 @@ DEFAULT_GROUP_SIZE = 32
 #: the group's packed value array.
 GROUP_OVERHEAD_BYTES = 8
 
-_MASK = (1 << 64) - 1
-
-
-def _hash_key(key: int) -> int:
-    """splitmix64-style mixer; block addresses are too regular for id-hash."""
-    value = (key + 0x9E3779B97F4A7C15) & _MASK
-    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK
-    return value ^ (value >> 31)
+# The home-bucket hash; block addresses are too regular for id-hash.
+_hash_key = splitmix64
 
 
 class SparseHashMap:

@@ -1,8 +1,6 @@
 """Small reusable data structures shared across the library."""
 
-from repro.util.bitmap import Bitmap
 from repro.util.bloom import BloomFilter
 from repro.util.checksum import crc32_of
-from repro.util.lru import LRUList
 
-__all__ = ["Bitmap", "BloomFilter", "LRUList", "crc32_of"]
+__all__ = ["BloomFilter", "crc32_of"]

@@ -11,20 +11,7 @@ from __future__ import annotations
 
 import math
 
-from repro.util.bitmap import Bitmap
-
-# Mixing constants from splitmix64; give well-distributed hashes for the
-# sequential-ish integer keys block addresses tend to be.
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-_MASK = (1 << 64) - 1
-
-
-def _splitmix64(value: int) -> int:
-    value = (value + 0x9E3779B97F4A7C15) & _MASK
-    value = ((value ^ (value >> 30)) * _MIX1) & _MASK
-    value = ((value ^ (value >> 27)) * _MIX2) & _MASK
-    return value ^ (value >> 31)
+from repro.util.hashing import splitmix64
 
 
 class BloomFilter:
@@ -37,37 +24,38 @@ class BloomFilter:
             raise ValueError("fp_rate must be in (0, 1)")
         ln2 = math.log(2)
         bits = int(math.ceil(-expected_items * math.log(fp_rate) / (ln2 * ln2)))
-        self._bits = Bitmap(max(bits, 8))
+        # One byte per modeled bit: setting a bit stays O(1).
+        self._bits = bytearray(max(bits, 8))
         self.num_hashes = max(1, int(round(bits / expected_items * ln2)))
         self.expected_items = expected_items
         self._count = 0
 
     def _positions(self, key: int):
         # Kirsch-Mitzenmacher double hashing: h1 + i*h2 mod m.
-        h1 = _splitmix64(key)
-        h2 = _splitmix64(h1) | 1
-        size = self._bits.size
+        h1 = splitmix64(key)
+        h2 = splitmix64(h1) | 1
+        size = len(self._bits)
         for i in range(self.num_hashes):
             yield (h1 + i * h2) % size
 
     def add(self, key: int) -> None:
         """Record ``key`` in the filter."""
         for pos in self._positions(key):
-            self._bits.set(pos)
+            self._bits[pos] = 1
         self._count += 1
 
     def might_contain(self, key: int) -> bool:
         """Return False only if ``key`` was definitely never added."""
-        return all(self._bits.test(pos) for pos in self._positions(key))
+        return all(self._bits[pos] for pos in self._positions(key))
 
     def __len__(self) -> int:
         return self._count
 
     def memory_bytes(self) -> int:
         """Bytes a C implementation would use for the bit array."""
-        return (self._bits.size + 7) // 8
+        return (len(self._bits) + 7) // 8
 
     def clear(self) -> None:
         """Reset the filter to empty."""
-        self._bits.clear_all()
+        self._bits[:] = bytes(len(self._bits))
         self._count = 0

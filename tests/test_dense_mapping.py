@@ -1,37 +1,37 @@
-"""Unit tests for the SSD's dense mapping structures."""
+"""Unit tests for the SSD's dense mapping table."""
 
 import pytest
 
 from repro.errors import InvalidAddressError
-from repro.ftl.mapping import DenseBlockMap, DensePageMap, ENTRY_BYTES
+from repro.ftl.mapping import DenseMap, ENTRY_BYTES
 
 
-class TestDensePageMap:
+class TestDenseMap:
     def test_lookup_missing(self):
-        table = DensePageMap(100)
+        table = DenseMap(100)
         assert table.lookup(5) is None
 
     def test_insert_and_lookup(self):
-        table = DensePageMap(100)
+        table = DenseMap(100)
         assert table.insert(5, 42) is None
         assert table.lookup(5) == 42
         assert 5 in table
 
     def test_insert_returns_previous(self):
-        table = DensePageMap(100)
+        table = DenseMap(100)
         table.insert(5, 42)
         assert table.insert(5, 43) == 42
         assert table.lookup(5) == 43
 
     def test_remove(self):
-        table = DensePageMap(100)
+        table = DenseMap(100)
         table.insert(5, 42)
         assert table.remove(5) == 42
         assert table.remove(5) is None
         assert 5 not in table
 
     def test_len_and_items(self):
-        table = DensePageMap(100)
+        table = DenseMap(100)
         table.insert(1, 10)
         table.insert(2, 20)
         assert len(table) == 2
@@ -40,19 +40,19 @@ class TestDensePageMap:
     def test_memory_is_capacity_proportional(self):
         # The defining property of a dense table: memory does not depend
         # on occupancy (§2: "an SSD should optimize for a dense space").
-        table = DensePageMap(1000)
+        table = DenseMap(1000)
         empty_bytes = table.memory_bytes()
         table.insert(1, 1)
         assert table.memory_bytes() == empty_bytes == 1000 * ENTRY_BYTES
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(InvalidAddressError):
-            DensePageMap(-1)
+            DenseMap(-1)
 
 
-class TestDenseBlockMap:
+class TestDenseMapByGroup:
     def test_insert_lookup_remove(self):
-        table = DenseBlockMap(10)
+        table = DenseMap(10)
         assert table.insert(3, 7) is None
         assert table.lookup(3) == 7
         assert table.insert(3, 8) == 7
@@ -60,5 +60,5 @@ class TestDenseBlockMap:
         assert table.lookup(3) is None
 
     def test_memory_is_capacity_proportional(self):
-        table = DenseBlockMap(50)
+        table = DenseMap(50)
         assert table.memory_bytes() == 50 * ENTRY_BYTES

@@ -162,3 +162,24 @@ class TestIntegrity:
             else:
                 data, _ = manager.read(lbn)
                 assert data == shadow.get(lbn)
+
+
+class TestSetReplacement:
+    def test_full_set_evicts_least_recently_touched(self):
+        manager, _ssd, disk = make_native(mode="wt", set_size=4)
+        target = manager._set_of_lbn(0)
+        capacity = len(manager._free_slots[target])
+        same_set = [lbn for lbn in range(10_000)
+                    if manager._set_of_lbn(lbn) == target][:capacity + 1]
+        for lbn in same_set:
+            disk.write(lbn, ("disk", lbn))
+        for lbn in same_set[:capacity]:
+            manager.read(lbn)
+        # A read hit refreshes the oldest block, so the second is evicted.
+        manager.read(same_set[0])
+        assert manager.stats.read_hits == 1
+        manager.read(same_set[capacity])
+        assert manager.stats.evictions == 1
+        assert same_set[0] in manager._map
+        assert same_set[1] not in manager._map
+        assert manager.cached_blocks() == capacity

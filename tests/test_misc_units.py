@@ -93,12 +93,12 @@ class TestMemoryContrast:
         """The core Table 4 claim at unit level: for sparsely cached
         data, the SSC's sparse structures cost far less than a dense
         table over the same address range would."""
-        from repro.ftl.mapping import DensePageMap
+        from repro.ftl.mapping import DenseMap
         from repro.ssc.sparse_map import SparseHashMap
 
         address_range = 10**6
         cached = 5_000
-        dense = DensePageMap(address_range)
+        dense = DenseMap(address_range)
         sparse = SparseHashMap()
         for i in range(cached):
             key = (i * 7919) % address_range

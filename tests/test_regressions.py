@@ -8,12 +8,14 @@ import random
 
 import pytest
 
+from repro.core.sharding import ShardedSSC
 from repro.errors import CacheFullError
 from repro.flash.block import BlockKind
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.hybrid import HybridFTL, HybridFTLConfig
 from repro.ftl.pagemap import PageMapFTL
+from repro.ftl.ssd import SSD
 from repro.ssc.device import SolidStateCache, SSCConfig
 from repro.ssc.log import RecordKind
 from repro.stats.counters import LatencyStats
@@ -215,3 +217,44 @@ class TestWideBlockDirtyRecovery:
         assert dirty == list(range(blocks))
         for lbn in range(blocks):
             assert ssc.read(lbn)[0] == ("v", lbn)
+
+
+class TestFtlRepr:
+    """CacheFTL inherited HybridFTL.__repr__, which reads the
+    ``logical_groups`` a cache engine does not have."""
+
+    def test_every_ftl_and_array_has_a_repr(self):
+        geometry = FlashGeometry(planes=2, blocks_per_plane=32, pages_per_block=16)
+        ssc = SolidStateCache(geometry)
+        ssc.write_dirty(3, "x")
+        assert repr(ssc.engine).startswith("CacheFTL(log_target=")
+        array = ShardedSSC([SolidStateCache(geometry) for _ in range(2)])
+        assert repr(array).startswith("ShardedSSC(shards=2,")
+        assert repr(array.engine) == "_ShardedEngineView(shards=2)"
+        assert repr(SSD(geometry=geometry).ftl).startswith("HybridFTL(groups=")
+
+
+class TestCheckpointOfTruncatedLog:
+    """A checkpoint taken right after another one, with the log already
+    truncated, was stamped seq 0."""
+
+    def test_back_to_back_checkpoints_keep_their_seq(self):
+        ssc = SolidStateCache(
+            FlashGeometry(planes=2, blocks_per_plane=32, pages_per_block=16))
+        for lbn in range(100):
+            if lbn % 3:
+                ssc.write_dirty(lbn, ("d", lbn))
+            else:
+                ssc.write_clean(lbn, ("c", lbn))
+        cached = set(ssc.engine.iter_cached_lbns())
+        dirty, _cost = ssc.exists(0, 100)
+        ssc.checkpoint_now()
+        ssc.shutdown()
+        slots = ssc.checkpoints._slots
+        assert all(slot.is_intact() for slot in slots)
+        assert [slot.seq for slot in slots] == [ssc.oplog.last_seq] * 2
+        assert ssc.oplog.last_seq > 0
+        ssc.crash()
+        ssc.recover()
+        assert set(ssc.engine.iter_cached_lbns()) == cached
+        assert ssc.exists(0, 100)[0] == dirty
