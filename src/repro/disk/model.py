@@ -70,8 +70,10 @@ class Disk:
         self.stats = DiskStats()
         self.op_recorder = OpRecorder()
         # One spindle: the disk serves a single request at a time, so
-        # concurrent cache misses queue behind each other here.
-        self.busy_until_us = 0.0
+        # concurrent cache misses queue behind each other here.  Its
+        # busy_us is the replay engine's measured busy time, as on a
+        # flash plane (stats.busy_us counts every access ever made).
+        self.reset_busy()
         self._data: Dict[int, Any] = {}
         self._head_at: Optional[int] = None  # block after the last access
 
@@ -112,6 +114,7 @@ class Disk:
     def reset_busy(self) -> None:
         """Forget availability history (new measurement epoch)."""
         self.busy_until_us = 0.0
+        self.busy_us = -0.0
 
     def resources(self) -> Dict[str, "Disk"]:
         """The spindle's availability timeline, by resource key."""

@@ -33,6 +33,7 @@ the trace before gathering statistics."
 
 from __future__ import annotations
 
+from math import copysign
 from typing import Optional, Sequence
 
 from repro.manager.base import CacheManager
@@ -40,11 +41,16 @@ from repro.sim.clock import SimClock
 from repro.sim.completion import Completion
 from repro.sim.events import EventScheduler
 from repro.stats.counters import LatencyStats, ReplayStats
-from repro.traces.record import TraceRecord
+from repro.traces.record import OpKind, TraceRecord
+
+
+#: Measured requests test their kind against this once each.
+_WRITE = OpKind.WRITE
 
 
 def _issue(manager: CacheManager, record: TraceRecord) -> Completion:
-    if record.is_write:
+    """One warm-up request (measured ones are issued inline in ``run``)."""
+    if record.op is _WRITE:
         return manager.write(record.lbn, ("w", record.lbn))
     _data, completion = manager.read(record.lbn)
     return completion
@@ -96,7 +102,6 @@ class ReplayEngine:
         self,
         completion: Completion,
         at_us: float,
-        stats: ReplayStats,
         serial: bool,
         tracer=None,
     ):
@@ -105,18 +110,19 @@ class ReplayEngine:
         Returns ``(queue_wait_us, finish_us)``.  ``queue_wait_us`` is
         the total time the request's operations spent waiting for busy
         resources; untraced service time (controller/log overhead) is
-        serial within the request and never waits.  With a ``tracer``
-        attached, each operation's op.device slice is emitted at the
-        time it actually ran on its resource's timeline.
+        serial within the request and never waits.  Each operation's
+        duration is added to its timeline's ``busy_us``, in op order.
+        With a ``tracer`` attached, each operation's op.device slice is
+        emitted at the time it actually ran on its resource's timeline.
         """
-        busy = stats.device_busy_us
+        resources = self._resources
         if serial:
             # One outstanding request: every resource is idle at
             # dispatch by construction, so nothing can queue — finish
             # is computed from the total service time alone.
             cursor = at_us
             for resource_key, kind, duration_us in completion.ops:
-                busy[resource_key] = busy.get(resource_key, 0.0) + duration_us
+                resources[resource_key].busy_us += duration_us
                 if tracer is not None:
                     tracer.emit(
                         "op.device", lane=resource_key, ts_us=cursor,
@@ -126,14 +132,13 @@ class ReplayEngine:
             return 0.0, at_us + float(completion)
         wait_us = 0.0
         cursor = at_us
-        resources = self._resources
         for resource_key, kind, duration_us in completion.ops:
             resource = resources[resource_key]
             free_us = resource.busy_until_us
             start = cursor if cursor >= free_us else free_us
             wait_us += start - cursor
             cursor = resource.busy_until_us = start + duration_us
-            busy[resource_key] = busy.get(resource_key, 0.0) + duration_us
+            resource.busy_us += duration_us
             if tracer is not None:
                 tracer.emit(
                     "op.device", lane=resource_key, ts_us=start,
@@ -176,10 +181,12 @@ class ReplayEngine:
             latency=LatencyStats(keep_samples=keep_latencies),
         )
         scheduler = EventScheduler(self.clock)
-        hits_before = self.manager.stats.read_hits
-        misses_before = self.manager.stats.read_misses
+        manager = self.manager
+        read, write = manager.read, manager.write
+        hits_before = manager.stats.read_hits
+        misses_before = manager.stats.read_misses
         start_us = self.clock.now_us
-        tracer = self.manager.tracer  # None unless instrumented
+        tracer = manager.tracer  # None unless instrumented
         arrival_origin: Optional[float] = None
         dispatch_us = start_us
         end_us = start_us
@@ -190,12 +197,12 @@ class ReplayEngine:
                 # Measurement starts here: warm-up consumed no simulated
                 # time, every resource timeline starts idle.
                 self._reset_availability()
-                hits_before = self.manager.stats.read_hits
-                misses_before = self.manager.stats.read_misses
+                hits_before = manager.stats.read_hits
+                misses_before = manager.stats.read_misses
                 start_us = self.clock.now_us
                 dispatch_us = start_us
             if index < warmup_ops:
-                completion = _issue(self.manager, record)
+                completion = _issue(manager, record)
                 if tracer is not None:
                     _trace_request(tracer, record, completion)
                 continue
@@ -215,14 +222,20 @@ class ReplayEngine:
                 dispatch_us = max(dispatch_us, arrival)
                 dispatch_wait_us = dispatch_us - arrival
             elif len(scheduler) >= self.queue_depth:
-                freed = scheduler.pop()
-                dispatch_us = max(dispatch_us, freed.time_us)
+                freed_us = scheduler.pop()
+                if freed_us > dispatch_us:
+                    dispatch_us = freed_us
 
             if tracer is not None:
                 tracer.advance_to(dispatch_us)
-            completion = _issue(self.manager, record)
+            is_write = record.op is _WRITE
+            lbn = record.lbn
+            if is_write:
+                completion = write(lbn, ("w", lbn))
+            else:
+                completion = read(lbn)[1]
             wait_us, finish_us = self._execute(
-                completion, dispatch_us, stats, serial=serial, tracer=tracer,
+                completion, dispatch_us, serial, tracer,
             )
             wait_us += dispatch_wait_us
             scheduler.schedule_at(finish_us)
@@ -230,7 +243,7 @@ class ReplayEngine:
                 end_us = finish_us
 
             stats.ops += 1
-            if record.is_write:
+            if is_write:
                 stats.writes += 1
             else:
                 stats.reads += 1
@@ -243,8 +256,8 @@ class ReplayEngine:
                 tracer.emit(
                     "op.issue", lane="requests", ts_us=dispatch_us,
                     dur_us=latency_us,
-                    kind="write" if record.is_write else "read",
-                    lbn=record.lbn, hit=completion.hit,
+                    kind="write" if is_write else "read",
+                    lbn=lbn, hit=completion.hit,
                     queue_wait_us=wait_us,
                 )
 
@@ -254,7 +267,15 @@ class ReplayEngine:
         if end_us > self.clock.now_us:
             self.clock.advance_to(end_us)
 
+        if warmup_ops < len(trace):
+            # Each timeline summed its measured ops in op order; one that
+            # ran none still holds the -0.0 that reset_busy left.
+            stats.device_busy_us = {
+                key: resource.busy_us
+                for key, resource in self._resources.items()
+                if copysign(1.0, resource.busy_us) > 0.0
+            }
         stats.elapsed_us = self.clock.now_us - start_us
-        stats.read_hits = self.manager.stats.read_hits - hits_before
-        stats.read_misses = self.manager.stats.read_misses - misses_before
+        stats.read_hits = manager.stats.read_hits - hits_before
+        stats.read_misses = manager.stats.read_misses - misses_before
         return stats

@@ -75,6 +75,7 @@ class FlashChip:
         self._oob_read_cost_us = self.timing.oob_read_cost()
         self._pages_per_plane = self.geometry.pages_per_block * self.geometry.blocks_per_plane
         self._total_pages = geo.total_pages
+        self._total_blocks = geo.total_blocks
         self._write_seq = 0
         self._build_ops()
 
@@ -82,7 +83,8 @@ class FlashChip:
 
     def block(self, pbn: int) -> EraseBlock:
         """Erase block ``pbn``."""
-        self.geometry.check_pbn(pbn)
+        if not 0 <= pbn < self._total_blocks:
+            self.geometry.check_pbn(pbn)
         return self.blocks[pbn]
 
     def locate(self, ppn: int) -> Tuple[EraseBlock, int]:
@@ -216,16 +218,18 @@ class FlashChip:
                 reads += 1
                 busy += read_cost
                 cost += read_cost
-                ops.append(read_ops[src_ppn // pages_per_plane])
+                read_op = read_ops[src_ppn // pages_per_plane]
                 seq += 1
                 if injector is not None:
                     try:
                         injector.tick(CrashPoint.BEFORE_DATA_WRITE)
                     except CrashError:
+                        ops.append(read_op)
                         if injector.torn:
                             torn_offset = offset
                         raise
                 if offset < write_pointer:
+                    ops.append(read_op)
                     raise out_of_order_program(dst_pbn, offset, write_pointer)
                 data = src.data[src_offset]
                 bit = 1 << offset
@@ -249,7 +253,7 @@ class FlashChip:
                 write_pointer = offset + 1
                 busy += write_cost
                 cost += write_cost
-                ops.append(write_op)
+                ops += (read_op, write_op)
                 if injector is not None:
                     injector.tick(CrashPoint.AFTER_DATA_WRITE)
         finally:

@@ -25,6 +25,10 @@ class Plane:
     simulated time; operations on the same plane queue behind each
     other (the event-driven replay engine places each operation at the
     later of its ready time and ``busy_until_us``, then advances it).
+    ``busy_us`` sums the durations the engine placed here since the
+    last :meth:`reset_busy`.  It is -0.0 until the first one (adding any
+    duration, 0.0 included, gives a positive-signed sum), which tells a
+    timeline that ran nothing from one whose ops took no time.
     """
 
     #: Optional trace bus (repro.obs); None keeps allocation zero-cost.
@@ -62,7 +66,7 @@ class Plane:
         ]
         heapq.heapify(self._wear_heap)
         heapq.heapify(self._hot_heap)
-        self.busy_until_us = 0.0
+        self.reset_busy()
 
     @property
     def num_blocks(self) -> int:
@@ -172,6 +176,7 @@ class Plane:
     def reset_busy(self) -> None:
         """Forget availability history (start of a measurement epoch)."""
         self.busy_until_us = 0.0
+        self.busy_us = -0.0
 
     def blocks_of_kind(self, kind: BlockKind) -> Iterable[EraseBlock]:
         """Yield this plane's blocks currently assigned role ``kind``."""

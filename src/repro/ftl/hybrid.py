@@ -62,30 +62,21 @@ class HybridFTLConfig:
 class HybridFTL:
     """Hybrid-mapped FTL over a :class:`~repro.flash.chip.FlashChip`."""
 
-    #: Optional trace bus (repro.obs).  A class attribute so the SSC's
-    #: CacheFTL subclass (which skips this __init__) inherits the
-    #: zero-cost default; set per instance by instrument_system.
+    #: Optional trace bus (repro.obs); None keeps GC zero-cost.  Set
+    #: per instance by instrument_system.
     tracer = None
 
     def __init__(self, chip: FlashChip, config: Optional[HybridFTLConfig] = None):
         self.chip = chip
         self.config = config or HybridFTLConfig()
         self.stats = FTLStats()
-        geometry = chip.geometry
-
-        total = geometry.total_blocks
+        self.pages_per_block = chip.geometry.pages_per_block
+        total = chip.geometry.total_blocks
         self.log_blocks_target = max(1, int(total * self.config.log_fraction))
-        self.logical_groups = total - self.log_blocks_target - self.config.spare_blocks
-        if self.logical_groups <= 0:
-            raise ConfigError(
-                "chip too small: no logical capacity left after reserving "
-                f"{self.log_blocks_target} log + {self.config.spare_blocks} spare blocks"
-            )
-        self.pages_per_block = geometry.pages_per_block
-        self.logical_pages = self.logical_groups * self.pages_per_block
-
-        self.data_map = DenseMap(self.logical_groups)
-        self.log_map = DenseMap(self.log_blocks_target * self.pages_per_block)
+        # What differs between the SSD and the SSC's cache engine: how
+        # the chip's blocks divide up, and the maps' types.
+        self._reserve_blocks(total)
+        self.data_map, self.log_map = self._new_maps()
         # Random log blocks in allocation (age) order; the merge victim is
         # the oldest.  FAST additionally dedicates one *sequential* log
         # block to runs that start at a group boundary, so streaming
@@ -100,6 +91,25 @@ class HybridFTL:
         self._gc_protected: set = set()
         self.wear = WearLeveler(chip, self.config.wear)
         self._allocate_hot = False
+
+    def _reserve_blocks(self, total: int) -> None:
+        """Fix the logical capacity: every block not in the log pool or
+        the spare floor backs one logical group."""
+        self.logical_groups = total - self.log_blocks_target - self.config.spare_blocks
+        if self.logical_groups <= 0:
+            raise ConfigError(
+                "chip too small: no logical capacity left after reserving "
+                f"{self.log_blocks_target} log + {self.config.spare_blocks} spare blocks"
+            )
+        self.logical_pages = self.logical_groups * self.pages_per_block
+
+    def _new_maps(self) -> Tuple[DenseMap, DenseMap]:
+        """(data_map, log_map): dense tables over the logical groups and
+        the log pool's pages."""
+        return (
+            DenseMap(self.logical_groups),
+            DenseMap(self.log_blocks_target * self.pages_per_block),
+        )
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -543,9 +553,10 @@ class HybridFTL:
         logged = []  # (source_ppn, lpn) of the sources in log blocks
         old_valid = 0 if old_pbn is None else self.chip.block(old_pbn).valid
         old_base_ppn = None if old_pbn is None else old_pbn * pages_per_block
+        log_lookup = self.log_map.lookup
         for offset in range(pages_per_block):
             lpn = base_lpn + offset
-            ppn = self.log_map.lookup(lpn)
+            ppn = log_lookup(lpn)
             if ppn is not None:
                 live.append((ppn, offset, lpn))
                 logged.append((ppn, lpn))

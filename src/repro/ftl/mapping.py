@@ -39,10 +39,10 @@ class DenseMap:
             raise InvalidAddressError("capacity must be >= 0")
         self.capacity = capacity
         self._map: Dict[int, int] = {}
-
-    def lookup(self, key: int) -> Optional[int]:
-        """Return the physical address for ``key``, or None if unmapped."""
-        return self._map.get(key)
+        #: ``lookup(key)``: the physical address for ``key``, or None if
+        #: unmapped.  The table's own ``get``, so a lookup runs no Python
+        #: frame.
+        self.lookup = self._map.get
 
     def insert(self, key: int, value: int) -> Optional[int]:
         """Map ``key`` to ``value``; returns the previous value if any."""

@@ -114,6 +114,9 @@ class NativeCacheManager(CacheManager):
         return slot // self._set_size % self.num_sets
 
     def _set_of_lbn(self, lbn: int) -> int:
+        """The set a new ``lbn`` is placed in.  A mapped lbn's slot was
+        allocated from that set, so the hot paths take a mapped lbn's
+        set from its slot (:meth:`_set_of_slot`) instead of hashing."""
         return mix64(lbn) % self.num_sets
 
     # ------------------------------------------------------------------
@@ -126,7 +129,7 @@ class NativeCacheManager(CacheManager):
         if slot is not None:
             self.stats.read_hits += 1
             data, cost = self.ssd.read(slot)
-            self._set_lru[self._set_of_lbn(lbn)].move_to_end(lbn)
+            self._set_lru[self._set_of_slot(slot)].move_to_end(lbn)
             self._dirty.touch(lbn)
             return data, cost, True
         self.stats.read_misses += 1
@@ -157,14 +160,15 @@ class NativeCacheManager(CacheManager):
 
     def _insert(self, lbn: int, data: Any, dirty: bool) -> float:
         cost = 0.0
-        set_index = self._set_of_lbn(lbn)
         slot = self._map.get(lbn)
         if slot is None:
+            set_index = self._set_of_lbn(lbn)
             slot, cost = self._allocate_slot(set_index)
             self._map[lbn] = slot
             self._slot_lbn[slot] = lbn
             cost += self._meta_update(sync=dirty, lbn=lbn)
         else:
+            set_index = self._set_of_slot(slot)
             was_dirty = lbn in self._dirty
             if was_dirty != dirty:
                 cost += self._meta_update(sync=dirty, lbn=lbn)

@@ -8,11 +8,10 @@ from repro.sim.completion import (
     OpRecorder,
 )
 from repro.sim.crash import CrashPoint, CrashInjector
-from repro.sim.events import Event, EventScheduler
+from repro.sim.events import EventScheduler
 
 __all__ = [
     "SimClock",
-    "Event",
     "EventScheduler",
     "Completion",
     "DeviceOp",

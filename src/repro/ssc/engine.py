@@ -27,7 +27,6 @@ Two policies configure eviction and log provisioning:
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum, auto
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -36,8 +35,6 @@ from repro.errors import CacheFullError, ConfigError, InvalidAddressError
 from repro.flash.block import BlockKind, EraseBlock
 from repro.flash.chip import FlashChip
 from repro.ftl.hybrid import HybridFTL, HybridFTLConfig
-from repro.ftl.base import FTLStats
-from repro.ftl.wear import WearLeveler
 from repro.ssc.log import OperationLog, RecordKind, bitmap_shift
 from repro.ssc.sparse_map import SparseHashMap
 
@@ -67,21 +64,44 @@ class CacheFTLConfig(HybridFTLConfig):
             raise ConfigError("evict_batch must be >= 1")
 
 
-class LoggedPageMap:
+class _LoggedMap:
+    """A journaling wrapper around one :class:`SparseHashMap`, ``inner``.
+
+    Only mutations are journaled, so ``lookup`` is the inner map's own,
+    bound once per inner map: a lookup runs no wrapper frame.
+    """
+
+    def __init__(self, chip: FlashChip, oplog: OperationLog):
+        self._chip = chip
+        self._log = oplog
+        self.reset()
+
+    def reset(self) -> None:
+        """Replace ``inner`` with an empty map, unjournaled (recovery
+        rebuilds the mapping through ``inner``)."""
+        self.inner = SparseHashMap()
+        self.lookup = self.inner.lookup
+
+    def __contains__(self, key: int) -> bool:
+        return key in self.inner
+
+    def __len__(self) -> int:
+        return len(self.inner)
+
+    def items(self) -> List[Tuple[int, int]]:
+        return self.inner.items()
+
+    def memory_bytes(self) -> int:
+        return self.inner.memory_bytes()
+
+
+class LoggedPageMap(_LoggedMap):
     """Sparse lbn->ppn map that journals every mutation.
 
     The dirty flag carried on insert records is read from the just-
     programmed page's OOB dirty bit, which the engine always writes
     first.
     """
-
-    def __init__(self, chip: FlashChip, oplog: OperationLog):
-        self.inner = SparseHashMap()
-        self._chip = chip
-        self._log = oplog
-
-    def lookup(self, lbn: int) -> Optional[int]:
-        return self.inner.lookup(lbn)
 
     def insert(self, lbn: int, ppn: int) -> Optional[int]:
         block, offset = self._chip.locate(ppn)
@@ -94,28 +114,14 @@ class LoggedPageMap:
             self._log.append(RecordKind.REMOVE_PAGE, lbn, previous)
         return previous
 
-    def __contains__(self, lbn: int) -> bool:
-        return lbn in self.inner
 
-    def __len__(self) -> int:
-        return len(self.inner)
-
-    def items(self) -> List[Tuple[int, int]]:
-        return self.inner.items()
-
-    def memory_bytes(self) -> int:
-        return self.inner.memory_bytes()
-
-
-class LoggedBlockMap:
+class LoggedBlockMap(_LoggedMap):
     """Sparse group->pbn map that journals mutations and keeps the
     reverse (pbn->group) index the engine needs for eviction."""
 
     def __init__(self, chip: FlashChip, oplog: OperationLog, pages_per_block: int):
-        self.inner = SparseHashMap()
+        super().__init__(chip, oplog)
         self.reverse: Dict[int, int] = {}
-        self._chip = chip
-        self._log = oplog
         self._shift = bitmap_shift(pages_per_block)
 
     def _state_bitmaps(self, pbn: int) -> int:
@@ -123,9 +129,6 @@ class LoggedBlockMap:
         (from bit :func:`~repro.ssc.log.bitmap_shift` up) into one field."""
         block = self._chip.block(pbn)
         return (block.dirty & block.valid) | block.valid << self._shift
-
-    def lookup(self, group: int) -> Optional[int]:
-        return self.inner.lookup(group)
 
     def insert(self, group: int, pbn: int) -> Optional[int]:
         self._log.append(
@@ -151,18 +154,6 @@ class LoggedBlockMap:
         """Regenerate the reverse index after recovery replay."""
         self.reverse = {pbn: group for group, pbn in self.inner.items()}
 
-    def __contains__(self, group: int) -> bool:
-        return group in self.inner
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-    def items(self) -> List[Tuple[int, int]]:
-        return self.inner.items()
-
-    def memory_bytes(self) -> int:
-        return self.inner.memory_bytes()
-
 
 class CacheFTL(HybridFTL):
     """Hybrid FTL specialized for caching (sparse, logging, eviction)."""
@@ -173,18 +164,15 @@ class CacheFTL(HybridFTL):
         oplog: OperationLog,
         config: Optional[CacheFTLConfig] = None,
     ):
-        # Deliberately not calling HybridFTL.__init__: the SSC has no
-        # fixed logical capacity, so the layout differs; the merge and
-        # log-write machinery is inherited unchanged.
-        self.chip = chip
-        self.config = config or CacheFTLConfig()
         self.oplog = oplog
-        self.stats = FTLStats()
-        geometry = chip.geometry
+        # Eviction cost incurred inside block allocation (mid-merge) is
+        # parked here and drained into the enclosing operation's cost.
+        self._pending_cost = 0.0
+        super().__init__(chip, config or CacheFTLConfig())
 
-        total = geometry.total_blocks
-        self.pages_per_block = geometry.pages_per_block
-        self.log_blocks_target = max(1, int(total * self.config.log_fraction))
+    def _reserve_blocks(self, total: int) -> None:
+        """The SSC has no fixed logical capacity; the chip must hold the
+        largest log pool the policy may grow to, plus the spare floor."""
         if self.config.policy is EvictionPolicy.MERGE:
             self.max_log_blocks = max(
                 self.log_blocks_target, int(total * self.config.max_log_fraction)
@@ -194,19 +182,13 @@ class CacheFTL(HybridFTL):
         if total <= self.max_log_blocks + self.config.spare_blocks:
             raise ConfigError("chip too small for log pool + spare blocks")
 
-        self.data_map = LoggedBlockMap(chip, oplog, self.pages_per_block)
-        self.log_map = LoggedPageMap(chip, oplog)
-        self._log_blocks = deque()
-        self._active_log: Optional[EraseBlock] = None
-        self._seq_log: Optional[EraseBlock] = None
-        self._seq_next_lpn: Optional[int] = None
-        self._last_lpn: Optional[int] = None
-        self._gc_protected: set = set()
-        self.wear = WearLeveler(chip, self.config.wear)
-        self._allocate_hot = False
-        # Eviction cost incurred inside block allocation (mid-merge) is
-        # parked here and drained into the enclosing operation's cost.
-        self._pending_cost = 0.0
+    def _new_maps(self) -> Tuple[LoggedBlockMap, LoggedPageMap]:
+        """(data_map, log_map): sparse maps keyed by disk address that
+        journal every mutation to the operation log."""
+        return (
+            LoggedBlockMap(self.chip, self.oplog, self.pages_per_block),
+            LoggedPageMap(self.chip, self.oplog),
+        )
 
     # ------------------------------------------------------------------
     # Sparse address space: any non-negative disk block number is legal.

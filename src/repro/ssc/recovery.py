@@ -178,12 +178,12 @@ def materialize(engine: "CacheFTL", state: RecoveredState) -> None:
     # when the target page corroborates them — VALID after reconcile
     # and OOB-stamped with the same logical block — so a stale entry
     # can never route reads to some other block's data.
-    engine.log_map.inner = type(engine.log_map.inner)()
+    engine.log_map.reset()
     for lbn, (ppn, _dirty) in state.page_entries.items():
         block, offset = chip.locate(ppn)
         if block.valid >> offset & 1 and block.lbns[offset] == lbn:
             engine.log_map.inner.insert(lbn, ppn)
-    engine.data_map.inner = type(engine.data_map.inner)()
+    engine.data_map.reset()
     for group, entry in state.block_entries.items():
         engine.data_map.inner.insert(group, entry.pbn)
     engine.data_map.rebuild_reverse()

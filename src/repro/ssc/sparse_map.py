@@ -149,9 +149,9 @@ class SparseHashMap:
     def _place(self, key: int, value: int) -> None:
         """Put an absent ``key`` in the first empty bucket of its run.
 
-        Bulk callers (:meth:`_grow`, :meth:`_rehash_cluster_after`) use
-        this directly — re-placement can never push the table past
-        ``max_load``, so re-checking per entry would be pure overhead.
+        :meth:`_grow` uses this directly — re-placement can never push
+        the table past ``max_load``, so re-checking per entry would be
+        pure overhead.
         """
         mask = self._buckets - 1
         home = _hash_key(key) & mask
@@ -184,21 +184,28 @@ class SparseHashMap:
         the removed bucket lives in the contiguous occupied run that
         follows it.  Clearing that run and re-placing its keys in
         bucket order restores the invariant that every entry is
-        reachable from its hash position.
+        reachable from its hash position.  A key's home bucket is read
+        back from its stored entry, ``bucket - probes + 1``, not hashed
+        again: the bucket count cannot change during a delete.
         """
-        start = (bucket + 1) & (self._buckets - 1)
+        mask = self._buckets - 1
+        start = (bucket + 1) & mask
         end = self._first_empty(start)
         spans = [(start, end)] if end >= start else [
             (start, self._buckets), (0, end)]
-        keys = self._keys
+        keys, occupied, entries = self._keys, self._occupied, self._entries
         displaced: List[int] = []
         for low, high in spans:
             displaced += keys[low:high]
             keys[low:high] = [None] * (high - low)
-            self._occupied[low:high] = bytes(high - low)
-        entries = self._entries
+            occupied[low:high] = bytes(high - low)
         for key in displaced:
-            self._place(key, entries[key][2])
+            old, probes, value = entries[key]
+            home = (old - probes + 1) & mask
+            new = self._first_empty(home)
+            occupied[new] = 1
+            keys[new] = key
+            entries[key] = (new, ((new - home) & mask) + 1, value)
 
     def _grow(self) -> None:
         entries = self.items()

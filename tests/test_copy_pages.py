@@ -17,6 +17,7 @@ from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import TimingModel
 from repro.ftl.ssd import SSD
+from repro.sim.completion import DeviceOp
 from repro.sim.crash import CrashInjector
 from repro.ssc.recovery import _page_intact
 from repro.util.checksum import crc32_of_payload
@@ -150,6 +151,11 @@ def test_float_sums_match_per_page_loop_for_any_timing():
         assert total != round(total, 3)  # the sums carry float error
 
 
+#: A page read (77 us) and program (97 us) on the test chip's planes.
+_READ = {plane: DeviceOp(f"plane:{plane}", "page_read", 77.0) for plane in (0, 2)}
+_WRITE = DeviceOp("plane:1", "page_write", 97.0)
+
+
 def _advance_write_pointer(chip):
     for offset in range(3):
         chip.program_page(DST_PBN * PPB + offset, "old", offset, seq=chip.next_seq())
@@ -162,7 +168,7 @@ def test_copy_below_write_pointer_is_rejected_like_per_page():
     assert bulk[1] is WriteToNonErasedPageError
     assert bulk == per_page
     # The first copy landed; the rejected one was read but not programmed.
-    assert [op.kind for op in bulk[2]] == ["page_read", "page_write", "page_read"]
+    assert bulk[2] == (_READ[0], _WRITE, _READ[0])
 
 
 def _crash_boundaries(copies):
@@ -185,6 +191,18 @@ def test_crash_at_every_program_boundary_matches_per_page(torn):
         bulk, per_page = results
         assert bulk[1] is CrashError, after
         assert bulk == per_page, after
+
+
+@pytest.mark.parametrize("torn", [False, True], ids=["clean", "torn"])
+def test_copy_interrupted_before_a_program_records_its_read(torn):
+    """A crash at the third page's BEFORE_DATA_WRITE boundary: two whole
+    copies, then the third page's read alone (ops pinned as a per-op
+    recording gave them)."""
+    injector = CrashInjector()
+    injector.arm(after_events=4, torn=torn)
+    _cost, error, ops, _state = _run(_bulk_copy, RUNS["two_planes"], injector=injector)
+    assert error is CrashError
+    assert ops == (_READ[2], _WRITE, _READ[0], _WRITE, _READ[2])
 
 
 def _full_merge_ssd(shard=None):

@@ -57,6 +57,61 @@ class TestSerialEquivalence:
         assert concurrent.read_misses == serial.read_misses
 
 
+class TestBusyTime:
+    """Each timeline's measured busy time is its ops' durations summed in
+    op order, over the measured requests only."""
+
+    @pytest.mark.parametrize("kind, shards", [
+        (SystemKind.NATIVE, 1), (SystemKind.SSC_R, 4),
+    ], ids=["native", "ssc-r-4-shards"])
+    def test_busy_time_sums_measured_ops_in_op_order(self, kind, shards):
+        records = _trace(HOMES, scale=0.03, seed=3)
+        system = build_system(SystemConfig(
+            kind=kind, mode=CacheMode.WRITE_BACK, cache_blocks=2048,
+            disk_blocks=50_000, shards=shards,
+        ))
+        manager = system.manager
+        completions = []
+
+        def recording(issue, pick=lambda result: result):
+            def issue_and_keep(*args):
+                result = issue(*args)
+                completions.append(pick(result))
+                return result
+            return issue_and_keep
+
+        manager.read = recording(manager.read, pick=lambda result: result[1])
+        manager.write = recording(manager.write)
+        warmup = 0.15
+        stats = ReplayEngine(manager, queue_depth=8).run(records, warmup_fraction=warmup)
+        expected = {}
+        for completion in completions[int(len(records) * warmup):]:
+            for resource, _kind, duration_us in completion.ops:
+                expected[resource] = expected.get(resource, 0.0) + duration_us
+        assert len(completions) == len(records)
+        assert stats.device_busy_us == expected
+        assert all(type(busy) is float for busy in stats.device_busy_us.values())
+        if shards > 1:
+            assert {key.split(":")[0] for key in expected} >= {"s0", "s3", "disk"}
+
+    def test_idle_timeline_is_left_out_and_zero_time_ops_count(self):
+        plane, idle, disk = Plane(0, []), Plane(1, []), Disk(100)
+        manager = SimpleNamespace(
+            stats=SimpleNamespace(read_hits=0, read_misses=0), tracer=None,
+            resources=lambda: {"plane:0": plane, "plane:1": idle, "disk": disk},
+            read=None, write=lambda lbn, data: next(completions),
+        )
+        trace = [TraceRecord(OpKind.WRITE, lbn) for lbn in (1, 2)]
+        for depth in (1, 2):
+            # The serial and the queued placement both keep these sums.
+            completions = iter([
+                Completion(0.0, (DeviceOp("plane:0", "page_read", 0.0),)),
+                Completion(5.0, (DeviceOp("disk", "write", 5.0),)),
+            ])
+            stats = ReplayEngine(manager, queue_depth=depth).run(trace)
+            assert stats.device_busy_us == {"plane:0": 0.0, "disk": 5.0}, depth
+
+
 class TestConcurrency:
     def test_deeper_queue_raises_iops_on_read_heavy_workload(self):
         # Read-heavy and cache-resident: flash planes are the binding
@@ -111,6 +166,7 @@ class TestConcurrency:
         manager = SimpleNamespace(
             stats=SimpleNamespace(read_hits=0, read_misses=0), tracer=None,
             resources=lambda: {"plane:0": plane, "disk": disk},
+            read=None,  # the engine binds both entry points up front
             write=lambda lbn, data: next(completions),
         )
         trace = [TraceRecord(OpKind.WRITE, lbn) for lbn in (1, 2)]

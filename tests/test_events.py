@@ -26,25 +26,30 @@ class TestSimClock:
 class TestEventScheduler:
     def test_pops_in_time_order_and_advances_clock(self):
         scheduler = EventScheduler()
-        scheduler.schedule_at(30.0, "late")
-        scheduler.schedule_at(10.0, "early")
-        scheduler.schedule_at(20.0, "middle")
-        assert [scheduler.pop().payload for _ in range(3)] == [
-            "early", "middle", "late",
-        ]
-        assert scheduler.clock.now_us == 30.0
+        for time_us in (30.0, 10.0, 20.0):
+            assert scheduler.schedule_at(time_us) is None
+        popped = []
+        for _ in range(3):
+            popped.append(scheduler.pop())
+            assert scheduler.clock.now_us == popped[-1]
+        assert popped == [10.0, 20.0, 30.0]
+        assert len(scheduler) == 0
 
-    def test_ties_break_by_schedule_order(self):
+    def test_equal_times_both_pop(self):
         scheduler = EventScheduler()
-        scheduler.schedule_at(5.0, "first")
-        scheduler.schedule_at(5.0, "second")
-        assert scheduler.pop().payload == "first"
-        assert scheduler.pop().payload == "second"
+        scheduler.schedule_at(5.0)
+        scheduler.schedule_at(5.0)
+        assert len(scheduler) == 2
+        assert [scheduler.pop(), scheduler.pop()] == [5.0, 5.0]
+        assert scheduler.clock.now_us == 5.0
 
     def test_rejects_past_times(self):
         scheduler = EventScheduler(SimClock(start_us=100.0))
         with pytest.raises(ValueError):
             scheduler.schedule_at(99.0)
+        assert len(scheduler) == 0
+        scheduler.schedule_at(100.0)  # the present is not the past
+        assert scheduler.pop() == 100.0
 
     def test_pop_when_idle_raises(self):
         with pytest.raises(IndexError):

@@ -183,3 +183,21 @@ class TestSetReplacement:
         assert same_set[0] in manager._map
         assert same_set[1] not in manager._map
         assert manager.cached_blocks() == capacity
+
+    def test_mapped_slot_lies_in_the_lbns_set(self):
+        """Hits and re-writes find a mapped lbn's set from its slot, so
+        every mapped slot must lie in the set its lbn hashes to."""
+        manager, _ssd, _disk = make_native(mode="wb", set_size=8)
+        rng = random.Random(5)
+        for i in range(6000):
+            lbn = rng.randrange(3000)
+            if rng.random() < 0.6:
+                manager.write(lbn, ("v", i))
+            else:
+                manager.read(lbn)
+        assert manager.stats.evictions > 0
+        assert manager.stats.read_hits > 0
+        for lbn, slot in manager._map.items():
+            set_index = manager._set_of_lbn(lbn)
+            assert manager._set_of_slot(slot) == set_index
+            assert lbn in manager._set_lru[set_index]

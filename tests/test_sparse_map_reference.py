@@ -185,3 +185,27 @@ def test_wrapping_runs_match_group_table():
                    for _step in range(150)]
             wrapped += _run(ops, buckets, group_size, 0.9)
         assert wrapped, f"no wrapping run at group_size={group_size}"
+
+
+def test_delete_whose_displaced_run_wraps_matches_group_table():
+    """Four keys homed at bucket 14 of 16 fill 14, 15, 0 and 1; keys homed
+    at 15 and 0 follow at 2 and 3.  Removing the key at 14 displaces the
+    run 15..3, which wraps past the last bucket; removing the one at 15
+    displaces 0..3, which starts past it.  Every displaced key is
+    re-placed from its stored probe count and must land, and count its
+    probes, as the group table does."""
+    mask = 15
+    by_home = {}
+    for key in range(10_000):
+        by_home.setdefault(_hash_key(key) & mask, []).append(key)
+    run = by_home[14][:4] + by_home[15][:1] + by_home[0][:1]
+    inserts = [("insert", key, index) for index, key in enumerate(run)]
+    lookups = [("lookup", key, 0) for key in run]
+    for group_size in (1, 8, 16):
+        table = SparseHashMap(16, group_size, 0.9)
+        for _op, key, value in inserts:
+            table.insert(key, value)
+        assert [table._entries[key][0] for key in run] == [14, 15, 0, 1, 2, 3]
+        for victim in run[:2]:
+            ops = inserts + [("remove", victim, 0)] + lookups
+            assert _run(ops, 16, group_size, 0.9)

@@ -8,6 +8,7 @@ from repro.errors import CacheFullError, ConfigError, InvalidAddressError
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import TimingModel
+from repro.ftl.hybrid import HybridFTL
 from repro.ssc.device import SolidStateCache
 from repro.ssc.engine import CacheFTL, CacheFTLConfig, EvictionPolicy
 from repro.ssc.log import NullOperationLog
@@ -31,6 +32,22 @@ class TestConfig:
         engine = make_engine()
         with pytest.raises(InvalidAddressError):
             engine.write(-1, "x")
+
+
+    def test_shares_the_hybrid_ftl_initializer(self):
+        """The SSC engine runs the SSD FTL's initializer: beyond what
+        each adds, the two hold the same fields."""
+        hybrid = HybridFTL(FlashChip(FlashGeometry(planes=4, blocks_per_plane=16,
+                                                   pages_per_block=8)))
+        engine = make_engine()
+        assert set(vars(hybrid)) - set(vars(engine)) == {"logical_groups", "logical_pages"}
+        assert set(vars(engine)) - set(vars(hybrid)) == {
+            "oplog", "max_log_blocks", "_pending_cost"}
+        assert type(engine.config) is CacheFTLConfig
+
+    def test_too_small_chip_rejected(self):
+        with pytest.raises(ConfigError, match="log pool"):
+            make_engine(policy=EvictionPolicy.MERGE, planes=1, blocks=8)
 
 
 class TestSilentEviction:

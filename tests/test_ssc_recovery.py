@@ -194,6 +194,27 @@ class TestRecoveryMechanics:
             hits += 1
         assert hits > 0
 
+    def test_lookups_go_to_the_rebuilt_maps(self, medium_geometry):
+        ssc = SolidStateCache.ssc(medium_geometry)
+        for lbn in range(300):
+            ssc.write_dirty(lbn, ("d", lbn))
+        engine = ssc.engine
+        before = (engine.log_map.inner, engine.data_map.inner)
+        ssc.crash()
+        ssc.recover()
+        rebuilt = (engine.log_map.inner, engine.data_map.inner)
+        assert not set(map(id, rebuilt)) & set(map(id, before))
+        stale = [inner.total_lookups for inner in before]
+        counted = [inner.total_lookups for inner in rebuilt]
+        for lbn in range(300):
+            assert ssc.read(lbn)[0] == ("d", lbn)
+        assert [inner.total_lookups for inner in before] == stale
+        assert all(
+            inner.total_lookups > count for inner, count in zip(rebuilt, counted)
+        )
+        for logged in (engine.log_map, engine.data_map):
+            assert logged.lookup.__self__ is logged.inner
+
     def test_double_crash_recover(self, ssc):
         ssc.write_dirty(1, "a")
         ssc.crash()
