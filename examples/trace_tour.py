@@ -10,7 +10,7 @@ every export path the observability layer offers:
    GC merges and log flushes on labeled timeline lanes;
 2. the raw event stream as JSON Lines — input for
    ``python -m repro trace report``;
-3. a metrics-registry snapshot (every counter documented in
+3. a metrics snapshot (every counter documented in
    docs/metrics.md) as JSON;
 4. the write-amplification breakdown, computed here from the captured
    events exactly the way ``repro trace report`` does it.
@@ -85,7 +85,7 @@ def main() -> None:
     print(f"wrote {len(tracer.ring):,} events -> {events_path}")
     print(f"  summarize with: python -m repro trace report {events_path}")
 
-    # Export 3: metrics snapshot from the documented registry.
+    # Export 3: snapshot of every metric the catalog documents.
     snapshot = collect(system, stats)
     metrics_path.write_text(json.dumps(snapshot.to_dict(), indent=2,
                                        sort_keys=True) + "\n")

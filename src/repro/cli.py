@@ -17,11 +17,13 @@ file (``--trace``), in the native line format or MSR Cambridge CSV
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import List, Optional, Sequence
 
 from repro import CacheMode, SystemConfig, SystemKind, build_system
 from repro.core.flashtier import member_cache_blocks
+from repro.errors import ConfigError
 from repro.stats.report import format_table
 from repro.traces.analyze import analyze
 from repro.traces.filefmt import read_trace, write_trace
@@ -106,6 +108,19 @@ def _add_shard_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _reports_config_errors(command):
+    """Make ``command`` print a :class:`ConfigError` (a cache too small
+    for its system, a bad shard count) as ``error: ...`` and return 1."""
+    @functools.wraps(command)
+    def run(args) -> int:
+        try:
+            return command(args)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    return run
+
+
 def cmd_workloads(_args) -> int:
     rows = []
     for name in sorted(PROFILES):
@@ -142,6 +157,7 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+@_reports_config_errors
 def cmd_replay(args) -> int:
     records = _load_records(args)
     kind = SystemKind(args.system)
@@ -174,6 +190,9 @@ def cmd_replay(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if tracer is not None:
+            tracer.close()
 
     if tracer is not None:
         from repro.obs import write_chrome_trace
@@ -184,7 +203,6 @@ def cmd_replay(args) -> int:
             note = f" ({dropped:,} oldest events dropped)" if dropped else ""
             print(f"wrote {entries:,} Chrome trace entries to "
                   f"{args.trace_out}{note}")
-        tracer.close()
         if args.events_out:
             print(f"wrote {tracer.events_emitted:,} events to {args.events_out}")
     if args.metrics:
@@ -231,6 +249,7 @@ def cmd_replay(args) -> int:
     return 0
 
 
+@_reports_config_errors
 def cmd_compare(args) -> int:
     records = _load_records(args)
     rows = []
@@ -256,6 +275,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
+@_reports_config_errors
 def cmd_recover(args) -> int:
     records = _load_records(args)
     system = build_system(_system_config(args, SystemKind.SSC, records))
@@ -320,7 +340,7 @@ def cmd_obs_schema(args) -> int:
                 file=sys.stderr,
             )
             return 1
-        print(f"{target} matches the registry")
+        print(f"{target} matches the catalog")
         return 0
     if args.output:
         with open(args.output, "w") as handle:
@@ -411,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay.add_argument(
         "--metrics", default=None, metavar="FILE",
-        help="write the metrics-registry snapshot (JSON) to FILE",
+        help="write the metrics snapshot (JSON) to FILE",
     )
     replay.set_defaults(func=cmd_replay)
 

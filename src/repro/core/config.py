@@ -65,9 +65,6 @@ class SystemConfig:
     dirty_threshold: float = 0.20
     planes: int = 10
     pages_per_block: int = 16
-    page_size: int = 4096
-    oob_bytes: int = 224
-    seed: int = 0
     shards: int = 1
     routing: str = "stripe"
 

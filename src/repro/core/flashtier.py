@@ -16,7 +16,6 @@ from repro.core.sharding import ShardedSSC, ShardedSSD
 from repro.disk.model import Disk
 from repro.engine.replay import ReplayEngine
 from repro.flash.geometry import FlashGeometry
-from repro.ftl.hybrid import HybridFTLConfig
 from repro.ftl.ssd import SSD
 from repro.manager.base import CacheManager
 from repro.manager.native import NativeCacheManager, NativeConfig
@@ -65,15 +64,15 @@ def member_cache_blocks(config: SystemConfig, shard_count: int = 1) -> int:
 
 def cache_geometry(config: SystemConfig, shard_count: int = 1) -> FlashGeometry:
     """Flash geometry of one cache device: :func:`member_cache_blocks`
-    with ``capacity_slack``."""
+    with ``capacity_slack``, in 4 KB pages with the paper's 224-byte
+    out-of-band area (its size sets the cost of Fig. 5's OOB scan)."""
     blocks = member_cache_blocks(config, shard_count)
-    capacity = int(blocks * config.capacity_slack) * config.page_size
     return FlashGeometry.for_capacity(
-        capacity,
+        int(blocks * config.capacity_slack) * 4096,
         planes=config.planes,
         pages_per_block=config.pages_per_block,
-        page_size=config.page_size,
-        oob_bytes=config.oob_bytes,
+        page_size=4096,
+        oob_bytes=224,
     )
 
 
@@ -147,7 +146,7 @@ def build_system(config: SystemConfig) -> FlashTierSystem:
 def _cache_device(config: SystemConfig, geometry: FlashGeometry):
     """One cache device of the kind ``config`` selects."""
     if config.kind is SystemKind.NATIVE:
-        return SSD(geometry=geometry, config=HybridFTLConfig())
+        return SSD(geometry=geometry)
     policy = (
         EvictionPolicy.MERGE if config.kind is SystemKind.SSC_R else EvictionPolicy.UTIL
     )

@@ -205,7 +205,6 @@ class ShardedSSC:
     def __init__(
         self,
         shards: Sequence[SolidStateCache],
-        router: Optional[ShardRouter] = None,
         routing: str = "stripe",
     ):
         if not shards:
@@ -217,14 +216,7 @@ class ShardedSSC:
                 raise ConfigError(
                     "array shards must share one erase-block geometry"
                 )
-        self.router = router or ShardRouter(
-            len(self.shards), routing, pages_per_block
-        )
-        if self.router.shards != len(self.shards):
-            raise ConfigError(
-                f"router covers {self.router.shards} shards, "
-                f"array has {len(self.shards)}"
-            )
+        self.router = ShardRouter(len(self.shards), routing, pages_per_block)
         for shard_id, shard in enumerate(self.shards):
             if not shard.name:
                 shard.set_name(f"shard{shard_id}")

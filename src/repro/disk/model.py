@@ -125,9 +125,5 @@ class Disk:
         self._check(lbn)
         return self._data.get(lbn)
 
-    def occupied_blocks(self) -> int:
-        """Number of blocks ever written."""
-        return len(self._data)
-
     def __repr__(self) -> str:
         return f"Disk(capacity={self.capacity_blocks} blocks, used={len(self._data)})"

@@ -61,11 +61,6 @@ class FlashGeometry:
         if not 0 <= pbn < self.total_blocks:
             raise InvalidAddressError(f"pbn {pbn} out of range [0, {self.total_blocks})")
 
-    def pbn_to_plane(self, pbn: int) -> int:
-        """Plane index owning block ``pbn``."""
-        self.check_pbn(pbn)
-        return pbn // self.blocks_per_plane
-
     def make_ppn(self, pbn: int, offset: int) -> int:
         """Compose a PPN from a block number and in-block page offset."""
         self.check_pbn(pbn)
@@ -74,16 +69,6 @@ class FlashGeometry:
                 f"page offset {offset} out of range [0, {self.pages_per_block})"
             )
         return pbn * self.pages_per_block + offset
-
-    def make_pbn(self, plane: int, block: int) -> int:
-        """Compose a PBN from a plane index and in-plane block index."""
-        if not 0 <= plane < self.planes:
-            raise InvalidAddressError(f"plane {plane} out of range [0, {self.planes})")
-        if not 0 <= block < self.blocks_per_plane:
-            raise InvalidAddressError(
-                f"block {block} out of range [0, {self.blocks_per_plane})"
-            )
-        return plane * self.blocks_per_plane + block
 
     def blocks_in_plane(self, plane: int):
         """Iterate PBNs belonging to ``plane``."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import InvalidAddressError
 from repro.flash.block import BlockKind, EraseBlock
@@ -116,14 +116,6 @@ class Plane:
             )
         return block
 
-    def free_pbns(self):
-        """Iterate the free blocks' numbers (oldest-freed first)."""
-        seen: Set[int] = set()
-        for pbn in self._free:
-            if pbn in self._free_set and pbn not in seen:
-                seen.add(pbn)
-                yield pbn
-
     def least_worn_free(self) -> Optional[int]:
         """PBN of the free block with the lowest (erase_count, pbn), or None."""
         heap = self._wear_heap
@@ -177,10 +169,6 @@ class Plane:
         """Forget availability history (start of a measurement epoch)."""
         self.busy_until_us = 0.0
         self.busy_us = -0.0
-
-    def blocks_of_kind(self, kind: BlockKind) -> Iterable[EraseBlock]:
-        """Yield this plane's blocks currently assigned role ``kind``."""
-        return (block for block in self.blocks.values() if block.kind is kind)
 
     def __repr__(self) -> str:
         return (

@@ -36,6 +36,9 @@ from repro.util.hashing import mix64
 #: block number, checksum, LRU indexes and block state").
 HOST_ENTRY_BYTES = 22
 
+#: Clean-insert metadata updates batched into one journal page write.
+CLEAN_META_BATCH = 32
+
 
 @dataclass(frozen=True)
 class NativeConfig:
@@ -45,7 +48,6 @@ class NativeConfig:
     set_size: int = 64             # SSD blocks per associativity set
     dirty_threshold: float = 0.20  # clean LRU dirty blocks above this
     consistency: bool = True       # persist metadata (write-back only)
-    clean_meta_batch: int = 32     # clean-insert metadata updates per flush
     meta_fraction: float = 0.02    # share of SSD logical space for metadata
 
     def __post_init__(self):
@@ -55,8 +57,6 @@ class NativeConfig:
             raise ConfigError("set_size must be >= 1")
         if not 0.0 < self.dirty_threshold <= 1.0:
             raise ConfigError("dirty_threshold must be in (0, 1]")
-        if self.clean_meta_batch < 1:
-            raise ConfigError("clean_meta_batch must be >= 1")
         if not 0.0 < self.meta_fraction < 0.5:
             raise ConfigError("meta_fraction must be in (0, 0.5)")
 
@@ -251,14 +251,14 @@ class NativeCacheManager(CacheManager):
         write immediately — except that a run of *sequential* blocks
         coalesces into one metadata page (§6.4: the native system
         "batches sequential metadata updates").  Clean-insert updates
-        batch ``clean_meta_batch`` entries per page.  Write-through mode
+        batch :data:`CLEAN_META_BATCH` entries per page.  Write-through mode
         and no-consistency configurations skip persistence entirely.
         """
         if self.config.mode == "wt" or not self.config.consistency:
             return 0.0
         if not sync:
             self._pending_clean_meta += 1
-            if self._pending_clean_meta < self.config.clean_meta_batch:
+            if self._pending_clean_meta < CLEAN_META_BATCH:
                 return 0.0
             self._pending_clean_meta = 0
         elif (
@@ -286,9 +286,6 @@ class NativeCacheManager(CacheManager):
 
     def cached_blocks(self) -> int:
         return len(self._map)
-
-    def dirty_blocks(self) -> int:
-        return len(self._dirty)
 
     def host_memory_bytes(self) -> int:
         """22 bytes for every cached block, clean or dirty (§6.3)."""

@@ -48,15 +48,12 @@ class WriteBackConfig:
     """
 
     dirty_threshold: float = 0.20  # of the SSC's raw page capacity
-    clean_run_limit: int = 32      # longest contiguous run cleaned at once
     reclaim: str = "clean"
     verify_checksums: bool = False  # check dirty data before write-back
 
     def __post_init__(self):
         if not 0.0 < self.dirty_threshold <= 1.0:
             raise ConfigError("dirty_threshold must be in (0, 1]")
-        if self.clean_run_limit < 1:
-            raise ConfigError("clean_run_limit must be >= 1")
         if self.reclaim not in ("clean", "evict"):
             raise ConfigError("reclaim must be 'clean' or 'evict'")
 
@@ -124,7 +121,7 @@ class FlashTierWBManager(CacheManager):
             lbn = self.dirty_table.lru_block()
             if lbn is None:
                 break
-            run = self.dirty_table.contiguous_run(lbn, self.config.clean_run_limit)
+            run = self.dirty_table.contiguous_run(lbn)
             for run_lbn in run:
                 cost += self._clean_block(run_lbn)
         return cost

@@ -1,13 +1,13 @@
-"""Unified observability: structured tracing + a documented metrics registry.
+"""Unified observability: structured tracing + documented metric snapshots.
 
 Three pieces (see ``docs/observability.md``):
 
 * the **trace bus** — :class:`Tracer`, typed :class:`TraceEvent`\\ s,
   ring-buffer/JSONL sinks and a Chrome ``trace_event`` exporter
   (:func:`write_chrome_trace`) for Perfetto;
-* the **metrics registry** — declared counters/gauges/histograms with
-  monoid snapshot/diff/merge (:func:`collect` populates one from a
-  system's layer counters);
+* the **metric snapshots** — :func:`collect` reads every cataloged
+  counter, gauge and histogram from a system's layer counters into a
+  :class:`MetricsSnapshot` with monoid merge/diff;
 * the **schema** — every event and metric is declared with a prose
   description, and :func:`metrics_markdown` regenerates
   ``docs/metrics.md`` from those declarations (CI checks for drift).
@@ -17,15 +17,9 @@ package; emitting classes carry ``tracer = None`` and
 :func:`instrument_system` flips them to a live tracer.
 """
 
-from repro.obs.catalog import LATENCY_BUCKETS_US, METRICS, build_registry, collect
+from repro.obs.catalog import LATENCY_BUCKETS_US, METRICS, collect
 from repro.obs.events import EVENT_TYPES, EventSpec, declare_event
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsSnapshot,
-)
+from repro.obs.metrics import MetricsSnapshot
 from repro.obs.report import format_report, load_events, summarize
 from repro.obs.schema import metrics_markdown
 from repro.obs.trace import (
@@ -44,12 +38,7 @@ __all__ = [
     "declare_event",
     "LATENCY_BUCKETS_US",
     "METRICS",
-    "build_registry",
     "collect",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "MetricsSnapshot",
     "format_report",
     "load_events",

@@ -15,8 +15,8 @@ class that accumulates it (:class:`~repro.manager.base.ManagerStats`,
 :func:`~repro.stats.counters.gauge`.  The catalog and :func:`collect`
 derive from those fields; only the metrics that are not fields are
 declared here.  The hot paths keep bumping plain attributes, and
-:func:`collect` copies them into a freshly built registry after a run,
-so exporting metrics costs nothing while the simulation executes.
+:func:`collect` reads them into a snapshot after a run, so exporting
+metrics costs nothing while the simulation executes.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Any, List, Optional, Tuple
 from repro.flash.chip import FlashStats
 from repro.ftl.base import FTLStats
 from repro.manager.base import ManagerStats
-from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
+from repro.obs.metrics import MetricsSnapshot, histogram
 from repro.ssc.checkpoint import CheckpointStore
 from repro.ssc.log import OperationLog
 from repro.stats.counters import ReplayStats, metric_fields
@@ -70,26 +70,10 @@ METRICS: List[Tuple] = [
 ]
 
 
-def build_registry() -> MetricsRegistry:
-    """A fresh registry with every cataloged metric declared (at zero)."""
-    registry = MetricsRegistry()
-    for entry in METRICS:
-        name, kind, description = entry[0], entry[1], entry[2]
-        if kind == "counter":
-            registry.counter(name, description)
-        elif kind == "gauge":
-            registry.gauge(name, description)
-        elif kind == "histogram":
-            registry.histogram(name, description, entry[3])
-        else:  # pragma: no cover - catalog integrity
-            raise ValueError(f"unknown metric kind {kind!r} for {name!r}")
-    return registry
-
-
 def collect(system: Any,
             replay_stats: Optional[Any] = None) -> MetricsSnapshot:
-    """Populate a registry from ``system``'s layer counters and return
-    the snapshot.
+    """The snapshot of every cataloged metric, read from ``system``'s
+    layer counters.
 
     ``system`` is a :class:`~repro.core.flashtier.FlashTierSystem` (or
     anything exposing ``manager``/``device``); sharded arrays are
@@ -98,9 +82,11 @@ def collect(system: Any,
     summed.  ``replay_stats`` (a
     :class:`~repro.stats.counters.ReplayStats`) adds the replay-level
     results; the latency histogram fills only when the replay kept its
-    samples.
+    samples.  Counters add across sources; a gauge takes the value of
+    the last source that reports it.
     """
-    registry = build_registry()
+    counters = {entry[0]: 0.0 for entry in METRICS if entry[1] == "counter"}
+    gauges = {entry[0]: 0.0 for entry in METRICS if entry[1] == "gauge"}
     manager = system.manager
     device = system.device
 
@@ -114,17 +100,13 @@ def collect(system: Any,
         sources.append(("replay", replay_stats))
     for prefix, stats in sources:
         for name, kind, _ in metric_fields(stats):
-            metric = registry.get(f"{prefix}.{name}")
             if kind == "counter":
-                metric.inc(getattr(stats, name))
+                counters[f"{prefix}.{name}"] += getattr(stats, name)
             else:
-                metric.set(getattr(stats, name))
+                gauges[f"{prefix}.{name}"] = float(getattr(stats, name))
 
-    registry.get("memory.device_bytes").set(device.device_memory_bytes())
-    registry.get("memory.host_bytes").set(manager.host_memory_bytes())
-    if replay_stats is not None:
-        histogram = registry.get("replay.latency_us")
-        for sample in replay_stats.latency.samples:
-            histogram.observe(sample)
-
-    return registry.snapshot()
+    gauges["memory.device_bytes"] = float(device.device_memory_bytes())
+    gauges["memory.host_bytes"] = float(manager.host_memory_bytes())
+    samples = replay_stats.latency.samples if replay_stats is not None else ()
+    latency = histogram(LATENCY_BUCKETS_US, samples)
+    return MetricsSnapshot(counters, gauges, {"replay.latency_us": latency})

@@ -25,11 +25,6 @@ class SimClock:
         """Current simulated time in microseconds."""
         return self._now_us
 
-    @property
-    def now_s(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now_us / 1e6
-
     def advance(self, delta_us: float) -> float:
         """Advance time by ``delta_us`` microseconds; returns new time.
 

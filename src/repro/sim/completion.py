@@ -114,17 +114,6 @@ class Completion(float):
         self.hit = hit
         return self
 
-    @property
-    def disk_us(self) -> float:
-        """Service time spent on the disk tier."""
-        return sum(op.duration_us for op in self.ops if op.resource == DISK_RESOURCE)
-
-    @property
-    def flash_us(self) -> float:
-        """Service time spent occupying flash planes (every op not on
-        the disk, whatever shard namespace its plane key carries)."""
-        return sum(op.duration_us for op in self.ops if op.resource != DISK_RESOURCE)
-
     def __repr__(self) -> str:
         return (
             f"Completion({float(self):.1f}us, ops={len(self.ops)}, "

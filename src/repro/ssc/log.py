@@ -153,11 +153,6 @@ class OperationLog:
         """Sequence number of the most recently appended record."""
         return self._next_seq - 1
 
-    @property
-    def last_flushed_seq(self) -> int:
-        """Sequence number of the most recent *durable* record."""
-        return self.flushed[-1].seq if self.flushed else 0
-
     def append(self, kind: RecordKind, lbn: int, ppn: int = 0, extra: int = 0) -> LogRecord:
         """Buffer a record; it becomes durable at the next flush."""
         seq = self._next_seq

@@ -138,6 +138,38 @@ class TestErrors:
         assert "queue_depth=8" in captured.err
         assert "IOPS:" not in captured.out
 
+    # homes at scale 0.02 provisions fewer blocks than SSC-R's log pool
+    # and spare blocks need; a bad shard count fails SystemConfig.
+    @pytest.mark.parametrize("argv", [
+        ["replay", "--workload", "homes", "--scale", "0.02"],
+        ["compare", "--workload", "homes", "--scale", "0.02"],
+        ["recover", "--workload", "homes", "--scale", "0.02", "--shards", "0"],
+    ], ids=["replay", "compare", "recover"])
+    def test_config_error_reported(self, argv, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_failed_replay_closes_event_file(self, tmp_path, monkeypatch,
+                                             capsys):
+        import repro.obs
+
+        sinks = []
+
+        class RecordingSink(repro.obs.JsonlSink):
+            def __init__(self, path):
+                super().__init__(path)
+                sinks.append(self)
+
+        monkeypatch.setattr(repro.obs, "JsonlSink", RecordingSink)
+        # Synthetic workloads carry no arrival times, so open loop fails.
+        assert main([
+            "replay", "--workload", "homes", "--scale", "0.02",
+            "--system", "ssc", "--open-loop", "--queue-depth", "4",
+            "--events-out", str(tmp_path / "events.jsonl"),
+        ]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert [sink._file.closed for sink in sinks] == [True]
+
 
 class TestObservabilityCli:
     def test_replay_writes_all_three_outputs(self, tmp_path, capsys):

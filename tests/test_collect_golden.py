@@ -4,7 +4,7 @@
 stats).to_dict()`` for three small fixed-seed runs: a bare SSC, a
 2-shard SSC-R array and the native SSD baseline, all write-back.  Every
 declared metric is compared exactly, so a change to how the catalog is
-built or how layer counters reach the registry cannot drop, rename or
+built or how layer counters reach the snapshot cannot drop, rename or
 re-value a metric unnoticed.
 
 Regenerate (only for a reviewed change in simulated behaviour) with::

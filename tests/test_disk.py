@@ -40,7 +40,7 @@ class TestBasics:
         disk.write(1, "a")
         disk.write(2, "b")
         disk.write(1, "c")
-        assert disk.occupied_blocks() == 2
+        assert len(disk._data) == 2
 
 
 class TestTiming:

@@ -93,13 +93,12 @@ class TestCompletion:
         assert completion + 50.0 == 200.0
         assert sorted([Completion(3.0), Completion(1.0)])[0] == 1.0
 
-    def test_breakdown_properties(self):
+    def test_carries_ops_and_hit(self):
         ops = (
             DeviceOp("plane:0", "page_read", 25.0),
             DeviceOp("disk", "read", 2000.0),
         )
         completion = Completion(2075.0, ops, hit=False)
         assert float(completion) == 2075.0
-        assert completion.disk_us == 2000.0
-        assert completion.flash_us == 25.0
+        assert completion.ops is ops
         assert completion.hit is False

@@ -52,8 +52,9 @@ class TestPlane:
         plane = tiny_chip.planes[0]
         plane.allocate(BlockKind.LOG)
         plane.allocate(BlockKind.DATA)
-        assert len(list(plane.blocks_of_kind(BlockKind.LOG))) == 1
-        assert len(list(plane.blocks_of_kind(BlockKind.DATA))) == 1
+        kinds = [block.kind for block in plane.blocks.values()]
+        assert kinds.count(BlockKind.LOG) == 1
+        assert kinds.count(BlockKind.DATA) == 1
 
 
 class TestChipOperations:

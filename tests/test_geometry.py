@@ -42,9 +42,9 @@ class TestAddressing:
 
     def test_pbn_round_trip(self):
         for plane in range(2):
-            for block in range(4):
-                pbn = self.geometry.make_pbn(plane, block)
-                assert self.geometry.pbn_to_plane(pbn) == plane
+            for pbn in self.geometry.blocks_in_plane(plane):
+                self.geometry.check_pbn(pbn)
+                assert pbn // self.geometry.blocks_per_plane == plane
 
     def test_blocks_in_plane(self):
         assert list(self.geometry.blocks_in_plane(0)) == [0, 1, 2, 3]
@@ -65,8 +65,6 @@ class TestAddressing:
             self.geometry.make_ppn(0, 8)
 
     def test_bad_plane(self):
-        with pytest.raises(InvalidAddressError):
-            self.geometry.make_pbn(2, 0)
         with pytest.raises(InvalidAddressError):
             self.geometry.blocks_in_plane(2)
 
@@ -103,4 +101,4 @@ def test_property_address_round_trip(planes, blocks, pages, seed):
     ppn = seed % geometry.total_pages
     pbn, offset = divmod(ppn, geometry.pages_per_block)
     assert geometry.make_ppn(pbn, offset) == ppn
-    assert 0 <= geometry.pbn_to_plane(pbn) < planes
+    assert pbn in geometry.blocks_in_plane(pbn // geometry.blocks_per_plane)

@@ -69,7 +69,7 @@ class TestWriteBack:
         for i in range(3000):
             manager.write(rng.randrange(20_000), i)
         limit = int(0.05 * manager.data_pages)
-        assert manager.dirty_blocks() <= limit + 64  # cleaning is batched
+        assert len(manager._dirty) <= limit + 64  # cleaning is batched
         assert manager.stats.writebacks > 0
 
     def test_flush_dirty_writes_everything_back(self):
@@ -77,7 +77,7 @@ class TestWriteBack:
         for lbn in range(20):
             manager.write(lbn, ("d", lbn))
         manager.flush_dirty()
-        assert manager.dirty_blocks() == 0
+        assert len(manager._dirty) == 0
         for lbn in range(20):
             assert disk.peek(lbn) == ("d", lbn)
 
@@ -122,7 +122,7 @@ class TestWriteThrough:
         manager, _ssd, _disk = make_native(mode="wt")
         for lbn in range(100):
             manager.write(lbn, lbn)
-        assert manager.dirty_blocks() == 0
+        assert len(manager._dirty) == 0
 
 
 class TestMemoryAndRecovery:

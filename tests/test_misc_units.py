@@ -48,9 +48,9 @@ class TestPlaneEdges:
         chip = FlashChip(FlashGeometry(planes=1, blocks_per_plane=4,
                                        pages_per_block=4))
         plane = chip.planes[0]
-        assert list(plane.free_pbns()) == [0, 1, 2, 3]
+        assert list(plane._free) == [0, 1, 2, 3]
         plane.allocate(BlockKind.DATA)
-        assert list(plane.free_pbns()) == [1, 2, 3]
+        assert list(plane._free) == [1, 2, 3]
 
 
 class TestGeometryOptions:

@@ -16,7 +16,7 @@ METRICS_MD = REPO_ROOT / "docs" / "metrics.md"
 
 
 class TestGeneratedReference:
-    def test_committed_file_matches_registry(self):
+    def test_committed_file_matches_catalog(self):
         assert METRICS_MD.read_text() == metrics_markdown(), (
             "docs/metrics.md is stale: regenerate with "
             "python -m repro obs schema --markdown -o docs/metrics.md"
@@ -39,7 +39,7 @@ class TestSchemaCli:
             "obs", "schema", "--markdown", "--check",
             "-o", str(METRICS_MD),
         ]) == 0
-        assert "matches the registry" in capsys.readouterr().out
+        assert "matches the catalog" in capsys.readouterr().out
 
     def test_check_fails_on_stale_file(self, tmp_path, capsys):
         stale = tmp_path / "metrics.md"

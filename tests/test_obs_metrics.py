@@ -1,5 +1,5 @@
-"""The metrics registry: declaration semantics, bucket edges, and the
-snapshot monoid.
+"""Metric snapshots: the catalog's integrity, histogram bucket edges,
+and the snapshot monoid.
 
 The snapshot laws matter operationally: ``merge`` is how per-shard
 metrics roll up into array totals (the same contract the sharded stat
@@ -17,93 +17,62 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import CacheMode, SystemConfig, SystemKind
 from repro.core.flashtier import build_system
-from repro.obs import (
-    LATENCY_BUCKETS_US,
-    METRICS,
-    MetricsRegistry,
-    MetricsSnapshot,
-    build_registry,
-    collect,
-)
-from repro.obs.metrics import Histogram
+from repro.obs import LATENCY_BUCKETS_US, METRICS, MetricsSnapshot, collect
+from repro.obs.metrics import histogram
 from repro.traces.synthetic import PROFILES, generate_trace
 
 
-class TestRegistryDeclaration:
-    def test_declaration_order_preserved(self):
-        registry = MetricsRegistry()
-        registry.counter("b.second", "desc")
-        registry.counter("a.first", "desc")
-        assert [m.name for m in registry] == ["b.second", "a.first"]
+class TestCatalog:
+    def test_names_unique(self):
+        names = [entry[0] for entry in METRICS]
+        assert len(names) == len(set(names))
 
-    def test_redeclaration_rejected(self):
-        registry = MetricsRegistry()
-        registry.counter("x", "desc")
-        with pytest.raises(ValueError, match="already declared"):
-            registry.gauge("x", "other desc")
-
-    def test_empty_description_rejected(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError, match="needs a description"):
-            registry.counter("undocumented", "")
-
-    def test_counter_cannot_decrease(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("c", "desc")
-        counter.inc(3)
-        with pytest.raises(ValueError, match="cannot decrease"):
-            counter.inc(-1)
-        assert counter.value == 3
-
-    def test_contains_get_len(self):
-        registry = MetricsRegistry()
-        registry.gauge("g", "desc")
-        assert "g" in registry and "h" not in registry
-        assert registry.get("g").kind == "gauge"
-        assert len(registry) == 1
-
-    def test_catalog_builds_every_metric(self):
-        registry = build_registry()
-        assert len(registry) == len(METRICS)
+    def test_every_metric_documented(self):
         for entry in METRICS:
-            assert entry[0] in registry
-            assert registry.get(entry[0]).kind == entry[1]
-            assert registry.get(entry[0]).description
+            assert entry[2], f"metric {entry[0]!r} needs a description"
+
+    def test_kinds_known(self):
+        for entry in METRICS:
+            assert entry[1] in ("counter", "gauge", "histogram"), entry[0]
+
+    def test_collect_reports_every_metric_under_its_kind(self):
+        system = build_system(SystemConfig(kind=SystemKind.SSC,
+                                           cache_blocks=256))
+        snap = collect(system)
+        by_kind = {"counter": snap.counters, "gauge": snap.gauges,
+                   "histogram": snap.histograms}
+        for entry in METRICS:
+            assert entry[0] in by_kind[entry[1]], entry[0]
+        assert sum(map(len, by_kind.values())) == len(METRICS)
 
 
 class TestHistogramBuckets:
     def test_bounds_must_be_strictly_increasing(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            Histogram("h", "desc", (1.0, 1.0, 2.0))
+            histogram((1.0, 1.0, 2.0), ())
         with pytest.raises(ValueError, match="strictly increasing"):
-            Histogram("h", "desc", (2.0, 1.0))
+            histogram((2.0, 1.0), ())
         with pytest.raises(ValueError, match="at least one"):
-            Histogram("h", "desc", ())
+            histogram((), ())
 
     def test_le_semantics_on_exact_bounds(self):
         # A sample exactly on a bound lands in that bound's bucket
         # (Prometheus ``le``), not the next one.
-        hist = Histogram("h", "desc", (10.0, 20.0, 30.0))
-        for value in (10.0, 20.0, 30.0):
-            hist.observe(value)
-        assert hist.counts == [1, 1, 1, 0]
+        hist = histogram((10.0, 20.0, 30.0), (10.0, 20.0, 30.0))
+        assert hist["counts"] == [1, 1, 1, 0]
 
     def test_open_intervals_between_bounds(self):
-        hist = Histogram("h", "desc", (10.0, 20.0))
-        hist.observe(0.0)      # <= 10
-        hist.observe(10.0001)  # (10, 20]
-        hist.observe(19.9999)  # (10, 20]
-        hist.observe(20.0001)  # overflow
-        assert hist.counts == [1, 2, 1]
+        # <= 10, (10, 20] twice, overflow
+        hist = histogram((10.0, 20.0), (0.0, 10.0001, 19.9999, 20.0001))
+        assert hist["counts"] == [1, 2, 1]
 
-    def test_overflow_bucket_and_mean(self):
-        hist = Histogram("h", "desc", (1.0,))
-        assert hist.mean() == 0.0
-        hist.observe(5.0)
-        hist.observe(7.0)
-        assert hist.counts == [0, 2]
-        assert hist.count == 2
-        assert hist.mean() == 6.0
+    def test_overflow_bucket_count_and_sum(self):
+        assert histogram((1.0,), ()) == {
+            "bounds": [1.0], "counts": [0, 0], "count": 0, "sum": 0.0}
+        hist = histogram((1.0,), (5.0, 7.0))
+        assert hist["counts"] == [0, 2]
+        assert hist["count"] == 2
+        assert hist["sum"] == 12.0
 
     def test_catalog_latency_buckets_cover_flash_and_disk(self):
         # The committed bounds must bracket a flash page read (~77us
@@ -209,13 +178,26 @@ class TestSnapshotEdges:
             a.diff(b)
 
     def test_snapshot_is_frozen_copy(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("c", "desc")
-        counter.inc(1)
-        snap = registry.snapshot()
-        counter.inc(41)
-        assert snap.counters["c"] == 1.0
-        assert registry.snapshot().counters["c"] == 42.0
+        hist = histogram((1.0,), (0.5,))
+        snap = MetricsSnapshot({"c": 1.0}, histograms={"h": hist})
+        hist["counts"][0] += 41
+        assert snap.histograms["h"]["counts"] == [1, 0]
+
+    def test_diff_is_merge_of_negation(self):
+        a = MetricsSnapshot({"c": 0.1, "d": 3.0}, {"g": 0.7},
+                            {"h": histogram((1.0,), (0.5, 2.0))})
+        b = MetricsSnapshot({"c": 0.3, "e": 1.0}, {"g": 0.2},
+                            {"h": histogram((1.0,), (0.25,)),
+                             "k": histogram((5.0,), (9.0,))})
+        negated = MetricsSnapshot(
+            {k: -1 * v for k, v in b.counters.items()},
+            {k: -1 * v for k, v in b.gauges.items()},
+            {k: {"bounds": h["bounds"], "counts": [-c for c in h["counts"]],
+                 "count": -h["count"], "sum": -1 * h["sum"]}
+             for k, h in b.histograms.items()})
+        # Compared as JSON text so a -0.0 against 0.0 would show.
+        assert json.dumps(a.merge(negated).to_dict()) == \
+            json.dumps(a.diff(b).to_dict())
 
 
 class TestCollect:

@@ -28,10 +28,10 @@ class TestAppendFlush:
     def test_buffer_is_volatile_until_flush(self, oplog):
         oplog.append(RecordKind.INSERT_PAGE, 1, 2)
         assert oplog.pending() == 1
-        assert oplog.last_flushed_seq == 0
+        assert not oplog.flushed
         oplog.flush(sync=True)
         assert oplog.pending() == 0
-        assert oplog.last_flushed_seq == 1
+        assert oplog.flushed[-1].seq == 1
 
     def test_flush_cost_in_page_units(self, oplog):
         per_page = 4096 // RECORD_BYTES

@@ -105,7 +105,7 @@ class TestSystemFacade:
         config = tiny_config()
         geometry = cache_geometry(config)
         assert geometry.total_pages * geometry.page_size >= (
-            config.cache_blocks * config.capacity_slack * config.page_size * 0.99
+            config.cache_blocks * config.capacity_slack * geometry.page_size * 0.99
         )
 
     def test_bad_config_rejected(self):

@@ -23,10 +23,10 @@ from repro.ssc.device import SolidStateCache, SSCConfig
 GEOMETRY = FlashGeometry(planes=2, blocks_per_plane=16, pages_per_block=8)
 
 
-def make_array(shards: int = 2, **router_kwargs) -> ShardedSSC:
+def make_array(shards: int = 2, routing: str = "stripe") -> ShardedSSC:
     return ShardedSSC(
         [SolidStateCache(GEOMETRY, config=SSCConfig()) for _ in range(shards)],
-        **router_kwargs,
+        routing=routing,
     )
 
 
@@ -72,10 +72,6 @@ class TestArrayValidation:
                 SolidStateCache(GEOMETRY, config=SSCConfig()),
                 SolidStateCache(other, config=SSCConfig()),
             ])
-
-    def test_rejects_mismatched_router(self):
-        with pytest.raises(ConfigError):
-            make_array(2, router=ShardRouter(3))
 
 
 class TestArraySurface:

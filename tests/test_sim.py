@@ -11,7 +11,6 @@ class TestSimClock:
     def test_starts_at_zero(self):
         clock = SimClock()
         assert clock.now_us == 0.0
-        assert clock.now_s == 0.0
 
     def test_custom_start(self):
         clock = SimClock(start_us=100.0)
@@ -35,11 +34,6 @@ class TestSimClock:
         clock = SimClock()
         with pytest.raises(ValueError):
             clock.advance(-0.1)
-
-    def test_seconds_conversion(self):
-        clock = SimClock()
-        clock.advance(2_500_000)
-        assert clock.now_s == pytest.approx(2.5)
 
     def test_reset(self):
         clock = SimClock()

@@ -44,7 +44,7 @@ class TestDynamicAllocation:
         chip = make_chip()
         leveler = WearLeveler(chip, WearConfig(dynamic=False))
         plane = chip.planes[0]
-        first_free = next(iter(plane.free_pbns()))
+        first_free = next(pbn for pbn in plane._free if plane.is_free(pbn))
         chosen = leveler.pick_block(plane, BlockKind.DATA)
         assert chosen.pbn == first_free
 
