@@ -252,10 +252,15 @@ def cmd_replay(args) -> int:
 @_reports_config_errors
 def cmd_compare(args) -> int:
     records = _load_records(args)
+    # Build every system first, so a configuration error fails before
+    # any replay has run.
+    systems = [
+        (kind, build_system(_system_config(args, kind, records)))
+        for kind in (SystemKind.NATIVE, SystemKind.SSC, SystemKind.SSC_R)
+    ]
     rows = []
     base_iops = None
-    for kind in (SystemKind.NATIVE, SystemKind.SSC, SystemKind.SSC_R):
-        system = build_system(_system_config(args, kind, records))
+    for kind, system in systems:
         stats = system.replay(records, warmup_fraction=args.warmup)
         if base_iops is None:
             base_iops = stats.iops()

@@ -17,8 +17,12 @@ Durability contract (paper §4.2.1/§5 and the three guarantees of §3.5):
   before completion so a read can never return the stale version.
 * ``clean`` is asynchronous; after a crash, cleaned blocks may revert
   to dirty.
-* Any operation whose garbage collection erased a block flushes the log
-  before returning, so durable state never references erased flash.
+* Garbage collection erases a block only once every record that
+  superseded a mapping into it is durable: each erase first forces
+  whatever the log still buffers (write-ahead rule), so durable state
+  never references erased flash.  Records appended after the erase stay
+  under their operation's contract above; a write-clean whose GC erased
+  a block may still be lost "as if silently evicted".
 
 Every data-path operation returns its service time in microseconds as
 a plain float.  The planes it occupied are recorded on the chip's op
@@ -224,10 +228,9 @@ class SolidStateCache:
     def evict(self, lbn: int) -> float:
         """Force ``lbn`` out of the cache; durable on return."""
         self._check_alive()
-        erases_before = self.chip.stats.block_erases
         try:
             cost = self.engine.trim(lbn)
-            return cost + self._finish_op(sync=True, erases_before=erases_before)
+            return cost + self._finish_op(sync=True)
         except CrashError:
             self.crash()
             raise
@@ -242,9 +245,7 @@ class SolidStateCache:
         try:
             if self.engine.set_clean(lbn):
                 self.oplog.append(RecordKind.CLEAN, lbn)
-            return self._finish_op(
-                sync=False, erases_before=self.chip.stats.block_erases
-            )
+            return self._finish_op(sync=False)
         except CrashError:
             self.crash()
             raise
@@ -307,22 +308,21 @@ class SolidStateCache:
     def _guarded_write(self, lbn: int, data: Any, dirty: bool, sync: bool) -> float:
         """Write ``lbn``, then apply the flush and checkpoint policy; a
         crash part-way powers the device off before it propagates."""
-        erases_before = self.chip.stats.block_erases
         try:
             cost = self.engine.write(lbn, data, dirty=dirty)
             self._writes_since_checkpoint += 1
-            return cost + self._finish_op(sync=sync, erases_before=erases_before)
+            return cost + self._finish_op(sync=sync)
         except CrashError:
             self.crash()
             raise
 
-    def _finish_op(self, sync: bool, erases_before: int) -> float:
+    def _finish_op(self, sync: bool) -> float:
         """Apply the log-flush and checkpoint policy after an operation."""
         oplog = self.oplog
         if not oplog.enabled:
             return 0.0
         cost = 0.0
-        if sync or self.chip.stats.block_erases > erases_before:
+        if sync:
             cost += oplog.flush(sync=True)
         elif len(oplog.buffer) >= self.config.group_commit_ops:
             cost += oplog.flush(sync=False)
@@ -443,14 +443,13 @@ class SolidStateCache:
         if budget_us < 0:
             raise ConfigError("budget_us must be >= 0")
         spent = 0.0
-        erases_before = self.chip.stats.block_erases
         try:
             while spent < budget_us:
                 step = self.engine.background_step()
                 if step == 0.0:
                     break
                 spent += step
-            spent += self._finish_op(sync=False, erases_before=erases_before)
+            spent += self._finish_op(sync=False)
         except CrashError:
             self.crash()
             raise

@@ -217,9 +217,15 @@ class CacheFTL(HybridFTL):
         sit in the volatile buffer; erasing first would let a crash
         recover durable mappings that reference erased — and possibly
         since-reused — flash.  Forcing the log makes the supersession
-        durable before the data is destroyed.
+        durable before the data is destroyed.  An empty buffer needs no
+        force, so erases after the first of a silent-eviction batch are
+        free (see :meth:`_evict_batch`).
         """
-        return self.oplog.flush(sync=True)
+        oplog = self.oplog
+        if not oplog.buffer:
+            return 0.0
+        oplog.barrier_flushes += 1
+        return oplog.flush(sync=True)
 
     # ------------------------------------------------------------------
     # Allocation: merges in a sparse address space can consume blocks
@@ -368,8 +374,7 @@ class CacheFTL(HybridFTL):
             victims = self._pick_eviction_victims(self.config.evict_batch)
             if not victims:
                 break
-            for victim in victims:
-                cost += self._evict_block(victim)
+            cost += self._evict_batch(victims)
             evicted_any = True
         if evicted_any:
             # Eviction churn concentrates erases; give static wear
@@ -377,22 +382,31 @@ class CacheFTL(HybridFTL):
             cost += self._maybe_static_relocation()
         return cost
 
-    def _evict_block(self, victim: EraseBlock) -> float:
-        """Silently evict one clean data block: drop mappings, erase."""
-        group = self.data_map.group_of(victim.pbn)
-        evicted = victim.valid_count
-        if group is not None:
+    def _evict_batch(self, victims: List[EraseBlock]) -> float:
+        """Silently evict clean data blocks: drop every victim's mapping,
+        then erase them in order.
+
+        Journaling the whole batch's REMOVE_BLOCK records before the
+        first erase lets that erase's write-ahead flush make them all
+        durable in one log force.
+        """
+        dropped = []
+        for victim in victims:
+            group = self.data_map.group_of(victim.pbn)
             self.data_map.remove(group)  # journals REMOVE_BLOCK
-        victim.invalidate_all()
-        cost = self._erase(victim.pbn)
-        self.stats.silent_evictions += 1
-        self.stats.evicted_valid_pages += evicted
-        if self.tracer is not None:
-            self.tracer.emit(
-                "evict.silent", lane="gc", dur_us=cost,
-                pbn=victim.pbn, group=group if group is not None else -1,
-                valid_pages=evicted,
-            )
+            dropped.append((victim, group, victim.valid_count))
+            victim.invalidate_all()
+        cost = 0.0
+        for victim, group, evicted in dropped:
+            erase_cost = self._erase(victim.pbn)
+            cost += erase_cost
+            self.stats.silent_evictions += 1
+            self.stats.evicted_valid_pages += evicted
+            if self.tracer is not None:
+                self.tracer.emit(
+                    "evict.silent", lane="gc", dur_us=erase_cost,
+                    pbn=victim.pbn, group=group, valid_pages=evicted,
+                )
         return cost
 
     # ------------------------------------------------------------------

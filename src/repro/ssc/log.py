@@ -123,6 +123,9 @@ class OperationLog:
         "Synchronous operation-log flushes (on the request path).")
     async_flushes: int = counter(
         "Asynchronous (group-commit) operation-log flushes.")
+    barrier_flushes: int = counter(
+        "Synchronous flushes forced before an erase because records were "
+        "still buffered (write-ahead rule); also counted in sync_flushes.")
     records_written: int = counter(
         "Mapping-change records made durable in the operation log.")
     pages_written: int = counter("Flash pages the operation log consumed.")

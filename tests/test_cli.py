@@ -149,6 +149,16 @@ class TestErrors:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_compare_config_error_runs_no_replay(self, monkeypatch, capsys):
+        from repro.core.flashtier import FlashTierSystem
+
+        replayed = []
+        monkeypatch.setattr(FlashTierSystem, "replay",
+                            lambda system, *args, **kwargs: replayed.append(system))
+        assert main(["compare", "--workload", "homes", "--scale", "0.02"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert replayed == []
+
     def test_failed_replay_closes_event_file(self, tmp_path, monkeypatch,
                                              capsys):
         import repro.obs
