@@ -22,10 +22,14 @@ sets.  Internal device activity (garbage collection, checkpointing,
 group commit) never changes the logical contents, so no other block's
 set is affected.
 
-The oracle is deliberately independent of the device implementation: it
-never looks at flash pages, logs or checkpoints, only at the operation
-stream.  Anything the recovered device presents outside these sets is a
-bug in the device's durability discipline, not in the model.
+The legal-state sets are deliberately independent of the device
+implementation: they derive from the operation stream alone, never from
+flash pages, logs or checkpoints.  Anything the recovered device
+presents outside these sets is a bug in the device's durability
+discipline, not in the model.  One further check looks inside: the
+recovered engine's block map, block kinds and free lists must agree,
+because a mapping into a free block is served until the block is
+reused, and then routes reads to another block's data.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import NotPresentError
-from repro.flash.block import TORN_PAGE
+from repro.flash.block import TORN_PAGE, BlockKind
 
 #: Sentinel member of a legal-state set meaning "block is absent".
 #: Present states are ``(value, dirty)`` tuples.
@@ -205,6 +209,8 @@ class SSCOracle:
 
         violations.extend(self._check_exists(ssc, strict, known, trial))
         violations.extend(self._check_unknown(ssc, known, trial))
+        for member in getattr(ssc, "shards", (ssc,)):
+            violations.extend(_check_structure(member, trial))
         return violations
 
     def _check_exists(self, ssc, strict: bool, known: Set[int],
@@ -256,6 +262,42 @@ class SSCOracle:
                     trial,
                 ))
         return violations
+
+
+def _check_structure(ssc, trial: str) -> List[Violation]:
+    """One device's recovered maps, block kinds and free lists agree:
+    every block-map target is an allocated DATA block, and every block
+    on a plane's free list is FREE and holds no valid page.
+
+    These rules hold after any fault, bit flips included, so they are
+    checked in strict and relaxed mode alike.
+    """
+    violations: List[Violation] = []
+    where = f"{ssc.name}: " if ssc.name else ""
+    mapped = {pbn: group for group, pbn in ssc.engine.data_map.items()}
+    for plane in ssc.chip.planes:
+        for pbn, block in plane.blocks.items():
+            free = plane.is_free(pbn)
+            group = mapped.get(pbn)
+            if group is not None and block.kind is not BlockKind.DATA:
+                violations.append(Violation(
+                    "mapped-block-not-data", None,
+                    f"{where}group {group} maps to pbn {pbn} of kind "
+                    f"{block.kind.name}", trial,
+                ))
+            if group is not None and free:
+                violations.append(Violation(
+                    "mapped-block-free", None,
+                    f"{where}group {group} maps to pbn {pbn} on the free "
+                    "list", trial,
+                ))
+            if free and (block.kind is not BlockKind.FREE or block.valid):
+                violations.append(Violation(
+                    "free-block-in-use", None,
+                    f"{where}free-list pbn {pbn} is {block.kind.name} with "
+                    f"{block.valid_count} valid pages", trial,
+                ))
+    return violations
 
 
 def _fmt(legal: Set) -> str:

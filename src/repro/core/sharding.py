@@ -36,7 +36,7 @@ key names (and therefore identical busy maps) of a lone device.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from repro.errors import ConfigError, CrashError
 from repro.ftl.base import FTLStats
@@ -342,17 +342,6 @@ class ShardedSSC:
         dirty.sort()
         return dirty, cost
 
-    def exists_detailed(self, start_lbn: int, end_lbn: int):
-        """Per-block metadata across every shard (see the SSC method)."""
-        entries: List[Tuple[int, bool, int]] = []
-        cost = 0.0
-        for shard in self.shards:
-            shard_entries, shard_cost = shard.exists_detailed(start_lbn, end_lbn)
-            entries.extend(shard_entries)
-            cost = max(cost, shard_cost)
-        entries.sort()
-        return entries, cost
-
     # ------------------------------------------------------------------
     # Whole-array maintenance (concurrent members: max rule)
     # ------------------------------------------------------------------
@@ -383,17 +372,9 @@ class ShardedSSC:
     # Crash and recovery
     # ------------------------------------------------------------------
 
-    def attach_injector(self, injector: CrashInjector,
-                        only_shard: Optional[int] = None) -> None:
-        """Wire a crash injector into the array's durability boundaries.
-
-        ``only_shard`` targets the fault at a single member device —
-        the crash-consistency tests use this to prove that a torn write
-        into shard *k* cannot disturb any other shard.
-        """
-        if only_shard is not None:
-            self.shards[only_shard].attach_injector(injector)
-            return
+    def attach_injector(self, injector: CrashInjector) -> None:
+        """Wire a crash injector into every member's durability
+        boundaries (to fault one member alone, attach to it directly)."""
         for shard in self.shards:
             shard.attach_injector(injector)
 
@@ -486,10 +467,6 @@ class ShardedSSD:
         ssd, local = self._route(lpn)
         ssd.set_page_dirty(local, dirty)
 
-    def background_collect(self, budget_us: float) -> float:
-        """Members recycle concurrently during the idle window."""
-        return max(ssd.background_collect(budget_us) for ssd in self.ssds)
-
     # ---- memory & recovery accounting ------------------------------------
 
     def device_memory_bytes(self) -> int:
@@ -498,14 +475,6 @@ class ShardedSSD:
     def oob_recovery_scan_us(self) -> float:
         """Members scan their OOB areas concurrently: max over shards."""
         return max(ssd.oob_recovery_scan_us() for ssd in self.ssds)
-
-    def attach_injector(self, injector: CrashInjector,
-                        only_shard: Optional[int] = None) -> None:
-        if only_shard is not None:
-            self.ssds[only_shard].attach_injector(injector)
-            return
-        for ssd in self.ssds:
-            ssd.attach_injector(injector)
 
     def __repr__(self) -> str:
         return (

@@ -10,7 +10,7 @@ read/write/trim block-device interface the native baseline caches on.
 from repro.ftl.base import FTLStats
 from repro.ftl.mapping import DenseMap
 from repro.ftl.hybrid import HybridFTL, HybridFTLConfig
-from repro.ftl.pagemap import PageMapFTL, PageMapFTLConfig
+from repro.ftl.pagemap import PageMapFTL
 from repro.ftl.wear import WearConfig, WearLeveler
 from repro.ftl.ssd import SSD
 
@@ -20,7 +20,6 @@ __all__ = [
     "HybridFTL",
     "HybridFTLConfig",
     "PageMapFTL",
-    "PageMapFTLConfig",
     "WearConfig",
     "WearLeveler",
     "SSD",

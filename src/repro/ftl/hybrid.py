@@ -37,26 +37,21 @@ from repro.ftl.mapping import DenseMap
 from repro.ftl.wear import WearConfig, WearLeveler
 
 
+#: Share of raw blocks reserved as log blocks (the paper fixes 7 %
+#: over-provisioning for the SSD).
+LOG_FRACTION = 0.07
+
+#: The merge-workspace floor: the free pool is never allowed to drain
+#: below it, so a merge can always allocate its destination block.
+SPARE_BLOCKS = 8
+
+
 @dataclass(frozen=True)
 class HybridFTLConfig:
-    """Tunables for the hybrid FTL.
+    """Tunables for the hybrid FTL."""
 
-    ``log_fraction`` is the share of raw blocks reserved as log blocks
-    (the paper fixes 7 % over-provisioning for the SSD).  ``spare_blocks``
-    is the merge-workspace floor: the free pool is never allowed to drain
-    below it, so a merge can always allocate its destination block.
-    """
-
-    log_fraction: float = 0.07
-    spare_blocks: int = 8
     sequential_log: bool = True
     wear: WearConfig = WearConfig()
-
-    def __post_init__(self):
-        if not 0.0 < self.log_fraction < 0.5:
-            raise ConfigError("log_fraction must be in (0, 0.5)")
-        if self.spare_blocks < 4:
-            raise ConfigError("spare_blocks must be >= 4 (merge workspace)")
 
 
 class HybridFTL:
@@ -72,7 +67,7 @@ class HybridFTL:
         self.stats = FTLStats()
         self.pages_per_block = chip.geometry.pages_per_block
         total = chip.geometry.total_blocks
-        self.log_blocks_target = max(1, int(total * self.config.log_fraction))
+        self.log_blocks_target = max(1, int(total * LOG_FRACTION))
         # What differs between the SSD and the SSC's cache engine: how
         # the chip's blocks divide up, and the maps' types.
         self._reserve_blocks(total)
@@ -95,11 +90,11 @@ class HybridFTL:
     def _reserve_blocks(self, total: int) -> None:
         """Fix the logical capacity: every block not in the log pool or
         the spare floor backs one logical group."""
-        self.logical_groups = total - self.log_blocks_target - self.config.spare_blocks
+        self.logical_groups = total - self.log_blocks_target - SPARE_BLOCKS
         if self.logical_groups <= 0:
             raise ConfigError(
                 "chip too small: no logical capacity left after reserving "
-                f"{self.log_blocks_target} log + {self.config.spare_blocks} spare blocks"
+                f"{self.log_blocks_target} log + {SPARE_BLOCKS} spare blocks"
             )
         self.logical_pages = self.logical_groups * self.pages_per_block
 
@@ -145,7 +140,7 @@ class HybridFTL:
         plane = self._plane_with_most_free()
         if plane.free_count == 0:
             raise ConfigError(
-                "free-block pool exhausted; spare_blocks invariant violated"
+                "free-block pool exhausted; SPARE_BLOCKS invariant violated"
             )
         return self.wear.pick_block(plane, kind, hottest=self._allocate_hot)
 
@@ -429,7 +424,7 @@ class HybridFTL:
         cost = 0.0
         while (
             len(self._log_blocks) >= self.log_blocks_target
-            or self.free_blocks() <= self.config.spare_blocks
+            or self.free_blocks() <= SPARE_BLOCKS
         ):
             cost += self._merge_victim_log_block()
         block = self._allocate_block(BlockKind.LOG)
@@ -596,24 +591,6 @@ class HybridFTL:
                 copies=self.stats.gc_page_writes - copies_before,
             )
         return cost
-
-    # ------------------------------------------------------------------
-    # Background garbage collection
-    # ------------------------------------------------------------------
-
-    def background_step(self) -> float:
-        """One increment of idle-time garbage collection.
-
-        Recycles a log block early so foreground writes find a fresh
-        pool instead of stalling on a merge.  Returns the simulated time
-        consumed, or 0.0 when there is nothing useful to do.
-        """
-        if (
-            len(self._log_blocks) >= max(1, self.log_blocks_target // 2)
-            and self.free_blocks() >= 2
-        ):
-            return self._merge_victim_log_block()
-        return 0.0
 
     # ------------------------------------------------------------------
     # Memory accounting (Table 4)

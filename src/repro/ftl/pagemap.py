@@ -14,7 +14,6 @@ baseline and powers the mapping-granularity ablation benchmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from repro.errors import ConfigError, InvalidAddressError
@@ -22,40 +21,27 @@ from repro.flash.block import BlockKind, EraseBlock
 from repro.flash.chip import FlashChip
 from repro.ftl.base import FTLStats
 from repro.ftl.mapping import DenseMap
-from repro.ftl.wear import WearConfig, WearLeveler
+from repro.ftl.wear import WearLeveler
 
 
-@dataclass(frozen=True)
-class PageMapFTLConfig:
-    """Tunables for the page-mapped FTL.
+#: Share of raw blocks reserved for garbage collection (the same 7 %
+#: the paper gives the hybrid SSD).
+OVERPROVISION = 0.07
 
-    ``overprovision`` reserves raw blocks for garbage collection (the
-    same 7 % the paper gives the hybrid SSD); ``gc_threshold`` is the
-    free-block floor that triggers collection.
-    """
-
-    overprovision: float = 0.07
-    gc_threshold: int = 4
-    wear: WearConfig = WearConfig()
-
-    def __post_init__(self):
-        if not 0.0 < self.overprovision < 0.5:
-            raise ConfigError("overprovision must be in (0, 0.5)")
-        if self.gc_threshold < 2:
-            raise ConfigError("gc_threshold must be >= 2")
+#: The free-block floor that triggers collection.
+GC_THRESHOLD = 4
 
 
 class PageMapFTL:
     """Fully page-mapped FTL with greedy garbage collection."""
 
-    def __init__(self, chip: FlashChip, config: Optional[PageMapFTLConfig] = None):
+    def __init__(self, chip: FlashChip):
         self.chip = chip
-        self.config = config or PageMapFTLConfig()
         self.stats = FTLStats()
-        self.wear = WearLeveler(chip, self.config.wear)
+        self.wear = WearLeveler(chip)
 
         total = chip.geometry.total_blocks
-        reserved = max(self.config.gc_threshold, int(total * self.config.overprovision))
+        reserved = max(GC_THRESHOLD, int(total * OVERPROVISION))
         logical_blocks = total - reserved
         if logical_blocks <= 0:
             raise ConfigError("chip too small after over-provisioning")
@@ -137,7 +123,7 @@ class PageMapFTL:
         """Greedy GC: recycle the most-invalid blocks until above floor."""
         cost = 0.0
         guard = 0
-        while self.free_blocks() <= self.config.gc_threshold:
+        while self.free_blocks() <= GC_THRESHOLD:
             victim = self._pick_victim()
             if victim is None:
                 break
@@ -197,15 +183,6 @@ class PageMapFTL:
             plane = max(self.chip.planes, key=lambda plane: plane.free_count)
             self._active = self.wear.pick_block(plane, BlockKind.DATA)
         return self._active
-
-    def background_step(self) -> float:
-        """One idle-time GC increment: compact the most-invalid block."""
-        if self.free_blocks() > 2 * self.config.gc_threshold:
-            return 0.0
-        victim = self._pick_victim()
-        if victim is None:
-            return 0.0
-        return self._collect(victim)
 
     # ------------------------------------------------------------------
 

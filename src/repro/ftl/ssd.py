@@ -18,8 +18,7 @@ from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import TimingModel
 from repro.ftl.hybrid import HybridFTL, HybridFTLConfig
-from repro.ftl.pagemap import PageMapFTL, PageMapFTLConfig
-from repro.sim.crash import CrashInjector
+from repro.ftl.pagemap import PageMapFTL
 
 
 class SSD:
@@ -37,19 +36,14 @@ class SSD:
         timing: Optional[TimingModel] = None,
         config: Optional[HybridFTLConfig] = None,
         mapping: str = "hybrid",
-        page_config: Optional[PageMapFTLConfig] = None,
     ):
         self.chip = FlashChip(geometry, timing)
         if mapping == "hybrid":
             self.ftl = HybridFTL(self.chip, config)
         elif mapping == "page":
-            self.ftl = PageMapFTL(self.chip, page_config)
+            self.ftl = PageMapFTL(self.chip)
         else:
             raise ConfigError("mapping must be 'hybrid' or 'page'")
-
-    def attach_injector(self, injector: CrashInjector) -> None:
-        """Wire a crash injector into the chip's program-path boundaries."""
-        self.chip.crash_injector = injector
 
     # ---- capacity --------------------------------------------------------
 
@@ -87,18 +81,6 @@ class SSD:
     def set_page_dirty(self, lpn: int, dirty: bool) -> None:
         """Update the OOB dirty flag of ``lpn`` (native manager metadata)."""
         self.ftl.set_page_dirty(lpn, dirty)
-
-    def background_collect(self, budget_us: float) -> float:
-        """Spend up to ``budget_us`` of idle time recycling log blocks."""
-        if budget_us < 0:
-            raise ConfigError("budget_us must be >= 0")
-        spent = 0.0
-        while spent < budget_us:
-            step = self.ftl.background_step()
-            if step == 0.0:
-                break
-            spent += step
-        return spent
 
     # ---- memory & recovery accounting ------------------------------------
 

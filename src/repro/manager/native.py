@@ -39,26 +39,27 @@ HOST_ENTRY_BYTES = 22
 #: Clean-insert metadata updates batched into one journal page write.
 CLEAN_META_BATCH = 32
 
+#: SSD blocks per associativity set (an upper bound: a smaller device
+#: gets one set covering everything).
+SET_SIZE = 64
+
+#: Share of the SSD's logical space reserved for the metadata journal.
+META_FRACTION = 0.02
+
 
 @dataclass(frozen=True)
 class NativeConfig:
     """Native manager tunables."""
 
     mode: str = "wb"               # "wb" (write-back) or "wt" (write-through)
-    set_size: int = 64             # SSD blocks per associativity set
     dirty_threshold: float = 0.20  # clean LRU dirty blocks above this
     consistency: bool = True       # persist metadata (write-back only)
-    meta_fraction: float = 0.02    # share of SSD logical space for metadata
 
     def __post_init__(self):
         if self.mode not in ("wb", "wt"):
             raise ConfigError("mode must be 'wb' or 'wt'")
-        if self.set_size < 1:
-            raise ConfigError("set_size must be >= 1")
         if not 0.0 < self.dirty_threshold <= 1.0:
             raise ConfigError("dirty_threshold must be in (0, 1]")
-        if not 0.0 < self.meta_fraction < 0.5:
-            raise ConfigError("meta_fraction must be in (0, 0.5)")
 
 
 class NativeCacheManager(CacheManager):
@@ -70,14 +71,14 @@ class NativeCacheManager(CacheManager):
         self.disk = disk
         self.config = config or NativeConfig()
 
-        meta_pages = max(4, int(ssd.capacity_pages * self.config.meta_fraction))
+        meta_pages = max(4, int(ssd.capacity_pages * META_FRACTION))
         meta_pages = min(meta_pages, max(1, ssd.capacity_pages // 4))
         self.data_pages = ssd.capacity_pages - meta_pages
         if self.data_pages < 1:
             raise ConfigError("SSD too small to hold any cached data")
         # Small devices get one set covering everything rather than an
-        # error; set_size is an upper bound on associativity.
-        self._set_size = min(self.config.set_size, self.data_pages)
+        # error.
+        self._set_size = min(SET_SIZE, self.data_pages)
         self.num_sets = max(1, self.data_pages // self._set_size)
         self._meta_base = self.data_pages
         self._meta_pages = meta_pages

@@ -34,28 +34,13 @@ from repro.ssc.device import SolidStateCache
 
 @dataclass(frozen=True)
 class WriteBackConfig:
-    """Write-back manager tunables.
-
-    ``reclaim`` selects what happens to a block after write-back:
-
-    * ``"clean"`` (default, the paper's implemented policy): issue
-      ``clean`` — the data stays cached and readable until the SSC
-      decides to silently evict it.
-    * ``"evict"`` (the paper's described-but-unused alternative,
-      §4.2.1: "the cache manager can leave data dirty and explicitly
-      evict selected victim blocks"): issue ``evict`` — the manager
-      precisely controls contents at the cost of losing warm data.
-    """
+    """Write-back manager tunables."""
 
     dirty_threshold: float = 0.20  # of the SSC's raw page capacity
-    reclaim: str = "clean"
-    verify_checksums: bool = False  # check dirty data before write-back
 
     def __post_init__(self):
         if not 0.0 < self.dirty_threshold <= 1.0:
             raise ConfigError("dirty_threshold must be in (0, 1]")
-        if self.reclaim not in ("clean", "evict"):
-            raise ConfigError("reclaim must be 'clean' or 'evict'")
 
 
 class FlashTierWBManager(CacheManager):
@@ -142,9 +127,10 @@ class FlashTierWBManager(CacheManager):
     def _clean_block(self, lbn: int) -> float:
         """Write ``lbn`` back to disk and tell the SSC it is clean.
 
-        The manager then removes the block's state from its table; the
-        data stays cached and readable until the SSC decides to silently
-        evict it.
+        The data is first checked against the checksum recorded when it
+        was written dirty.  The manager then removes the block's state
+        from its table; the data stays cached and readable until the SSC
+        decides to silently evict it.
         """
         if lbn not in self.dirty_table:
             return 0.0
@@ -155,18 +141,12 @@ class FlashTierWBManager(CacheManager):
             # data), but a clean-crash-recovered table may be stale.
             self.dirty_table.remove(lbn)
             return 0.0
-        if self.config.verify_checksums and not self.dirty_table.checksum_matches(
-            lbn, data
-        ):
+        if not self.dirty_table.checksum_matches(lbn, data):
             # Never propagate corrupted cache contents to the disk tier.
             raise ChecksumError(lbn)
         cost += self.disk.write(lbn, data)
-        if self.config.reclaim == "evict":
-            cost += self.ssc.evict(lbn)
-            self.stats.evictions += 1
-        else:
-            cost += self.ssc.clean(lbn)
-            self.stats.cleans += 1
+        cost += self.ssc.clean(lbn)
+        self.stats.cleans += 1
         self.dirty_table.remove(lbn)
         self.stats.writebacks += 1
         return cost

@@ -8,69 +8,50 @@ write-clean.  As all data is clean, the manager never sends any clean
 requests.  We optimize the design for memory consumption assuming a
 high hit rate: the manager stores no data about cached blocks, and
 consults the cache on every request."
-
-Because SSC reads return a well-defined not-present error, the manager
-may optionally front the device with a Bloom filter (§4.2.1) to skip
-reads that would certainly miss — an approximation is safe here, since
-a false positive only costs one device lookup and a false negative is
-impossible for blocks the filter saw inserted.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
-
+from typing import Any, Tuple
 
 from repro.disk.model import Disk
 from repro.errors import NotPresentError
 from repro.manager.base import CacheManager
 from repro.ssc.device import SolidStateCache
-from repro.util.bloom import BloomFilter
 
 
 class FlashTierWTManager(CacheManager):
     """Write-through caching on an SSC: zero host-side block state."""
 
-    def __init__(
-        self,
-        ssc: SolidStateCache,
-        disk: Disk,
-        bloom_filter: Optional[BloomFilter] = None,
-    ):
+    def __init__(self, ssc: SolidStateCache, disk: Disk):
         super().__init__()
         self.ssc = ssc
         self.disk = disk
-        self.bloom = bloom_filter
         self._attach_devices(ssc.chip, disk)
 
     def _read_impl(self, lbn: int) -> Tuple[Any, float, bool]:
         self.stats.reads += 1
-        if self.bloom is None or self.bloom.might_contain(lbn):
-            try:
-                data, cost = self.ssc.read(lbn)
-                self.stats.read_hits += 1
-                return data, cost, True
-            except NotPresentError:
-                pass
+        try:
+            data, cost = self.ssc.read(lbn)
+            self.stats.read_hits += 1
+            return data, cost, True
+        except NotPresentError:
+            pass
         self.stats.read_misses += 1
         data, cost = self.disk.read(lbn)
         cost += self.ssc.write_clean(lbn, data)
-        if self.bloom is not None:
-            self.bloom.add(lbn)
         return data, cost, False
 
     def _write_impl(self, lbn: int, data: Any) -> float:
         self.stats.writes += 1
         cost = self.disk.write(lbn, data)
         cost += self.ssc.write_clean(lbn, data)
-        if self.bloom is not None:
-            self.bloom.add(lbn)
         return cost
 
     def host_memory_bytes(self) -> int:
         """Zero per-block state (§6.3: "its memory usage is effectively
-        zero"); an optional Bloom filter is counted if configured."""
-        return self.bloom.memory_bytes() if self.bloom is not None else 0
+        zero")."""
+        return 0
 
     def recover_us(self) -> float:
         """A write-through manager keeps no transient state: after the

@@ -277,30 +277,6 @@ class SolidStateCache:
         dirty.sort()
         return dirty, self.chip.timing.control_delay_us
 
-    def exists_detailed(self, start_lbn: int, end_lbn: int) -> Tuple[
-        List[Tuple[int, bool, int]], float
-    ]:
-        """Per-block metadata for cached blocks in [start_lbn, end_lbn).
-
-        Returns (lbn, dirty, write_seq) triples — the extension §4.2.1
-        sketches: "it could be extended to return additional per-block
-        metadata, such as access time or frequency, to help manage
-        cache contents."  ``write_seq`` is the device's monotonic write
-        stamp, a proxy for age the manager can use for LRU decisions.
-        """
-        self._check_alive()
-        entries: List[Tuple[int, bool, int]] = []
-        for lbn in self.engine.iter_cached_lbns():
-            if not start_lbn <= lbn < end_lbn:
-                continue
-            location = self.engine.current_location(lbn)
-            if location is None:
-                continue
-            block, offset = self.chip.locate(location[2])
-            entries.append((lbn, bool(block.dirty >> offset & 1), block.seqs[offset]))
-        entries.sort()
-        return entries, self.chip.timing.control_delay_us
-
     # ------------------------------------------------------------------
     # Consistency plumbing
     # ------------------------------------------------------------------

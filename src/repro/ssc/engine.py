@@ -16,7 +16,7 @@
 Two policies configure eviction and log provisioning:
 
 * ``EvictionPolicy.UTIL`` (the paper's *SSC* configuration, SE-Util):
-  the log-block pool is fixed at ``log_fraction`` of capacity; evicted
+  the log-block pool is fixed at ``LOG_FRACTION`` of capacity; evicted
   blocks become data blocks only.
 * ``EvictionPolicy.MERGE`` (the paper's *SSC-R*, SE-Merge): the log
   pool may grow up to ``max_log_fraction``, deferring merges and
@@ -34,7 +34,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.errors import CacheFullError, ConfigError, InvalidAddressError
 from repro.flash.block import BlockKind, EraseBlock
 from repro.flash.chip import FlashChip
-from repro.ftl.hybrid import HybridFTL, HybridFTLConfig
+from repro.ftl.hybrid import LOG_FRACTION, SPARE_BLOCKS, HybridFTL, HybridFTLConfig
 from repro.ssc.log import OperationLog, RecordKind, bitmap_shift
 from repro.ssc.sparse_map import SparseHashMap
 
@@ -46,22 +46,22 @@ class EvictionPolicy(Enum):
     MERGE = auto()   # SE-Merge: growable log pool, switch-merge friendly
 
 
+#: Clean data blocks silently evicted per round (one log force each).
+EVICT_BATCH = 4
+
+
 @dataclass(frozen=True)
 class CacheFTLConfig(HybridFTLConfig):
     """Tunables for the cache engine: the hybrid FTL's, whose merge
-    machinery it inherits, plus the eviction policy, the SE-Merge log
-    pool ceiling and the silent-eviction batch."""
+    machinery it inherits, plus the eviction policy and the SE-Merge
+    log pool ceiling."""
 
     policy: EvictionPolicy = EvictionPolicy.UTIL
     max_log_fraction: float = 0.20
-    evict_batch: int = 4
 
     def __post_init__(self):
-        super().__post_init__()
-        if not self.log_fraction <= self.max_log_fraction < 0.5:
-            raise ConfigError("max_log_fraction must be in [log_fraction, 0.5)")
-        if self.evict_batch < 1:
-            raise ConfigError("evict_batch must be >= 1")
+        if not LOG_FRACTION <= self.max_log_fraction < 0.5:
+            raise ConfigError(f"max_log_fraction must be in [{LOG_FRACTION}, 0.5)")
 
 
 class _LoggedMap:
@@ -179,7 +179,7 @@ class CacheFTL(HybridFTL):
             )
         else:
             self.max_log_blocks = self.log_blocks_target
-        if total <= self.max_log_blocks + self.config.spare_blocks:
+        if total <= self.max_log_blocks + SPARE_BLOCKS:
             raise ConfigError("chip too small for log pool + spare blocks")
 
     def _new_maps(self) -> Tuple[LoggedBlockMap, LoggedPageMap]:
@@ -271,15 +271,7 @@ class CacheFTL(HybridFTL):
             block.invalidate(offset)
         pbn = self.data_map.lookup(self._group_of(lpn))
         if pbn is not None:
-            offset = self._offset_of(lpn)
-            block = self.chip.block(pbn)
-            if block.valid >> offset & 1:
-                block.invalidate(offset)
-                self.oplog.append(
-                    RecordKind.INVALIDATE_PAGE,
-                    lpn,
-                    self.chip.geometry.make_ppn(pbn, offset),
-                )
+            self._retire_block_copy(lpn, pbn)
         return 0.0
 
     # ------------------------------------------------------------------
@@ -292,7 +284,7 @@ class CacheFTL(HybridFTL):
             self.config.policy is EvictionPolicy.MERGE
             and len(self._log_blocks) >= self.log_blocks_target
             and self.log_blocks_target < self.max_log_blocks
-            and self.free_blocks() > self.config.spare_blocks + 1
+            and self.free_blocks() > SPARE_BLOCKS + 1
         ):
             # SE-Merge: grow the log pool instead of merging (paper §4.3:
             # "allows the number of log blocks to increase, which reduces
@@ -326,9 +318,9 @@ class CacheFTL(HybridFTL):
 
     def ensure_headroom(self) -> float:
         """Run silent eviction if the free pool is at or below the floor."""
-        if self.free_blocks() > self.config.spare_blocks:
+        if self.free_blocks() > SPARE_BLOCKS:
             return 0.0
-        return self._silent_evict(self.config.spare_blocks + self.config.evict_batch)
+        return self._silent_evict(SPARE_BLOCKS + EVICT_BATCH)
 
     def _pick_eviction_victims(self, limit: int):
         """Clean data blocks, lowest utilization first (SE victim policy).
@@ -371,7 +363,7 @@ class CacheFTL(HybridFTL):
         cost = 0.0
         evicted_any = False
         while self.free_blocks() < min_free:
-            victims = self._pick_eviction_victims(self.config.evict_batch)
+            victims = self._pick_eviction_victims(EVICT_BATCH)
             if not victims:
                 break
             cost += self._evict_batch(victims)
@@ -416,14 +408,14 @@ class CacheFTL(HybridFTL):
 
     def background_step(self) -> float:
         """One idle-time increment: evict ahead of demand, else merge."""
-        headroom = self.config.spare_blocks + self.config.evict_batch
+        headroom = SPARE_BLOCKS + EVICT_BATCH
         if self.free_blocks() <= headroom:
             cost = self._silent_evict(headroom + 1)
             if cost:
                 return cost
         if (
             len(self._log_blocks) >= max(1, self.log_blocks_target // 2)
-            and self.free_blocks() > self.config.spare_blocks
+            and self.free_blocks() > SPARE_BLOCKS
         ):
             return self._merge_victim_log_block()
         return 0.0

@@ -138,8 +138,9 @@ def _apply(state: RecoveredState, record: LogRecord, pages_per_block: int) -> No
 def materialize(engine: "CacheFTL", state: RecoveredState) -> None:
     """Install ``state`` into the engine and reconcile the flash chip.
 
-    After this returns: the forward maps match ``state`` exactly; every
-    flash page is VALID iff the recovered mapping references it; block
+    After this returns: the forward maps hold every entry of ``state``
+    that the flash corroborates; every flash page is VALID iff the
+    recovered mapping references it; block
     kinds, valid/dirty counts and the free lists are consistent; and the
     engine's transient cursors (active log block, sequential-run state)
     are reset.
@@ -183,9 +184,12 @@ def materialize(engine: "CacheFTL", state: RecoveredState) -> None:
         block, offset = chip.locate(ppn)
         if block.valid >> offset & 1 and block.lbns[offset] == lbn:
             engine.log_map.inner.insert(lbn, ppn)
+    # Likewise a block entry is installed only when its block
+    # reconciled as DATA (some page corroborated it).
     engine.data_map.reset()
     for group, entry in state.block_entries.items():
-        engine.data_map.inner.insert(group, entry.pbn)
+        if chip.block(entry.pbn).kind is BlockKind.DATA:
+            engine.data_map.inner.insert(group, entry.pbn)
     engine.data_map.rebuild_reverse()
 
 
@@ -250,7 +254,6 @@ def _reconcile_block(engine, plane, block, expected_pages, expected_blocks,
     if block.pbn in expected_blocks:
         group, entry = expected_blocks[block.pbn]
         base = group * engine.pages_per_block
-        block.kind = BlockKind.DATA
         # Holes (never programmed since the last erase) stay FREE.  The
         # OOB reverse map must agree with the forward mapping: a stale
         # block entry (recovered from an old checkpoint over a gapped
@@ -265,8 +268,13 @@ def _reconcile_block(engine, plane, block, expected_pages, expected_blocks,
                 and _page_intact(block, offset)
             ):
                 valid |= bit
-        _set_state(block, valid, (block.dirty & ~valid) | (entry.dirty_bitmap & valid))
-        return
+        if valid:
+            block.kind = BlockKind.DATA
+            _set_state(block, valid, (block.dirty & ~valid) | (entry.dirty_bitmap & valid))
+            return
+        # No page corroborates the entry: the block was erased (and
+        # perhaps reused) after it.  Reconcile it as an unmapped block;
+        # materialize then drops the entry.
 
     if not written:
         # Fully erased.  It may have been allocated (e.g. a just-opened

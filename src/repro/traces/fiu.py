@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Union
 
 from repro.errors import ReproError
-from repro.traces.record import OpKind, TraceRecord
+from repro.traces.record import OpKind, TraceRecord, iter_trace_file
 
 PathLike = Union[str, Path]
 
@@ -85,23 +85,7 @@ def iter_fiu_trace(
     path: PathLike, limit: Optional[int] = None
 ) -> Iterator[TraceRecord]:
     """Stream 4 KB block requests from an FIU trace file."""
-    emitted = 0
-    origin_us: Optional[float] = None
-    with open(path, "r", encoding="ascii", errors="replace") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            for record in parse_fiu_line(line, line_number):
-                if record.arrival_us is not None:
-                    # Rebase absolute timestamps to the trace's origin.
-                    if origin_us is None:
-                        origin_us = record.arrival_us
-                    record.arrival_us = max(0.0, record.arrival_us - origin_us)
-                yield record
-                emitted += 1
-                if limit is not None and emitted >= limit:
-                    return
+    return iter_trace_file(path, parse_fiu_line, limit)
 
 
 def read_fiu_trace(path: PathLike, limit: Optional[int] = None) -> List[TraceRecord]:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Union
 
 from repro.errors import ReproError
-from repro.traces.record import OpKind, TraceRecord
+from repro.traces.record import OpKind, TraceRecord, iter_trace_file
 
 PathLike = Union[str, Path]
 
@@ -86,6 +86,19 @@ def parse_msr_line(line: str, line_number: int = 0) -> Sequence[TraceRecord]:
     return [TraceRecord(op, lbn, arrival_us) for lbn in range(first, last + 1)]
 
 
+def _disk_of(line: str, line_number: int) -> int:
+    """The DiskNumber field of one MSR CSV line."""
+    parts = line.split(",", 3)
+    if len(parts) < 3:
+        raise MSRFormatError(f"line {line_number}: expected CSV fields")
+    try:
+        return int(parts[2])
+    except ValueError:
+        raise MSRFormatError(
+            f"line {line_number}: bad disk number {parts[2]!r}"
+        ) from None
+
+
 def iter_msr_trace(
     path: PathLike,
     disks: Optional[Sequence[int]] = None,
@@ -97,38 +110,16 @@ def iter_msr_trace(
     multiplex several volumes); ``limit`` caps the number of emitted
     block requests (the paper itself replays only trace prefixes).
     """
-    wanted = set(disks) if disks is not None else None
-    emitted = 0
-    origin_us: Optional[float] = None
-    with open(path, "r", encoding="ascii", errors="replace") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if wanted is not None:
-                parts = line.split(",", 3)
-                if len(parts) < 3:
-                    raise MSRFormatError(
-                        f"line {line_number}: expected CSV fields"
-                    )
-                try:
-                    disk = int(parts[2])
-                except ValueError:
-                    raise MSRFormatError(
-                        f"line {line_number}: bad disk number {parts[2]!r}"
-                    ) from None
-                if disk not in wanted:
-                    continue
-            for record in parse_msr_line(line, line_number):
-                if record.arrival_us is not None:
-                    # Rebase absolute filetimes to the trace's origin.
-                    if origin_us is None:
-                        origin_us = record.arrival_us
-                    record.arrival_us = max(0.0, record.arrival_us - origin_us)
-                yield record
-                emitted += 1
-                if limit is not None and emitted >= limit:
-                    return
+    if disks is None:
+        return iter_trace_file(path, parse_msr_line, limit)
+    wanted = set(disks)
+
+    def parse_wanted(line: str, line_number: int) -> Sequence[TraceRecord]:
+        if _disk_of(line, line_number) not in wanted:
+            return []
+        return parse_msr_line(line, line_number)
+
+    return iter_trace_file(path, parse_wanted, limit)
 
 
 def read_msr_trace(

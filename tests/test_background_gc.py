@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.flash.geometry import FlashGeometry
-from repro.ftl.ssd import SSD
 from repro.ssc.device import SolidStateCache
 
 
@@ -105,27 +104,3 @@ class TestSSCBackground:
             ) - gc_before
 
         assert run(True) <= run(False)
-
-
-class TestSSDBackground:
-    def test_recycles_log_blocks(self, geometry):
-        ssd = SSD(geometry=geometry)
-        rng = random.Random(6)
-        for i in range(2000):
-            ssd.write(rng.randrange(ssd.capacity_pages), i)
-        logs_before = len(ssd.ftl._log_blocks)
-        spent = ssd.background_collect(budget_us=10**6)
-        assert spent > 0
-        assert len(ssd.ftl._log_blocks) < logs_before
-
-    def test_data_intact(self, geometry):
-        ssd = SSD(geometry=geometry)
-        rng = random.Random(7)
-        shadow = {}
-        for i in range(2000):
-            lpn = rng.randrange(ssd.capacity_pages)
-            shadow[lpn] = ("s", i)
-            ssd.write(lpn, shadow[lpn])
-        ssd.background_collect(budget_us=10**6)
-        for lpn, expected in shadow.items():
-            assert ssd.read(lpn)[0] == expected

@@ -4,11 +4,12 @@ checksum guards data integrity)."""
 
 import pytest
 
+from repro.core.sharding import ShardedSSC
 from repro.disk.model import Disk
 from repro.errors import ChecksumError
 from repro.flash.geometry import FlashGeometry
 from repro.manager.dirty_table import DirtyBlockTable
-from repro.manager.writeback import FlashTierWBManager, WriteBackConfig
+from repro.manager.writeback import FlashTierWBManager
 from repro.ssc.device import SolidStateCache
 from repro.util.checksum import crc32_of, crc32_of_payload
 
@@ -69,15 +70,19 @@ class TestOOBChecksumStamping:
         )
 
 
-def make_manager(verify=True):
+def corrupt(ssc, lbn):
+    """Overwrite the cached page of ``lbn`` behind the device's back."""
+    location = ssc.engine.current_location(lbn)
+    block, offset = ssc.chip.locate(location[2])
+    block.data[offset] = ("CORRUPT",)
+
+
+def make_manager():
     ssc = SolidStateCache.ssc(
         FlashGeometry(planes=2, blocks_per_plane=16, pages_per_block=8)
     )
     disk = Disk(10_000)
-    manager = FlashTierWBManager(
-        ssc, disk, WriteBackConfig(verify_checksums=verify)
-    )
-    return manager, ssc, disk
+    return FlashTierWBManager(ssc, disk), ssc, disk
 
 
 class TestDirtyTableChecksums:
@@ -111,13 +116,13 @@ class TestDirtyTableChecksums:
 
 class TestWritebackVerification:
     def test_clean_path_verifies_ok(self):
-        manager, _ssc, disk = make_manager(verify=True)
+        manager, _ssc, disk = make_manager()
         manager.write(5, ("good", 5))
         manager.flush_dirty()
         assert disk.peek(5) == ("good", 5)
 
     def test_corruption_blocks_writeback(self):
-        manager, ssc, disk = make_manager(verify=True)
+        manager, ssc, disk = make_manager()
         manager.write(5, ("good", 5))
         # Simulate device-side corruption of the cached page.
         location = ssc.engine.current_location(5)
@@ -128,20 +133,39 @@ class TestWritebackVerification:
         assert exc.value.lbn == 5
         assert disk.peek(5) is None  # corruption never reached disk
 
-    def test_verification_off_by_default(self):
-        manager, ssc, disk = make_manager(verify=False)
+    def test_corruption_blocks_threshold_cleaning(self):
+        manager, ssc, disk = make_manager()
         manager.write(5, ("good", 5))
-        location = ssc.engine.current_location(5)
-        block, offset = ssc.chip.locate(location[2])
-        block.data[offset] = ("CORRUPT",)
-        manager.flush_dirty()  # no verification: propagates silently
-        assert disk.peek(5) == ("CORRUPT",)
+        corrupt(ssc, 5)
+        with pytest.raises(ChecksumError) as exc:
+            for lbn in range(100, 100 + ssc.capacity_pages):
+                manager.write(lbn, ("fill", lbn))  # 5 is the LRU dirty block
+        assert exc.value.lbn == 5
+        assert disk.peek(5) is None
+
+    def test_corruption_in_an_array_member_blocks_writeback(self):
+        array = ShardedSSC([
+            SolidStateCache.ssc(
+                FlashGeometry(planes=2, blocks_per_plane=16, pages_per_block=8)
+            )
+            for _ in range(2)
+        ])
+        disk = Disk(10_000)
+        manager = FlashTierWBManager(array, disk)
+        for lbn in range(16):
+            manager.write(lbn, ("good", lbn))
+        corrupt(array.shard_of(9), 9)
+        with pytest.raises(ChecksumError) as exc:
+            manager.flush_dirty()
+        assert exc.value.lbn == 9
+        assert disk.peek(9) is None
+        assert disk.peek(0) == ("good", 0)  # earlier blocks were written back
 
     def test_recovered_dirty_blocks_flush_with_verification(self):
         # Recovery re-adds dirty blocks from exists() without their data;
         # they carry no recorded checksum, so write-back must not reject
         # their intact contents.
-        manager, ssc, disk = make_manager(verify=True)
+        manager, ssc, disk = make_manager()
         for lbn in range(10):
             manager.write(lbn, ("data", lbn))
         ssc.crash()
@@ -154,7 +178,7 @@ class TestWritebackVerification:
         ]
 
     def test_recovered_block_rewritten_is_verified_again(self):
-        manager, ssc, disk = make_manager(verify=True)
+        manager, ssc, disk = make_manager()
         manager.write(5, ("old", 5))
         ssc.crash()
         ssc.recover()

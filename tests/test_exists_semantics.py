@@ -57,19 +57,6 @@ class TestExistsExactness:
         reported, _ = ssc.exists(0, span)
         assert set(reported) == dirty
 
-    def test_exists_matches_exists_detailed(self, ssc):
-        rng = random.Random(2)
-        for i in range(400):
-            lbn = rng.randrange(150)
-            if rng.random() < 0.3:
-                ssc.write_dirty(lbn, i)
-            else:
-                ssc.write_clean(lbn, i)
-        dirty, _ = ssc.exists(0, 1000)
-        detailed, _ = ssc.exists_detailed(0, 1000)
-        dirty_from_detailed = [lbn for lbn, is_dirty, _seq in detailed if is_dirty]
-        assert dirty == dirty_from_detailed
-
     def test_exists_survives_crash_recovery_cycle(self, ssc):
         rng = random.Random(3)
         dirty = set()

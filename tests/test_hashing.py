@@ -1,5 +1,5 @@
-"""The shared 64-bit mixers, pinned: probe counts, Bloom positions, set
-choice and hash routing all depend on their exact outputs."""
+"""The shared 64-bit mixers, pinned: probe counts, set choice and hash
+routing all depend on their exact outputs."""
 
 import pytest
 

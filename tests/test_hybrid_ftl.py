@@ -8,7 +8,7 @@ from repro.errors import ConfigError, InvalidAddressError
 from repro.flash.block import BlockKind
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
-from repro.ftl.hybrid import HybridFTL, HybridFTLConfig
+from repro.ftl.hybrid import LOG_FRACTION, SPARE_BLOCKS, HybridFTL, HybridFTLConfig
 
 
 def make_ftl(planes=4, blocks=16, pages=8, **config):
@@ -21,22 +21,30 @@ class TestLayout:
     def test_capacity_excludes_overprovisioning(self):
         ftl = make_ftl()
         total = ftl.chip.geometry.total_blocks
-        assert ftl.logical_groups == total - ftl.log_blocks_target - ftl.config.spare_blocks
+        assert ftl.logical_groups == total - ftl.log_blocks_target - SPARE_BLOCKS
         assert ftl.logical_pages == ftl.logical_groups * 8
 
     def test_log_fraction(self):
-        ftl = make_ftl(log_fraction=0.10)
-        assert ftl.log_blocks_target == int(64 * 0.10)
+        ftl = make_ftl(planes=4, blocks=64)
+        assert ftl.log_blocks_target == int(256 * LOG_FRACTION)
 
     def test_too_small_chip_rejected(self):
         with pytest.raises(ConfigError):
             make_ftl(planes=1, blocks=4, pages=8)
 
-    def test_bad_config_rejected(self):
-        with pytest.raises(ConfigError):
-            HybridFTLConfig(log_fraction=0.0)
-        with pytest.raises(ConfigError):
-            HybridFTLConfig(spare_blocks=1)
+    def test_tiny_chip_keeps_one_log_block(self):
+        ftl = make_ftl(planes=1, blocks=14)  # 14 * LOG_FRACTION rounds to 0
+        assert ftl.log_blocks_target == 1
+        assert ftl.logical_groups == 14 - 1 - SPARE_BLOCKS
+
+    def test_log_pool_never_exceeds_target(self):
+        ftl = make_ftl()
+        rng = random.Random(11)
+        peak = 0
+        for i in range(3000):
+            ftl.write(rng.randrange(ftl.logical_pages), i)
+            peak = max(peak, len(ftl._log_blocks))
+        assert peak == ftl.log_blocks_target
 
 
 class TestReadWrite:

@@ -2,21 +2,19 @@
 
 import random
 
-
 from repro.disk.model import Disk
 from repro.flash.geometry import FlashGeometry
 from repro.manager.dirty_table import DirtyBlockTable, ENTRY_BYTES
 from repro.manager.writeback import FlashTierWBManager, WriteBackConfig
 from repro.manager.writethrough import FlashTierWTManager
 from repro.ssc.device import SolidStateCache
-from repro.util.bloom import BloomFilter
 
 
-def make_wt(disk_blocks=100_000, bloom=None):
+def make_wt(disk_blocks=100_000):
     geometry = FlashGeometry(planes=4, blocks_per_plane=32, pages_per_block=16)
     ssc = SolidStateCache.ssc(geometry)
     disk = Disk(disk_blocks)
-    return FlashTierWTManager(ssc, disk, bloom_filter=bloom), ssc, disk
+    return FlashTierWTManager(ssc, disk), ssc, disk
 
 
 def make_wb(disk_blocks=100_000, **config):
@@ -88,21 +86,6 @@ class TestWriteThrough:
             manager.write(lbn, lbn)
         assert manager.host_memory_bytes() == 0
 
-    def test_bloom_filter_skips_sure_misses(self):
-        bloom = BloomFilter(expected_items=1000)
-        manager, ssc, disk = make_wt(bloom=bloom)
-        disk.write(5, "x")
-        reads_before = ssc.stats.user_reads
-        manager.read(5)  # miss: bloom empty, SSC read skipped
-        assert ssc.stats.user_reads == reads_before
-        manager.read(5)  # now cached and in bloom: SSC read happens
-        assert ssc.stats.user_reads == reads_before + 1
-
-    def test_bloom_memory_counted(self):
-        bloom = BloomFilter(expected_items=1000)
-        manager, _ssc, _disk = make_wt(bloom=bloom)
-        assert manager.host_memory_bytes() == bloom.memory_bytes()
-
     def test_recover_is_instant(self):
         manager, _ssc, _disk = make_wt()
         assert manager.recover_us() == 0.0
@@ -145,6 +128,22 @@ class TestWriteBack:
         assert disk.peek(5) == "keep-me"
         data, _ = manager.read(5)  # still cached (clean) until evicted
         assert data == "keep-me"
+
+    def test_clean_mode_keeps_blocks_warm(self):
+        """Write-back issues clean, not evict: every written-back block
+        stays readable from the cache until the SSC evicts it."""
+        manager, ssc, _disk = make_wb(dirty_threshold=0.05)
+        rng = random.Random(4)
+        lbns = [rng.randrange(1000) for _ in range(1200)]
+        for i, lbn in enumerate(lbns):
+            manager.write(lbn, ("clean", i))
+        assert manager.stats.writebacks > 0
+        assert manager.stats.evictions == 0
+        assert ssc.stats.silent_evictions == 0
+        for lbn in set(lbns):
+            manager.read(lbn)
+        assert manager.stats.read_misses == 0
+        assert manager.stats.read_hits == len(set(lbns))
 
     def test_contiguous_runs_written_sequentially(self):
         manager, _ssc, disk = make_wb()

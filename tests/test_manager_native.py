@@ -8,7 +8,12 @@ from repro.disk.model import Disk
 from repro.errors import ConfigError
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.ssd import SSD
-from repro.manager.native import HOST_ENTRY_BYTES, NativeCacheManager, NativeConfig
+from repro.manager.native import (
+    HOST_ENTRY_BYTES,
+    SET_SIZE,
+    NativeCacheManager,
+    NativeConfig,
+)
 
 
 def make_native(mode="wb", consistency=True, disk_blocks=100_000, **kwargs):
@@ -27,8 +32,6 @@ class TestConfig:
     def test_bad_thresholds(self):
         with pytest.raises(ConfigError):
             NativeConfig(dirty_threshold=0.0)
-        with pytest.raises(ConfigError):
-            NativeConfig(meta_fraction=0.9)
 
 
 class TestWriteBack:
@@ -50,7 +53,7 @@ class TestWriteBack:
         assert data == "dirty"
 
     def test_dirty_block_written_back_on_eviction(self):
-        manager, ssd, disk = make_native(set_size=4)
+        manager, ssd, disk = make_native()
         rng = random.Random(1)
         shadow = {}
         for i in range(5000):
@@ -151,7 +154,7 @@ class TestMemoryAndRecovery:
 
 class TestIntegrity:
     def test_mixed_workload_integrity(self):
-        manager, _ssd, disk = make_native(set_size=8)
+        manager, _ssd, disk = make_native()
         rng = random.Random(4)
         shadow = {}
         for i in range(6000):
@@ -166,7 +169,7 @@ class TestIntegrity:
 
 class TestSetReplacement:
     def test_full_set_evicts_least_recently_touched(self):
-        manager, _ssd, disk = make_native(mode="wt", set_size=4)
+        manager, _ssd, disk = make_native(mode="wt")
         target = manager._set_of_lbn(0)
         capacity = len(manager._free_slots[target])
         same_set = [lbn for lbn in range(10_000)
@@ -187,7 +190,7 @@ class TestSetReplacement:
     def test_mapped_slot_lies_in_the_lbns_set(self):
         """Hits and re-writes find a mapped lbn's set from its slot, so
         every mapped slot must lie in the set its lbn hashes to."""
-        manager, _ssd, _disk = make_native(mode="wb", set_size=8)
+        manager, _ssd, _disk = make_native(mode="wb")
         rng = random.Random(5)
         for i in range(6000):
             lbn = rng.randrange(3000)
@@ -201,3 +204,32 @@ class TestSetReplacement:
             set_index = manager._set_of_lbn(lbn)
             assert manager._set_of_slot(slot) == set_index
             assert lbn in manager._set_lru[set_index]
+
+
+class TestSetLayout:
+    def test_metadata_region_and_set_count(self):
+        manager, ssd, _disk = make_native()
+        assert ssd.capacity_pages == 1792
+        assert manager._meta_pages == 35  # META_FRACTION of the SSD
+        assert manager.data_pages == 1792 - 35
+        assert manager.num_sets == 1757 // SET_SIZE
+
+    def test_every_data_slot_lies_in_one_full_set(self):
+        manager, _ssd, _disk = make_native()
+        slots = [slot for free in manager._free_slots for slot in free]
+        assert sorted(slots) == list(range(manager.data_pages))
+        assert min(len(free) for free in manager._free_slots) == SET_SIZE
+        for set_index, free in enumerate(manager._free_slots):
+            assert all(manager._set_of_slot(slot) == set_index for slot in free)
+
+    def test_small_ssd_is_one_set(self):
+        ssd = SSD(geometry=FlashGeometry(planes=1, blocks_per_plane=16,
+                                         pages_per_block=4))
+        manager = NativeCacheManager(ssd, Disk(1000))
+        assert manager.data_pages < SET_SIZE
+        assert manager.num_sets == 1
+        assert len(manager._free_slots[0]) == manager.data_pages
+        for lbn in range(3 * manager.data_pages):
+            manager.write(lbn, ("v", lbn))
+        assert manager.cached_blocks() == manager.data_pages
+        assert manager.stats.evictions > 0

@@ -1,6 +1,5 @@
 """Assorted unit coverage: report formatting, plane edge cases,
-geometry options, exists_detailed details, and the dense/sparse memory
-contrast."""
+geometry options, and the dense/sparse memory contrast."""
 
 import pytest
 
@@ -8,7 +7,6 @@ from repro.errors import InvalidAddressError
 from repro.flash.block import BlockKind
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
-from repro.ssc.device import SolidStateCache
 from repro.stats.report import format_ratio, format_table
 
 
@@ -63,29 +61,6 @@ class TestGeometryOptions:
         assert geometry.page_size == 2048
         assert geometry.oob_bytes == 16
         assert geometry.capacity_bytes >= 1 << 20
-
-
-class TestExistsDetailed:
-    def test_sequence_stamps_monotone_with_write_order(self):
-        ssc = SolidStateCache.ssc(
-            FlashGeometry(planes=2, blocks_per_plane=16, pages_per_block=8)
-        )
-        for lbn in (3, 1, 2):
-            ssc.write_clean(lbn, lbn)
-        entries, _ = ssc.exists_detailed(0, 10)
-        seq = {lbn: stamp for lbn, _dirty, stamp in entries}
-        assert seq[3] < seq[1] < seq[2]
-
-    def test_overwrite_refreshes_stamp(self):
-        ssc = SolidStateCache.ssc(
-            FlashGeometry(planes=2, blocks_per_plane=16, pages_per_block=8)
-        )
-        ssc.write_clean(1, "a")
-        ssc.write_clean(2, "b")
-        ssc.write_clean(1, "a2")
-        entries, _ = ssc.exists_detailed(0, 10)
-        seq = {lbn: stamp for lbn, _dirty, stamp in entries}
-        assert seq[1] > seq[2]
 
 
 class TestMemoryContrast:

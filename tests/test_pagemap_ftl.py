@@ -8,15 +8,15 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ConfigError, InvalidAddressError
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
-from repro.ftl.pagemap import PageMapFTL, PageMapFTLConfig
+from repro.ftl.pagemap import GC_THRESHOLD, OVERPROVISION, PageMapFTL
 from repro.ftl.ssd import SSD
 from repro.ftl.mapping import ENTRY_BYTES
 
 
-def make_ftl(planes=2, blocks=16, pages=8, **config):
+def make_ftl(planes=2, blocks=16, pages=8):
     chip = FlashChip(FlashGeometry(planes=planes, blocks_per_plane=blocks,
                                    pages_per_block=pages))
-    return PageMapFTL(chip, PageMapFTLConfig(**config))
+    return PageMapFTL(chip)
 
 
 class TestLayout:
@@ -25,11 +25,18 @@ class TestLayout:
         total_pages = ftl.chip.geometry.total_pages
         assert ftl.logical_pages < total_pages
 
-    def test_bad_config(self):
+    @pytest.mark.parametrize("planes, blocks, logical_blocks", [
+        (2, 16, 32 - GC_THRESHOLD),          # the GC floor dominates
+        (4, 64, 256 - int(256 * OVERPROVISION)),
+    ])
+    def test_reserve_is_gc_floor_or_overprovision(self, planes, blocks,
+                                                   logical_blocks):
+        ftl = make_ftl(planes=planes, blocks=blocks)
+        assert ftl.logical_pages == logical_blocks * 8
+
+    def test_too_small_chip_rejected(self):
         with pytest.raises(ConfigError):
-            PageMapFTLConfig(overprovision=0.0)
-        with pytest.raises(ConfigError):
-            PageMapFTLConfig(gc_threshold=1)
+            make_ftl(planes=1, blocks=GC_THRESHOLD)
 
     def test_out_of_range(self):
         ftl = make_ftl()

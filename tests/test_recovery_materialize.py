@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.check.oracle import _check_structure
 from repro.flash.block import BlockKind
 from repro.flash.geometry import FlashGeometry
+from repro.ssc import recovery
 from repro.ssc.device import SolidStateCache
 
 
@@ -121,3 +123,67 @@ class TestMaterialization:
         ssc.recover()
         dirty, _cost = ssc.exists(7, 16)
         assert dirty == list(range(7, 16))
+
+
+class TestUncorroboratedBlockEntries:
+    """A block-map entry no page corroborates (its block erased, and
+    perhaps reused, after the entry was logged) is dropped, and its
+    block is reconciled as an unmapped block."""
+
+    STALE_GROUP = 9
+
+    def recover_with_extra_entry(self, ssc, monkeypatch, pbn, valid_bitmap=0xFF):
+        for lbn in range(32):  # groups 1-3 become data blocks
+            ssc.write_dirty(lbn, ("v", lbn))
+        real_replay = recovery.replay
+
+        def replay_with_stale_entry(checkpoint, records, pages_per_block):
+            state = real_replay(checkpoint, records, pages_per_block)
+            state.block_entries[self.STALE_GROUP] = recovery._BlockEntry(
+                pbn=pbn, dirty_bitmap=valid_bitmap, valid_bitmap=valid_bitmap,
+            )
+            return state
+
+        monkeypatch.setattr(recovery, "replay", replay_with_stale_entry)
+        ssc.crash()
+        ssc.recover()
+
+    def assert_rest_intact(self, ssc):
+        assert _check_structure(ssc, "t") == []
+        dirty, _cost = ssc.exists(0, 32)
+        assert dirty == list(range(32))
+        for lbn in range(32):
+            assert ssc.read(lbn)[0] == ("v", lbn)
+
+    def test_entry_into_an_erased_block_is_dropped(self, ssc, monkeypatch):
+        free_pbn = 5
+        assert ssc.chip.planes[0].is_free(free_pbn)
+        self.recover_with_extra_entry(ssc, monkeypatch, free_pbn)
+        assert ssc.engine.data_map.lookup(self.STALE_GROUP) is None
+        assert ssc.chip.block(free_pbn).kind is BlockKind.FREE
+        assert ssc.chip.planes[0].is_free(free_pbn)
+        self.assert_rest_intact(ssc)
+
+    def test_entry_into_a_reused_log_block_is_dropped(self, ssc, monkeypatch):
+        ssc.write_dirty(0, ("v", 0))
+        log_pbn = ssc.engine.current_location(0)[0]
+        self.recover_with_extra_entry(ssc, monkeypatch, log_pbn)
+        assert ssc.engine.data_map.lookup(self.STALE_GROUP) is None
+        assert ssc.chip.block(log_pbn).kind is BlockKind.LOG
+        assert ssc.engine.current_location(0)[0] == log_pbn
+        self.assert_rest_intact(ssc)
+
+    def test_entry_whose_valid_bitmap_covers_no_page_is_dropped(
+        self, ssc, monkeypatch
+    ):
+        # Group 9's own page sits page-mapped in a log block; an entry
+        # naming that block with an empty valid bitmap corroborates
+        # nothing, so the page stays reachable through the page map only.
+        ssc.write_dirty(72, ("v", 72))
+        log_pbn = ssc.engine.current_location(72)[0]
+        self.recover_with_extra_entry(ssc, monkeypatch, log_pbn, valid_bitmap=0)
+        assert ssc.engine.data_map.lookup(self.STALE_GROUP) is None
+        assert ssc.chip.block(log_pbn).kind is BlockKind.LOG
+        assert ssc.read(72)[0] == ("v", 72)
+        assert ssc.is_dirty(72)
+        self.assert_rest_intact(ssc)

@@ -92,7 +92,7 @@ def _target_boundary_count(workload) -> int:
     """How many durability boundaries the target shard crosses."""
     probe = build_device(shards=SHARDS)
     injector = CrashInjector()
-    probe.attach_injector(injector, only_shard=TARGET)
+    probe.shards[TARGET].attach_injector(injector)
     oracle = SSCOracle()
     crashed = run_workload(probe, oracle, workload, [], "probe")
     assert not crashed
@@ -104,7 +104,7 @@ def _crash_and_recover(workload, boundary: int, torn: bool):
     ``boundary`` (torn or clean), recover, return the pieces."""
     array = build_device(shards=SHARDS)
     injector = CrashInjector()
-    array.attach_injector(injector, only_shard=TARGET)
+    array.shards[TARGET].attach_injector(injector)
     injector.arm(after_events=boundary, torn=torn)
     oracle = SSCOracle()
     violations = []

@@ -24,9 +24,9 @@ def make_engine(policy=EvictionPolicy.UTIL, planes=4, blocks=16, pages=8):
 class TestConfig:
     def test_bad_fractions(self):
         with pytest.raises(ConfigError):
-            CacheFTLConfig(log_fraction=0.3, max_log_fraction=0.2)
+            CacheFTLConfig(max_log_fraction=0.05)  # below the log pool
         with pytest.raises(ConfigError):
-            CacheFTLConfig(evict_batch=0)
+            CacheFTLConfig(max_log_fraction=0.5)
 
     def test_negative_lbn_rejected(self):
         engine = make_engine()

@@ -1,14 +1,11 @@
-"""Tests for the SSC extensions: NVRAM logging, clean shutdown,
-exists_detailed metadata, and the explicit-eviction write-back policy."""
+"""Tests for the SSC extensions: NVRAM logging and clean shutdown."""
 
 import random
 
 import pytest
 
-from repro.disk.model import Disk
 from repro.errors import NotPresentError
 from repro.flash.geometry import FlashGeometry
-from repro.manager.writeback import FlashTierWBManager, WriteBackConfig
 from repro.ssc.device import SolidStateCache, SSCConfig
 from repro.ssc.log import NvramOperationLog
 
@@ -89,76 +86,3 @@ class TestShutdown:
         ssc = SolidStateCache(geometry, config=SSCConfig(consistency=False))
         ssc.write_clean(1, "x")
         assert ssc.shutdown() == 0.0
-
-
-class TestExistsDetailed:
-    def test_reports_dirty_flag_and_age(self, geometry):
-        ssc = SolidStateCache.ssc(geometry)
-        ssc.write_clean(10, "a")
-        ssc.write_dirty(20, "b")
-        entries, cost = ssc.exists_detailed(0, 100)
-        assert cost == pytest.approx(ssc.chip.timing.control_delay_us)
-        by_lbn = {lbn: (dirty, seq) for lbn, dirty, seq in entries}
-        assert by_lbn[10][0] is False
-        assert by_lbn[20][0] is True
-        # Block 20 was written later: its sequence stamp must be higher.
-        assert by_lbn[20][1] > by_lbn[10][1]
-
-    def test_range_filter(self, geometry):
-        ssc = SolidStateCache.ssc(geometry)
-        for lbn in (5, 50, 500):
-            ssc.write_clean(lbn, lbn)
-        entries, _ = ssc.exists_detailed(10, 100)
-        assert [entry[0] for entry in entries] == [50]
-
-
-class TestEvictReclaimPolicy:
-    def make_manager(self, geometry, reclaim):
-        ssc = SolidStateCache.ssc(geometry)
-        disk = Disk(100_000)
-        manager = FlashTierWBManager(
-            ssc, disk, WriteBackConfig(dirty_threshold=0.05, reclaim=reclaim)
-        )
-        return manager, ssc, disk
-
-    def test_evict_mode_removes_blocks(self, geometry):
-        manager, ssc, disk = self.make_manager(geometry, "evict")
-        rng = random.Random(3)
-        for i in range(2000):
-            manager.write(rng.randrange(5000), ("e", i))
-        assert manager.stats.evictions > 0
-        assert manager.stats.cleans == 0
-
-    def test_clean_mode_keeps_blocks_warm(self, geometry):
-        """After write-back, clean mode keeps data readable from cache
-        while evict mode forces disk reads — clean must hit more."""
-        results = {}
-        for reclaim in ("clean", "evict"):
-            manager, ssc, disk = self.make_manager(geometry, reclaim)
-            rng = random.Random(4)
-            lbns = [rng.randrange(2000) for _ in range(1500)]
-            for i, lbn in enumerate(lbns):
-                manager.write(lbn, (reclaim, i))
-            for lbn in set(lbns):
-                manager.read(lbn)
-            results[reclaim] = manager.stats.read_hits
-        assert results["clean"] >= results["evict"]
-
-    def test_integrity_in_evict_mode(self, geometry):
-        manager, ssc, disk = self.make_manager(geometry, "evict")
-        rng = random.Random(5)
-        shadow = {}
-        for i in range(3000):
-            lbn = rng.randrange(8000)
-            if rng.random() < 0.6:
-                shadow[lbn] = ("v", i)
-                manager.write(lbn, shadow[lbn])
-            else:
-                data, _ = manager.read(lbn)
-                assert data == shadow.get(lbn)
-
-    def test_bad_reclaim_rejected(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            WriteBackConfig(reclaim="discard")

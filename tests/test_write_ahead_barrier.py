@@ -22,7 +22,7 @@ import pytest
 from repro.errors import CrashError, NotPresentError
 from repro.flash.geometry import FlashGeometry
 from repro.ssc.device import SolidStateCache, SSCConfig
-from repro.ssc.engine import EvictionPolicy
+from repro.ssc.engine import EVICT_BATCH, EvictionPolicy
 from repro.ssc.recovery import replay
 
 
@@ -210,7 +210,7 @@ class TestLogForces:
     def test_one_log_force_per_batch(self):
         ssc = self.fill_with_clean_blocks()
         engine, oplog = ssc.engine, ssc.oplog
-        batch = engine.config.evict_batch
+        batch = EVICT_BATCH
         assert len(engine._pick_eviction_victims(batch)) == batch
         before = (engine.stats.silent_evictions, oplog.sync_flushes,
                   oplog.pages_written, oplog.barrier_flushes)
