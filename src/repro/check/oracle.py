@@ -254,13 +254,14 @@ class SSCOracle:
                        trial: str) -> List[Violation]:
         """The cache must not materialize blocks that were never written."""
         violations: List[Violation] = []
-        for lbn in ssc.engine.iter_cached_lbns():
-            if lbn not in known:
-                violations.append(Violation(
-                    "unknown-lbn", lbn,
-                    "recovered mapping contains a block never written",
-                    trial,
-                ))
+        for member in getattr(ssc, "shards", (ssc,)):
+            for lbn in member.engine.iter_cached_lbns():
+                if lbn not in known:
+                    violations.append(Violation(
+                        "unknown-lbn", lbn,
+                        "recovered mapping contains a block never written",
+                        trial,
+                    ))
         return violations
 
 

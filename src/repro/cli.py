@@ -59,9 +59,16 @@ def _add_trace_source_args(parser: argparse.ArgumentParser) -> None:
         help="the --trace file is FIU (SyLab) format",
     )
     parser.add_argument(
-        "--limit", type=int, default=None,
+        "--limit", type=_non_negative_int, default=None,
         help="cap the number of requests taken from --trace",
     )
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _load_records(args) -> List[TraceRecord]:
@@ -70,13 +77,12 @@ def _load_records(args) -> List[TraceRecord]:
             return read_msr_trace(args.trace, limit=args.limit)
         if getattr(args, "fiu", False):
             return read_fiu_trace(args.trace, limit=args.limit)
-        records = read_trace(args.trace)
-        return records[: args.limit] if args.limit else records
+        return read_trace(args.trace)[: args.limit]
     profile = PROFILES[args.workload].scaled(args.scale)
     return generate_trace(profile, seed=args.seed).records
 
 
-def _system_config(args, kind: SystemKind, records) -> SystemConfig:
+def _system_config(args, kind: SystemKind, records, shards: int = 1) -> SystemConfig:
     if args.trace:
         stats = analyze(records)
         cache_blocks = max(256, stats.unique_blocks // 4)
@@ -91,20 +97,15 @@ def _system_config(args, kind: SystemKind, records) -> SystemConfig:
         cache_blocks=cache_blocks,
         disk_blocks=disk_blocks,
         consistency=not args.no_consistency,
-        shards=getattr(args, "shards", 1),
-        routing=getattr(args, "routing", "stripe"),
+        shards=shards,
     )
 
 
 def _add_shard_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shards", type=int, default=1,
-        help="split the cache into this many devices at fixed total "
+        help="split an SSC cache into this many devices at fixed total "
              "capacity (default 1: a single device)",
-    )
-    parser.add_argument(
-        "--routing", choices=("stripe", "hash"), default="stripe",
-        help="erase-group-to-shard assignment policy (default stripe)",
     )
 
 
@@ -161,7 +162,7 @@ def cmd_analyze(args) -> int:
 def cmd_replay(args) -> int:
     records = _load_records(args)
     kind = SystemKind(args.system)
-    system = build_system(_system_config(args, kind, records))
+    system = build_system(_system_config(args, kind, records, args.shards))
 
     # Observability is opt-in: without these flags no tracer is
     # attached and the replay runs the zero-cost default path.
@@ -218,7 +219,7 @@ def cmd_replay(args) -> int:
     device = system.device_stats
     loop = "open loop" if args.open_loop else f"QD={stats.queue_depth}"
     if args.shards > 1:
-        loop += f", {args.shards} shards/{args.routing}"
+        loop += f", {args.shards} shards"
     print(f"system:              {kind.value} ({args.mode}, {loop})")
     config = system.config
     provisioned = config.shards * member_cache_blocks(config, config.shards)
@@ -283,7 +284,7 @@ def cmd_compare(args) -> int:
 @_reports_config_errors
 def cmd_recover(args) -> int:
     records = _load_records(args)
-    system = build_system(_system_config(args, SystemKind.SSC, records))
+    system = build_system(_system_config(args, SystemKind.SSC, records, args.shards))
     system.replay(records, warmup_fraction=0.0)
     assert system.ssc is not None
     cached = system.ssc.cached_blocks()
@@ -304,6 +305,7 @@ def cmd_recover(args) -> int:
             title=f"Parallel recovery across {len(per_shard)} shards",
         ))
 
+    # The comparison is the paper's single-SSD native baseline.
     native = build_system(_system_config(args, SystemKind.NATIVE, records))
     native.replay(records, warmup_fraction=0.0)
     print(f"Native-FC reload:    {native.manager.recover_manager_us() / 1000:.2f} ms")

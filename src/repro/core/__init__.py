@@ -2,7 +2,7 @@
 
 from repro.core.config import SystemConfig, SystemKind, CacheMode
 from repro.core.flashtier import FlashTierSystem, build_system
-from repro.core.sharding import ShardedSSC, ShardedSSD, ShardRouter
+from repro.core.sharding import ShardedSSC
 
 __all__ = [
     "SystemConfig",
@@ -10,7 +10,5 @@ __all__ = [
     "CacheMode",
     "FlashTierSystem",
     "ShardedSSC",
-    "ShardedSSD",
-    "ShardRouter",
     "build_system",
 ]

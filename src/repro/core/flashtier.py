@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from repro.core.config import CacheMode, SystemConfig, SystemKind
-from repro.core.sharding import ShardedSSC, ShardedSSD
+from repro.core.sharding import ShardedSSC
 from repro.disk.model import Disk
 from repro.engine.replay import ReplayEngine
+from repro.errors import ConfigError
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.ssd import SSD
 from repro.manager.base import CacheManager
@@ -125,21 +126,19 @@ def build_system(config: SystemConfig) -> FlashTierSystem:
     """Assemble the system described by ``config``.
 
     With ``config.shards > 1`` the cache is an array of that many member
-    devices at fixed total capacity: each member is provisioned
+    SSCs at fixed total capacity: each member is provisioned
     ``cache_blocks / shards`` blocks (see :func:`member_cache_blocks`), and
-    the array partitions the disk LBN space across them by the
-    ``config.routing`` policy.  The managers run unmodified against the
-    array — it exposes the exact device interface they already speak.
-    A one-shard config gets the bare device.
+    the array stripes erase groups across them.  The managers run
+    unmodified against the array — it exposes the exact device
+    interface they already speak.  A one-shard config gets the bare
+    device; the native system has no array and raises
+    :class:`~repro.errors.ConfigError` for more than one shard.
     """
+    if config.kind is SystemKind.NATIVE and config.shards > 1:
+        raise ConfigError("the native system runs on one SSD: shards must be 1")
     geometry = cache_geometry(config, shard_count=config.shards)
     members = [_cache_device(config, geometry) for _ in range(config.shards)]
-    if config.shards == 1:
-        device = members[0]
-    elif config.kind is SystemKind.NATIVE:
-        device = ShardedSSD(members)
-    else:
-        device = ShardedSSC(members, routing=config.routing)
+    device = members[0] if config.shards == 1 else ShardedSSC(members)
     return assemble_system(config, device, Disk(config.disk_blocks))
 
 

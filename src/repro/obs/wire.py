@@ -39,12 +39,6 @@ def _instrument_device(device: Any, tracer: Optional[Tracer]) -> List[Any]:
             touched.extend(_instrument_device(member, tracer))
         return touched
 
-    ssds = getattr(device, "ssds", None)
-    if isinstance(ssds, list):             # ShardedSSD: members only
-        for member in ssds:
-            touched.extend(_instrument_device(member, tracer))
-        return touched
-
     # Bare SolidStateCache or SSD.
     device.tracer = tracer
     touched.append(device)

@@ -56,6 +56,12 @@ from repro.ssc.log import (
     RecordKind,
 )
 
+#: Checkpoint once the durable log outgrows this share of the latest
+#: checkpoint's size (§6.4: "if the log size exceeds two-thirds of the
+#: checkpoint size or after 1 million writes, whichever occurs
+#: earlier").
+CHECKPOINT_LOG_RATIO = 2.0 / 3.0
+
 
 @dataclass(frozen=True)
 class SSCConfig(CacheFTLConfig):
@@ -77,7 +83,6 @@ class SSCConfig(CacheFTLConfig):
     consistency: bool = True
     clean_durability: str = "replace-sync"
     group_commit_ops: int = 10_000
-    checkpoint_log_ratio: float = 2.0 / 3.0
     checkpoint_interval_writes: int = 1_000_000
     nvram: bool = False
 
@@ -89,8 +94,6 @@ class SSCConfig(CacheFTLConfig):
             )
         if self.group_commit_ops < 1:
             raise ConfigError("group_commit_ops must be >= 1")
-        if not 0.0 < self.checkpoint_log_ratio <= 10.0:
-            raise ConfigError("checkpoint_log_ratio must be in (0, 10]")
         if self.checkpoint_interval_writes < 1:
             raise ConfigError("checkpoint_interval_writes must be >= 1")
 
@@ -129,7 +132,7 @@ class SolidStateCache:
         )
         self._writes_since_checkpoint = 0
         #: Durable log bytes beyond which the next checkpoint is due:
-        #: ``checkpoint_log_ratio`` times the latest checkpoint's size.
+        #: :data:`CHECKPOINT_LOG_RATIO` times the latest checkpoint's size.
         #: None means "derive it from ``checkpoints.latest()``"; whatever
         #: changes the slots other than checkpoint_now (recovery, fault
         #: injection) sets it back to None.
@@ -310,10 +313,10 @@ class SolidStateCache:
         return cost
 
     def _maybe_checkpoint(self) -> float:
-        """Checkpoint when the durable log outgrows the latest intact
-        checkpoint (§6.4: "if the log size exceeds two-thirds of the
-        checkpoint size or after 1 million writes, whichever occurs
-        earlier"), and return the checkpoint's cost.
+        """Checkpoint when the durable log outgrows
+        :data:`CHECKPOINT_LOG_RATIO` of the latest intact checkpoint or
+        ``checkpoint_interval_writes`` writes have passed since it, and
+        return the checkpoint's cost.
 
         Asked after every operation, so it compares against the cached
         :attr:`checkpoint_trigger_bytes`.  A cleared cache is derived
@@ -324,9 +327,9 @@ class SolidStateCache:
         if trigger is None:
             latest = self.checkpoints.latest()
             if latest is None:
-                trigger = self.config.checkpoint_log_ratio * self._snapshot_bytes()
+                trigger = CHECKPOINT_LOG_RATIO * self._snapshot_bytes()
             else:
-                trigger = self.config.checkpoint_log_ratio * latest.size_bytes()
+                trigger = CHECKPOINT_LOG_RATIO * latest.size_bytes()
                 self.checkpoint_trigger_bytes = trigger
         if (
             self.oplog.flushed_bytes > trigger
@@ -369,7 +372,7 @@ class SolidStateCache:
         previous = self.checkpoints.previous()
         if previous is None or previous.seq < seq:
             self.checkpoint_trigger_bytes = (
-                self.config.checkpoint_log_ratio * checkpoint.size_bytes())
+                CHECKPOINT_LOG_RATIO * checkpoint.size_bytes())
         else:
             # latest() keeps the other slot when it is as new (no
             # record was appended between the two checkpoints).

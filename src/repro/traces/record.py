@@ -7,6 +7,7 @@ the paper's trace preprocessing (Table 3 caption).
 from __future__ import annotations
 
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -69,9 +70,17 @@ def iter_trace_file(
 
     Skips blank and ``#`` lines, hands each other stripped line and its
     1-based number to ``parse_line``, rebases absolute arrival times to
-    the first timestamped request, and stops after ``limit`` requests.
+    the first timestamped request, and stops after ``limit`` requests
+    without parsing further lines (``limit=0`` yields nothing).
     """
-    emitted = 0
+    records = _iter_lines(path, parse_line)
+    return records if limit is None else islice(records, limit)
+
+
+def _iter_lines(
+    path: Union[str, Path],
+    parse_line: Callable[[str, int], Sequence[TraceRecord]],
+) -> Iterator[TraceRecord]:
     origin_us: Optional[float] = None
     with open(path, "r", encoding="ascii", errors="replace") as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -84,6 +93,3 @@ def iter_trace_file(
                         origin_us = record.arrival_us
                     record.arrival_us = max(0.0, record.arrival_us - origin_us)
                 yield record
-                emitted += 1
-                if limit is not None and emitted >= limit:
-                    return

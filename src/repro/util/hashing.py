@@ -3,8 +3,8 @@
 Block and group numbers are small, dense and sequential, so Python's
 identity hash of an int would cluster them; both mixers spread such
 keys across all 64 bits.  Their outputs fix the sparse map's probe
-counts, the native manager's set choice and the array's hash routing,
-so they must not change.
+counts (``splitmix64``) and the native manager's set choice
+(``mix64``), so they must not change.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from repro.core.sharding import ShardedSSC
 from repro.errors import CrashError, InvalidAddressError
 from repro.flash.geometry import FlashGeometry
 from repro.sim.crash import CrashInjector, CrashPoint
-from repro.ssc.device import SolidStateCache
+from repro.ssc.device import CHECKPOINT_LOG_RATIO, SolidStateCache
 from repro.traces.synthetic import MAIL, generate_trace
 
 GEOMETRY = FlashGeometry(planes=4, blocks_per_plane=128, pages_per_block=16)
@@ -33,7 +33,7 @@ def per_op_latest_rule(ssc):
         latest = ssc.checkpoints.latest()
         base = latest.size_bytes() if latest is not None else ssc._snapshot_bytes()
         if (
-            ssc.oplog.flushed_bytes > ssc.config.checkpoint_log_ratio * base
+            ssc.oplog.flushed_bytes > CHECKPOINT_LOG_RATIO * base
             or ssc._writes_since_checkpoint >= ssc.config.checkpoint_interval_writes
         ):
             return ssc.checkpoint_now()

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.flash.geometry import FlashGeometry
-from repro.ssc.device import SolidStateCache, SSCConfig
+from repro.ssc import device
+from repro.ssc.device import CHECKPOINT_LOG_RATIO, SolidStateCache, SSCConfig
 
 
 @pytest.fixture
@@ -12,13 +13,12 @@ def geometry():
 
 
 class TestCheckpointTriggers:
-    def test_log_growth_triggers_checkpoint(self, geometry):
-        """Checkpoint when the log exceeds the configured fraction of
-        the checkpoint size."""
+    def test_log_growth_triggers_checkpoint(self, geometry, monkeypatch):
+        """Checkpoint when the log exceeds the set fraction of the
+        checkpoint size."""
+        monkeypatch.setattr(device, "CHECKPOINT_LOG_RATIO", 0.5)
         ssc = SolidStateCache(
-            geometry,
-            config=SSCConfig(checkpoint_log_ratio=0.5,
-                             checkpoint_interval_writes=10**9),
+            geometry, config=SSCConfig(checkpoint_interval_writes=10**9)
         )
         for i in range(2000):
             ssc.write_dirty(i % 600, i)
@@ -28,11 +28,10 @@ class TestCheckpointTriggers:
         assert latest is not None
         assert ssc.oplog.flushed_bytes <= 0.5 * latest.size_bytes() + 8192
 
-    def test_write_count_triggers_checkpoint(self, geometry):
+    def test_write_count_triggers_checkpoint(self, geometry, monkeypatch):
+        monkeypatch.setattr(device, "CHECKPOINT_LOG_RATIO", 10.0)  # rarely by size
         ssc = SolidStateCache(
-            geometry,
-            config=SSCConfig(checkpoint_log_ratio=10.0,  # rarely by size
-                             checkpoint_interval_writes=500),
+            geometry, config=SSCConfig(checkpoint_interval_writes=500)
         )
         for i in range(1600):
             ssc.write_dirty(i % 600, i)
@@ -53,12 +52,11 @@ class TestCheckpointTriggers:
         assert ssc.checkpoints.writes == 0
         assert ssc.checkpoint_now() == 0.0
 
-    def test_checkpoint_cost_charged_to_write(self, geometry):
+    def test_checkpoint_cost_charged_to_write(self, geometry, monkeypatch):
         """The write that trips a checkpoint pays for it."""
+        monkeypatch.setattr(device, "CHECKPOINT_LOG_RATIO", 10.0)
         ssc = SolidStateCache(
-            geometry,
-            config=SSCConfig(checkpoint_log_ratio=10.0,
-                             checkpoint_interval_writes=100),
+            geometry, config=SSCConfig(checkpoint_interval_writes=100)
         )
         costs = [ssc.write_dirty(i % 300, i) for i in range(150)]
         # At least one write carries a visibly larger (checkpoint) cost.
@@ -68,10 +66,8 @@ class TestCheckpointTriggers:
         """§4.2.2's purpose: checkpoints keep "the log size less than a
         fixed fraction of the size of the checkpoint", so recovery cost
         is bounded regardless of how long the device has been running."""
-        ratio = 2.0 / 3.0
-        ssc = SolidStateCache(
-            geometry, config=SSCConfig(checkpoint_log_ratio=ratio)
-        )
+        ratio = CHECKPOINT_LOG_RATIO
+        ssc = SolidStateCache(geometry)
         read_cost = ssc.chip.timing.read_cost()
         page_size = geometry.page_size
         for i in range(5000):

@@ -299,14 +299,13 @@ class TestEventDeclarations:
 
 
 class TestWiringSsdBaseline:
-    def test_native_sharded_ssd_planes_are_instrumented(self):
+    def test_native_ssd_planes_are_instrumented(self):
         profile = PROFILES["homes"].scaled(0.01)
         system = build_system(SystemConfig(
             kind=SystemKind.NATIVE,
             mode=CacheMode.WRITE_BACK,
             cache_blocks=512,
             disk_blocks=profile.address_range_blocks,
-            shards=2,
         ))
         tracer = Tracer()
         touched = instrument_system(system, tracer)
@@ -314,4 +313,4 @@ class TestWiringSsdBaseline:
         trace = generate_trace(profile, seed=42)
         system.replay(trace.records, warmup_fraction=0.25)
         lanes = {e.lane for e in tracer.ring.events}
-        assert any(lane.startswith("s0:plane:") for lane in lanes)
+        assert any(lane.startswith("plane:") for lane in lanes)

@@ -16,7 +16,8 @@ from repro.flash.geometry import FlashGeometry
 from repro.ftl.hybrid import HybridFTL, HybridFTLConfig
 from repro.ftl.pagemap import PageMapFTL
 from repro.ftl.ssd import SSD
-from repro.ssc.device import SolidStateCache, SSCConfig
+from repro.ssc import device
+from repro.ssc.device import SolidStateCache
 from repro.ssc.log import RecordKind
 from repro.stats.counters import LatencyStats
 from repro.stats.report import format_table
@@ -193,12 +194,12 @@ class TestWideBlockDirtyRecovery:
 
     @pytest.mark.parametrize("checkpoint", [False, True], ids=["log", "checkpoint"])
     @pytest.mark.parametrize("pages_per_block", [128, 256])
-    def test_dirty_groups_survive_crash(self, pages_per_block, checkpoint):
+    def test_dirty_groups_survive_crash(self, pages_per_block, checkpoint, monkeypatch):
         # A slack log-ratio policy keeps the block inserts in the log, so
         # the "log" case replays them rather than a checkpoint.
+        monkeypatch.setattr(device, "CHECKPOINT_LOG_RATIO", 10.0)
         ssc = SolidStateCache(
             FlashGeometry(planes=2, blocks_per_plane=32, pages_per_block=pages_per_block),
-            config=SSCConfig(checkpoint_log_ratio=10.0),
         )
         blocks = 3 * pages_per_block
         for lbn in range(blocks):
@@ -230,7 +231,6 @@ class TestFtlRepr:
         assert repr(ssc.engine).startswith("CacheFTL(log_target=")
         array = ShardedSSC([SolidStateCache(geometry) for _ in range(2)])
         assert repr(array).startswith("ShardedSSC(shards=2,")
-        assert repr(array.engine) == "_ShardedEngineView(shards=2)"
         assert repr(SSD(geometry=geometry).ftl).startswith("HybridFTL(groups=")
 
 

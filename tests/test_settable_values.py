@@ -26,14 +26,14 @@ INVENTORY = {
     SystemConfig: [
         "kind", "mode", "cache_blocks", "disk_blocks", "capacity_slack",
         "consistency", "dirty_threshold", "planes", "pages_per_block",
-        "shards", "routing",
+        "shards",
     ],
     HybridFTLConfig: HYBRID,
     WearConfig: ["dynamic", "static_threshold", "check_interval"],
     CacheFTLConfig: CACHE,
     SSCConfig: CACHE + [
         "consistency", "clean_durability", "group_commit_ops",
-        "checkpoint_log_ratio", "checkpoint_interval_writes", "nvram",
+        "checkpoint_interval_writes", "nvram",
     ],
     WriteBackConfig: ["dirty_threshold"],
     NativeConfig: ["mode", "dirty_threshold", "consistency"],
@@ -53,6 +53,7 @@ CONSTANTS = {
     "repro.manager.native.META_FRACTION": 0.02,
     "repro.ftl.pagemap.OVERPROVISION": 0.07,
     "repro.ftl.pagemap.GC_THRESHOLD": 4,
+    "repro.ssc.device.CHECKPOINT_LOG_RATIO": 2.0 / 3.0,
 }
 
 

@@ -60,8 +60,8 @@ def durable_fingerprint(ssc):
     return pages, log, checkpoint_state
 
 
-def shard_oracle(oracle: SSCOracle, router, shard_id: int) -> SSCOracle:
-    """The slice of ``oracle``'s model owned by one shard.
+def shard_oracle(oracle: SSCOracle, array, shard) -> SSCOracle:
+    """The slice of ``oracle``'s model owned by one member of ``array``.
 
     Routing is a partition of the LBN space, so the array-level model
     decomposes exactly: each member must independently satisfy the
@@ -71,18 +71,18 @@ def shard_oracle(oracle: SSCOracle, router, shard_id: int) -> SSCOracle:
     sub.committed = {
         lbn: entry
         for lbn, entry in oracle.committed.items()
-        if router.shard_of(lbn) == shard_id
+        if array.shard_of(lbn) is shard
     }
     sub.history = {
         lbn: values
         for lbn, values in oracle.history.items()
-        if router.shard_of(lbn) == shard_id
+        if array.shard_of(lbn) is shard
     }
     in_flight = oracle.in_flight
     if (
         in_flight is not None
         and in_flight.lbn is not None
-        and router.shard_of(in_flight.lbn) == shard_id
+        and array.shard_of(in_flight.lbn) is shard
     ):
         sub.in_flight = in_flight
     return sub
@@ -168,14 +168,14 @@ class TestTornWriteIsolation:
     def test_each_shard_satisfies_its_oracle_slice(self, torn_run):
         torn_array, _clean, oracle, _us = torn_run
         for shard_id, shard in enumerate(torn_array.shards):
-            sub = shard_oracle(oracle, torn_array.router, shard_id)
+            sub = shard_oracle(oracle, torn_array, shard)
             assert sub.check(shard, strict=True, trial=f"shard{shard_id}") == []
 
     def test_no_foreign_blocks_recovered(self, torn_run):
         torn_array, _clean, _oracle, _us = torn_run
-        for shard_id, shard in enumerate(torn_array.shards):
+        for shard in torn_array.shards:
             for lbn in shard.engine.iter_cached_lbns():
-                assert torn_array.router.shard_of(lbn) == shard_id
+                assert torn_array.shard_of(lbn) is shard
 
     def test_recovery_reported_per_shard(self, torn_run):
         torn_array, _clean, _oracle, recovery_us = torn_run

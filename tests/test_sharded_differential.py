@@ -16,14 +16,14 @@ import pytest
 
 from repro import CacheMode, ReplayEngine, SystemConfig, SystemKind, build_system
 from repro.core.flashtier import assemble_system, replay_trace
-from repro.core.sharding import ShardedSSC, ShardedSSD
+from repro.core.sharding import ShardedSSC
 from repro.disk.model import Disk
 from repro.traces.synthetic import HOMES, generate_trace
 from tests.test_wallclock_sim_golden import ZIPF
 
 ALL_COMBOS = [
     (kind, mode)
-    for kind in (SystemKind.NATIVE, SystemKind.SSC, SystemKind.SSC_R)
+    for kind in (SystemKind.SSC, SystemKind.SSC_R)
     for mode in (CacheMode.WRITE_THROUGH, CacheMode.WRITE_BACK)
 ]
 
@@ -52,8 +52,7 @@ def _array(kind, mode):
     array, under the manager ``build_system`` would put over it."""
     config = _config(kind, mode, shards=1)
     device = build_system(config).device
-    array_cls = ShardedSSD if kind is SystemKind.NATIVE else ShardedSSC
-    return assemble_system(config, array_cls([device]), Disk(config.disk_blocks))
+    return assemble_system(config, ShardedSSC([device]), Disk(config.disk_blocks))
 
 
 def _instrument(manager, journal):
@@ -93,25 +92,18 @@ def _assert_devices_identical(array_system, single_system):
     single_chip = single_system.device.chip
     assert vars(array_chip.stats) == vars(single_chip.stats)
     assert array_chip.total_erases() == single_chip.total_erases()
-    assert array_chip.wear_differential() == single_chip.wear_differential()
-    assert array_chip.free_blocks_total() == single_chip.free_blocks_total()
     assert (
         array_system.device.device_memory_bytes()
         == single_system.device.device_memory_bytes()
     )
     assert vars(array_system.device_stats) == vars(single_system.device_stats)
-    if array_system.ssc is not None:
-        assert single_system.ssc is not None
-        assert (
-            array_system.ssc.cached_blocks() == single_system.ssc.cached_blocks()
-        )
-        assert sorted(array_system.ssc.engine.iter_cached_lbns()) == sorted(
-            single_system.ssc.engine.iter_cached_lbns()
-        )
-        assert (
-            array_system.ssc.exists(0, 50_000)
-            == single_system.ssc.exists(0, 50_000)
-        )
+    array_ssc, single_ssc = array_system.ssc, single_system.ssc
+    assert array_ssc.cached_blocks() == single_ssc.cached_blocks()
+    (member,) = array_ssc.shards
+    assert sorted(member.engine.iter_cached_lbns()) == sorted(
+        single_ssc.engine.iter_cached_lbns()
+    )
+    assert array_ssc.exists(0, 50_000) == single_ssc.exists(0, 50_000)
 
 
 class TestOneShardArrayIsTheDevice:
@@ -146,7 +138,6 @@ class TestOneShardArrayIsTheDevice:
         [
             (SystemKind.SSC_R, CacheMode.WRITE_BACK),
             (SystemKind.SSC, CacheMode.WRITE_THROUGH),
-            (SystemKind.NATIVE, CacheMode.WRITE_BACK),
         ],
     )
     def test_event_engine_bit_for_bit(self, kind, mode, queue_depth):

@@ -19,7 +19,6 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("group_commit_ops", 0),
-        ("checkpoint_log_ratio", 0.0),
         ("checkpoint_interval_writes", 0),
     ])
     def test_bad_numeric_config(self, field, value):

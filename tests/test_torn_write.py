@@ -15,6 +15,7 @@ from repro.check import faults
 from repro.errors import CrashError, NotPresentError
 from repro.flash.block import TORN_PAGE
 from repro.sim.crash import CrashInjector, CrashPoint
+from repro.ssc import device
 from repro.ssc.device import SolidStateCache, SSCConfig
 from repro.ssc.engine import EvictionPolicy
 
@@ -133,10 +134,11 @@ class TestTornCheckpoint:
 class TestBitFlips:
     """Damage to already-durable state: detected, discarded, never served."""
 
-    def test_flipped_log_record_truncates_tail(self, small_geometry):
+    def test_flipped_log_record_truncates_tail(self, small_geometry, monkeypatch):
         # Slacken the log-ratio checkpoint policy so the flushed records
         # are still in the log (not folded into a checkpoint) at rot time.
-        ssc, _injector = make_ssc(small_geometry, checkpoint_log_ratio=10.0)
+        monkeypatch.setattr(device, "CHECKPOINT_LOG_RATIO", 10.0)
+        ssc, _injector = make_ssc(small_geometry)
         ssc.write_dirty(3, "v1")
         ssc.write_dirty(4, "v2")
         ssc.crash()

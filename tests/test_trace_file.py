@@ -65,6 +65,17 @@ class TestLineLoop:
         assert [r.lbn for r in records] == [0, 1, 2, 10, 11]
         assert calls == [1, 2]  # the third line is never parsed
 
+    def test_limit_zero_parses_no_line(self, tmp_path):
+        path = write(tmp_path, "0\n10\n")
+        calls = []
+
+        def parse(line, line_number):
+            calls.append(line_number)
+            return parse_csv(line, line_number)
+
+        assert list(iter_trace_file(path, parse, limit=0)) == []
+        assert calls == []
+
     def test_no_limit_reads_everything(self, tmp_path):
         path = write(tmp_path, "".join(f"{lbn}\n" for lbn in range(50)))
         assert len(list(iter_trace_file(path, parse_csv))) == 50
