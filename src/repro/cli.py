@@ -9,9 +9,10 @@ Everything the examples and benchmarks do, driveable from a shell::
     python -m repro compare --workload homes --scale 0.1
     python -m repro recover --workload homes --scale 0.1
 
-External traces work too: ``analyze`` and ``replay`` accept a trace
-file (``--trace``), in the native line format or MSR Cambridge CSV
-(``--msr``).
+External traces work too: ``analyze``, ``replay``, ``compare`` and
+``recover`` accept a trace file (``--trace``) in the native line
+format, MSR Cambridge CSV or FIU (SyLab) text (``--format
+{native,msr,fiu}``).
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ from repro.core.flashtier import member_cache_blocks
 from repro.errors import ConfigError
 from repro.stats.report import format_table
 from repro.traces.analyze import analyze
-from repro.traces.filefmt import read_trace, write_trace
-from repro.traces.fiu import read_fiu_trace
-from repro.traces.msr import read_msr_trace
+from repro.traces.filefmt import FORMATS, TraceFormatError, read_trace, write_trace
 from repro.traces.record import TraceRecord
 from repro.traces.synthetic import PROFILES, generate_trace
 
@@ -51,12 +50,9 @@ def _add_trace_source_args(parser: argparse.ArgumentParser) -> None:
         "--trace", help="replay a trace file instead of a synthetic workload"
     )
     parser.add_argument(
-        "--msr", action="store_true",
-        help="the --trace file is MSR Cambridge CSV",
-    )
-    parser.add_argument(
-        "--fiu", action="store_true",
-        help="the --trace file is FIU (SyLab) format",
+        "--format", choices=FORMATS, default="native",
+        help="format of the --trace file: native, MSR Cambridge CSV or "
+             "FIU (SyLab) text (default native)",
     )
     parser.add_argument(
         "--limit", type=_non_negative_int, default=None,
@@ -73,11 +69,7 @@ def _non_negative_int(text: str) -> int:
 
 def _load_records(args) -> List[TraceRecord]:
     if args.trace:
-        if args.msr:
-            return read_msr_trace(args.trace, limit=args.limit)
-        if getattr(args, "fiu", False):
-            return read_fiu_trace(args.trace, limit=args.limit)
-        return read_trace(args.trace)[: args.limit]
+        return read_trace(args.trace, args.format, args.limit)
     profile = PROFILES[args.workload].scaled(args.scale)
     return generate_trace(profile, seed=args.seed).records
 
@@ -109,16 +101,31 @@ def _add_shard_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _reports_config_errors(command):
-    """Make ``command`` print a :class:`ConfigError` (a cache too small
-    for its system, a bad shard count) as ``error: ...`` and return 1."""
+def _error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
+def _runs_on_records(command):
+    """Make ``command`` run as ``command(args, records)`` on the trace
+    its arguments name.
+
+    A ``--trace`` file that cannot be read or parsed, and a
+    :class:`ConfigError` (a cache too small for its system, a bad shard
+    count), print as ``error: ...`` and return 1.
+    """
     @functools.wraps(command)
     def run(args) -> int:
         try:
-            return command(args)
+            records = _load_records(args)
+        except OSError as exc:
+            return _error(f"cannot read {args.trace}: {exc.strerror or exc}")
+        except TraceFormatError as exc:
+            return _error(str(exc))
+        try:
+            return command(args, records)
         except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            return _error(str(exc))
     return run
 
 
@@ -149,8 +156,8 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_analyze(args) -> int:
-    records = _load_records(args)
+@_runs_on_records
+def cmd_analyze(args, records) -> int:
     if not records:
         print("trace is empty", file=sys.stderr)
         return 1
@@ -158,9 +165,8 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-@_reports_config_errors
-def cmd_replay(args) -> int:
-    records = _load_records(args)
+@_runs_on_records
+def cmd_replay(args, records) -> int:
     kind = SystemKind(args.system)
     system = build_system(_system_config(args, kind, records, args.shards))
 
@@ -189,8 +195,7 @@ def cmd_replay(args) -> int:
             keep_latencies=bool(args.metrics),
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(str(exc))
     finally:
         if tracer is not None:
             tracer.close()
@@ -250,9 +255,8 @@ def cmd_replay(args) -> int:
     return 0
 
 
-@_reports_config_errors
-def cmd_compare(args) -> int:
-    records = _load_records(args)
+@_runs_on_records
+def cmd_compare(args, records) -> int:
     # Build every system first, so a configuration error fails before
     # any replay has run.
     systems = [
@@ -281,9 +285,8 @@ def cmd_compare(args) -> int:
     return 0
 
 
-@_reports_config_errors
-def cmd_recover(args) -> int:
-    records = _load_records(args)
+@_runs_on_records
+def cmd_recover(args, records) -> int:
     system = build_system(_system_config(args, SystemKind.SSC, records, args.shards))
     system.replay(records, warmup_fraction=0.0)
     assert system.ssc is not None
@@ -319,8 +322,7 @@ def cmd_trace_report(args) -> int:
     try:
         events = load_events(args.events)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(str(exc))
     if not events:
         print("trace is empty", file=sys.stderr)
         return 1
@@ -338,8 +340,7 @@ def cmd_obs_schema(args) -> int:
             with open(target) as handle:
                 committed = handle.read()
         except OSError as exc:
-            print(f"error: cannot read {target}: {exc}", file=sys.stderr)
-            return 1
+            return _error(f"cannot read {target}: {exc}")
         if committed != rendered:
             print(
                 f"{target} is stale: regenerate with\n"
@@ -513,8 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_source_args(recover)
     _add_shard_args(recover)
     recover.add_argument("--mode", default="wb")
-    recover.add_argument("--no-consistency", action="store_true", help=argparse.SUPPRESS)
-    recover.set_defaults(func=cmd_recover)
+    recover.set_defaults(func=cmd_recover, no_consistency=False)
 
     return parser
 

@@ -150,16 +150,19 @@ def materialize(engine: "CacheFTL", state: RecoveredState) -> None:
     expected_pages: Dict[int, Tuple[int, bool]] = {
         ppn: (lbn, dirty) for lbn, (ppn, dirty) in state.page_entries.items()
     }
-    expected_blocks: Dict[int, Tuple[int, _BlockEntry]] = {
-        entry.pbn: (group, entry) for group, entry in state.block_entries.items()
-    }
+    expected_blocks: Dict[int, List[Tuple[int, _BlockEntry]]] = {}
+    for group, entry in state.block_entries.items():
+        expected_blocks.setdefault(entry.pbn, []).append((group, entry))
 
     log_blocks: List[Tuple[int, int]] = []  # (oldest page seq, pbn)
+    owners: Dict[int, int] = {}  # DATA block pbn -> its group
     for plane in chip.planes:
         for block in plane.blocks.values():
-            _reconcile_block(
+            owner = _reconcile_block(
                 engine, plane, block, expected_pages, expected_blocks, log_blocks
             )
+            if owner is not None:
+                owners[block.pbn] = owner
 
     engine._log_blocks.clear()
     for _seq, pbn in sorted(log_blocks):
@@ -185,10 +188,10 @@ def materialize(engine: "CacheFTL", state: RecoveredState) -> None:
         if block.valid >> offset & 1 and block.lbns[offset] == lbn:
             engine.log_map.inner.insert(lbn, ppn)
     # Likewise a block entry is installed only when its block
-    # reconciled as DATA (some page corroborated it).
+    # reconciled as that group's DATA block (some page corroborated it).
     engine.data_map.reset()
     for group, entry in state.block_entries.items():
-        if chip.block(entry.pbn).kind is BlockKind.DATA:
+        if owners.get(entry.pbn) == group:
             engine.data_map.inner.insert(group, entry.pbn)
     engine.data_map.rebuild_reverse()
 
@@ -246,20 +249,24 @@ def recover_device(ssc) -> float:
 
 
 def _reconcile_block(engine, plane, block, expected_pages, expected_blocks,
-                     log_blocks) -> None:
+                     log_blocks) -> Optional[int]:
+    """Reconcile one block; returns the group it is the DATA block of,
+    or ``None`` when it is FREE or a log block."""
     geometry = engine.chip.geometry
     written = block.written
     valid = dirty = 0
 
-    if block.pbn in expected_blocks:
-        group, entry = expected_blocks[block.pbn]
+    # Holes (never programmed since the last erase) stay FREE.  The OOB
+    # reverse map must agree with the forward mapping: a stale block
+    # entry (recovered from an old checkpoint over a gapped log) may
+    # reference a block since erased and reused, whose pages now hold
+    # other logical blocks' data, or the live data block of another
+    # group.  The block belongs to the entry whose pages it corroborates.
+    best = None
+    for group, entry in expected_blocks.get(block.pbn, ()):
         base = group * engine.pages_per_block
-        # Holes (never programmed since the last erase) stay FREE.  The
-        # OOB reverse map must agree with the forward mapping: a stale
-        # block entry (recovered from an old checkpoint over a gapped
-        # log) may reference a block since erased and reused, whose
-        # pages now hold other logical blocks' data.
         candidates = written & entry.valid_bitmap
+        corroborated = 0
         for offset in range(block.num_pages):
             bit = 1 << offset
             if (
@@ -267,14 +274,17 @@ def _reconcile_block(engine, plane, block, expected_pages, expected_blocks,
                 and block.lbns[offset] == base + offset
                 and _page_intact(block, offset)
             ):
-                valid |= bit
-        if valid:
-            block.kind = BlockKind.DATA
-            _set_state(block, valid, (block.dirty & ~valid) | (entry.dirty_bitmap & valid))
-            return
-        # No page corroborates the entry: the block was erased (and
-        # perhaps reused) after it.  Reconcile it as an unmapped block;
-        # materialize then drops the entry.
+                corroborated |= bit
+        if corroborated.bit_count() > valid.bit_count():
+            best, valid = (group, entry), corroborated
+    if best is not None:
+        group, entry = best
+        block.kind = BlockKind.DATA
+        _set_state(block, valid, (block.dirty & ~valid) | (entry.dirty_bitmap & valid))
+        return group
+    # No page corroborates any entry: the block was erased (and perhaps
+    # reused) after them.  Reconcile it as an unmapped block; materialize
+    # then drops the entries.
 
     if not written:
         # Fully erased.  It may have been allocated (e.g. a just-opened
@@ -287,7 +297,7 @@ def _reconcile_block(engine, plane, block, expected_pages, expected_blocks,
         block.first_lbn = None
         if not plane.is_free(block.pbn):
             plane.release(block)
-        return
+        return None
 
     # A (former or current) log block: pages are live iff the recovered
     # page map points at them.  Orphans — programmed pages whose mapping
@@ -315,6 +325,7 @@ def _reconcile_block(engine, plane, block, expected_pages, expected_blocks,
     _set_state(block, valid, dirty)
     block.kind = BlockKind.LOG
     log_blocks.append((oldest_seq or 0, block.pbn))
+    return None
 
 
 def _set_state(block: EraseBlock, valid: int, dirty: int) -> None:

@@ -23,8 +23,6 @@ from repro.traces.synthetic import (
 )
 from repro.traces.filefmt import read_trace, write_trace
 from repro.traces.analyze import TraceStats, analyze
-from repro.traces.msr import iter_msr_trace, read_msr_trace
-from repro.traces.fiu import iter_fiu_trace, read_fiu_trace
 
 __all__ = [
     "TraceRecord",
@@ -42,8 +40,4 @@ __all__ = [
     "write_trace",
     "TraceStats",
     "analyze",
-    "read_msr_trace",
-    "iter_msr_trace",
-    "read_fiu_trace",
-    "iter_fiu_trace",
 ]

@@ -7,9 +7,7 @@ the paper's trace preprocessing (Table 3 caption).
 from __future__ import annotations
 
 from enum import Enum
-from itertools import islice
-from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Optional
 
 
 class OpKind(Enum):
@@ -59,37 +57,3 @@ class TraceRecord:
         if self.arrival_us is None:
             return f"TraceRecord({self.op.value}, {self.lbn})"
         return f"TraceRecord({self.op.value}, {self.lbn}, at={self.arrival_us:.1f}us)"
-
-
-def iter_trace_file(
-    path: Union[str, Path],
-    parse_line: Callable[[str, int], Sequence[TraceRecord]],
-    limit: Optional[int] = None,
-) -> Iterator[TraceRecord]:
-    """Stream block requests from a line-oriented trace file.
-
-    Skips blank and ``#`` lines, hands each other stripped line and its
-    1-based number to ``parse_line``, rebases absolute arrival times to
-    the first timestamped request, and stops after ``limit`` requests
-    without parsing further lines (``limit=0`` yields nothing).
-    """
-    records = _iter_lines(path, parse_line)
-    return records if limit is None else islice(records, limit)
-
-
-def _iter_lines(
-    path: Union[str, Path],
-    parse_line: Callable[[str, int], Sequence[TraceRecord]],
-) -> Iterator[TraceRecord]:
-    origin_us: Optional[float] = None
-    with open(path, "r", encoding="ascii", errors="replace") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            for record in parse_line(line, line_number):
-                if record.arrival_us is not None:
-                    if origin_us is None:
-                        origin_us = record.arrival_us
-                    record.arrival_us = max(0.0, record.arrival_us - origin_us)
-                yield record

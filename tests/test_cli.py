@@ -41,14 +41,14 @@ class TestGenerateAnalyze:
     def test_analyze_msr_file(self, tmp_path, capsys):
         path = tmp_path / "msr.csv"
         path.write_text("1,hm,0,Read,0,8192,10\n2,hm,0,Write,0,4096,10\n")
-        assert main(["analyze", "--trace", str(path), "--msr"]) == 0
+        assert main(["analyze", "--trace", str(path), "--format", "msr"]) == 0
         out = capsys.readouterr().out
         assert "requests:            3" in out
 
     def test_analyze_fiu_file(self, tmp_path, capsys):
         path = tmp_path / "fiu.blkparse"
         path.write_text("100 1 smtpd 0 16 W 8 1 aa\n101 1 imapd 16 8 R 8 1 bb\n")
-        assert main(["analyze", "--trace", str(path), "--fiu"]) == 0
+        assert main(["analyze", "--trace", str(path), "--format", "fiu"]) == 0
         out = capsys.readouterr().out
         assert "requests:            3" in out
 
@@ -57,7 +57,7 @@ class TestGenerateAnalyze:
         lines = [f"{i} 1 smtpd {i * 8 % 4096} 8 W 8 1 x" for i in range(400)]
         path.write_text("\n".join(lines) + "\n")
         assert main([
-            "replay", "--trace", str(path), "--fiu",
+            "replay", "--trace", str(path), "--format", "fiu",
             "--system", "ssc", "--mode", "wb", "--warmup", "0",
         ]) == 0
         assert "IOPS:" in capsys.readouterr().out
@@ -66,8 +66,8 @@ class TestGenerateAnalyze:
 # Two 4 KB block requests in each trace format.
 TRACE_FORMATS = {
     "native": ("t.trace", "W 0\nW 1\n", []),
-    "msr": ("msr.csv", "1,hm,0,Read,0,8192,10\n", ["--msr"]),
-    "fiu": ("fiu.blkparse", "100 1 smtpd 0 16 W 8 1 aa\n", ["--fiu"]),
+    "msr": ("msr.csv", "1,hm,0,Read,0,8192,10\n", ["--format", "msr"]),
+    "fiu": ("fiu.blkparse", "100 1 smtpd 0 16 W 8 1 aa\n", ["--format", "fiu"]),
 }
 
 
@@ -96,6 +96,30 @@ class TestTraceLimit:
         with pytest.raises(SystemExit):
             self._analyze(tmp_path, "native", "-1")
         assert "must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", sorted(TRACE_FORMATS))
+    def test_limit_parses_no_later_line(self, tmp_path, capsys, fmt):
+        # A malformed line after the cap is never parsed.
+        name, text, flags = TRACE_FORMATS[fmt]
+        path = tmp_path / name
+        path.write_text(text + "broken\n")
+        assert main(["analyze", "--trace", str(path), *flags, "--limit", "2"]) == 0
+        assert "requests:            2 (" in capsys.readouterr().out
+
+
+class TestTraceFormat:
+    def test_unknown_format_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["analyze", "--trace", str(tmp_path / "t"), "--format", "csv"])
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--msr", "--fiu"])
+    def test_format_booleans_gone(self, tmp_path, capsys, flag):
+        path = tmp_path / "t.csv"
+        path.write_text("1,hm,0,Read,0,8192,10\n")
+        with pytest.raises(SystemExit):
+            main(["analyze", "--trace", str(path), flag])
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestReplayCompare:
@@ -168,6 +192,30 @@ class TestErrors:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    def test_recover_has_no_consistency_switch(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["recover", "--workload", "mail", "--no-consistency"])
+        assert "unrecognized arguments: --no-consistency" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "replay", "compare", "recover"])
+    def test_malformed_trace_line_reported(self, tmp_path, capsys, command):
+        path = tmp_path / "msr.csv"
+        path.write_text("1,hm,0,Read,0,8192,10\n1,hm,0,Erase,0,8192,10\n")
+        assert main([command, "--trace", str(path), "--format", "msr"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}:2: unknown type 'Erase'\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["analyze", "replay", "compare", "recover"])
+    def test_unreadable_trace_reported(self, tmp_path, capsys, command):
+        path = tmp_path / "missing.trace"
+        assert main([command, "--trace", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: cannot read {path}: No such file or directory\n"
+        )
+        assert captured.out == ""
+
     def test_analyze_empty_trace_fails(self, tmp_path, capsys):
         path = tmp_path / "empty.trace"
         path.write_text("# nothing\n")
@@ -180,7 +228,7 @@ class TestErrors:
         lines = [f"{i} 1 smtpd {i * 8 % 4096} 8 W 8 1 x" for i in range(100)]
         path.write_text("\n".join(lines) + "\n")
         assert main([
-            "replay", "--trace", str(path), "--fiu", "--system", "ssc",
+            "replay", "--trace", str(path), "--format", "fiu", "--system", "ssc",
             "--open-loop", "--queue-depth", "8",
         ]) == 1
         captured = capsys.readouterr()

@@ -1,8 +1,8 @@
-"""Unit tests for trace file I/O."""
+"""Unit tests for the native trace file format."""
 
 import pytest
 
-from repro.traces.filefmt import TraceFormatError, iter_trace, read_trace, write_trace
+from repro.traces.filefmt import TraceFormatError, read_trace, write_trace
 from repro.traces.record import OpKind, TraceRecord
 
 
@@ -21,11 +21,6 @@ class TestRoundTrip:
         count = write_trace(path, records)
         assert count == 3
         assert read_trace(path) == records
-
-    def test_iter_streams(self, tmp_path, records):
-        path = tmp_path / "trace.txt"
-        write_trace(path, records)
-        assert list(iter_trace(path)) == records
 
     def test_empty_trace(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -54,6 +49,12 @@ class TestParsing:
         with pytest.raises(TraceFormatError, match="bad block number"):
             read_trace(path)
 
+    def test_negative_lbn_rejected(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        path.write_text("R -5\n")
+        with pytest.raises(TraceFormatError, match="bad block number '-5'"):
+            read_trace(path)
+
     def test_wrong_field_count_rejected(self, tmp_path):
         path = tmp_path / "trace.txt"
         path.write_text("R 5 extra\n")
@@ -63,5 +64,31 @@ class TestParsing:
     def test_error_reports_line_number(self, tmp_path):
         path = tmp_path / "trace.txt"
         path.write_text("R 1\nbroken\n")
-        with pytest.raises(TraceFormatError, match=":2:"):
+        with pytest.raises(TraceFormatError) as excinfo:
             read_trace(path)
+        assert str(excinfo.value) == (
+            f"{path}:2: expected '<op> <lbn> [arrival_us]', got 'broken'"
+        )
+
+
+class TestLimit:
+    def test_limit_parses_no_later_line(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        path.write_text("W 0\nW 1\nbroken\n")
+        assert read_trace(path, limit=2) == [
+            TraceRecord(OpKind.WRITE, 0),
+            TraceRecord(OpKind.WRITE, 1),
+        ]
+        with pytest.raises(TraceFormatError, match=":3:"):
+            read_trace(path, limit=3)
+
+    def test_limit_zero_reads_nothing(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        path.write_text("broken\n")
+        assert read_trace(path, limit=0) == []
+
+    def test_arrival_times_are_not_rebased(self, tmp_path):
+        # Native arrival times are trace-relative already.
+        path = tmp_path / "trace.txt"
+        path.write_text("R 1 500\nR 2 250.5\n")
+        assert [r.arrival_us for r in read_trace(path)] == [500.0, 250.5]

@@ -132,16 +132,26 @@ class TestUncorroboratedBlockEntries:
 
     STALE_GROUP = 9
 
-    def recover_with_extra_entry(self, ssc, monkeypatch, pbn, valid_bitmap=0xFF):
+    def recover_with_extra_entry(
+        self, ssc, monkeypatch, pbn, valid_bitmap=0xFF, stale_first=False
+    ):
         for lbn in range(32):  # groups 1-3 become data blocks
             ssc.write_dirty(lbn, ("v", lbn))
+        if callable(pbn):
+            pbn = pbn(ssc)
         real_replay = recovery.replay
 
         def replay_with_stale_entry(checkpoint, records, pages_per_block):
             state = real_replay(checkpoint, records, pages_per_block)
-            state.block_entries[self.STALE_GROUP] = recovery._BlockEntry(
+            stale = recovery._BlockEntry(
                 pbn=pbn, dirty_bitmap=valid_bitmap, valid_bitmap=valid_bitmap,
             )
+            if stale_first:
+                state.block_entries = {
+                    self.STALE_GROUP: stale, **state.block_entries
+                }
+            else:
+                state.block_entries[self.STALE_GROUP] = stale
             return state
 
         monkeypatch.setattr(recovery, "replay", replay_with_stale_entry)
@@ -186,4 +196,26 @@ class TestUncorroboratedBlockEntries:
         assert ssc.chip.block(log_pbn).kind is BlockKind.LOG
         assert ssc.read(72)[0] == ("v", 72)
         assert ssc.is_dirty(72)
+        self.assert_rest_intact(ssc)
+
+    @pytest.mark.parametrize("stale_first", [False, True])
+    def test_entry_into_another_groups_data_block_is_dropped(
+        self, ssc, monkeypatch, stale_first
+    ):
+        # Whichever entry replay yields last, the block stays group 1's:
+        # its pages corroborate group 1 and none of group 9's.
+        data_pbns = []
+
+        def group_1_block(ssc):
+            data_pbns.append(ssc.engine.data_map.lookup(1))
+            return data_pbns[0]
+
+        self.recover_with_extra_entry(
+            ssc, monkeypatch, group_1_block, stale_first=stale_first
+        )
+        data_pbn, = data_pbns
+        assert data_pbn is not None
+        assert ssc.engine.data_map.lookup(self.STALE_GROUP) is None
+        assert ssc.engine.data_map.lookup(1) == data_pbn
+        assert ssc.chip.block(data_pbn).kind is BlockKind.DATA
         self.assert_rest_intact(ssc)

@@ -1,21 +1,21 @@
-"""The shared line-oriented trace-file loop (``iter_trace_file``) and
-the MSR disk filter built on it."""
+"""The one trace-file line loop (``read_trace``) every format shares:
+comment and blank lines, line numbers, origin rebasing and clamping,
+and ``limit``."""
+
+import re
 
 import pytest
 
-from repro.traces.fiu import iter_fiu_trace
-from repro.traces.msr import MSRFormatError, iter_msr_trace
-from repro.traces.record import OpKind, TraceRecord, iter_trace_file
+from repro.traces.filefmt import FORMATS, TraceFormatError, read_trace
+from repro.traces.record import OpKind
 
 
-def parse_csv(line, line_number):
-    """``lbn[,arrival_us]`` per line, one record each."""
-    fields = line.split(",")
-    arrival = float(fields[1]) if len(fields) > 1 else None
-    return [TraceRecord(OpKind.READ, int(fields[0]), arrival)]
+def msr_line(ticks, offset_blocks, blocks=1, op="Read"):
+    """One MSR CSV request; ``ticks`` are 100 ns filetime ticks."""
+    return f"{ticks},hm,0,{op},{offset_blocks * 4096},{blocks * 4096},10\n"
 
 
-def write(tmp_path, text, name="trace.txt"):
+def write(tmp_path, text, name="trace.csv"):
     path = tmp_path / name
     path.write_text(text)
     return path
@@ -23,101 +23,81 @@ def write(tmp_path, text, name="trace.txt"):
 
 class TestLineLoop:
     def test_blank_and_comment_lines_skipped(self, tmp_path):
-        path = write(tmp_path, "\n# header\n1\n   \n  # indented\n2\n\n")
-        assert [r.lbn for r in iter_trace_file(path, parse_csv)] == [1, 2]
+        path = write(tmp_path, (
+            "\n# header\n" + msr_line(0, 1) + "   \n  # indented\n"
+            + msr_line(0, 2) + "\n"
+        ))
+        assert [r.lbn for r in read_trace(path, "msr")] == [1, 2]
 
-    def test_parser_gets_stripped_line_and_file_line_number(self, tmp_path):
-        path = write(tmp_path, "# header\n  7  \n\n8\n")
-        seen = []
+    def test_lines_are_stripped(self, tmp_path):
+        path = write(tmp_path, "  R 7  \n\tW 8\n", "trace.txt")
+        assert [r.lbn for r in read_trace(path)] == [7, 8]
 
-        def parse(line, line_number):
-            seen.append((line, line_number))
-            return parse_csv(line, line_number)
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_error_names_the_file_line(self, tmp_path, fmt):
+        # Blank and comment lines count toward the line number.
+        path = write(tmp_path, "# header\n\n  garbage  \n")
+        with pytest.raises(TraceFormatError, match="^" + re.escape(f"{path}:3: ")):
+            read_trace(path, fmt)
 
-        list(iter_trace_file(path, parse))
-        assert seen == [("7", 2), ("8", 4)]
+    def test_unknown_format_rejected(self, tmp_path):
+        path = write(tmp_path, "R 1\n")
+        with pytest.raises(ValueError, match="unknown trace format 'csv'"):
+            read_trace(path, "csv")
 
     def test_arrival_times_rebased_to_first_timestamp(self, tmp_path):
-        path = write(tmp_path, "1,500\n2,750\n3,1500\n")
-        arrivals = [r.arrival_us for r in iter_trace_file(path, parse_csv)]
+        path = write(tmp_path, msr_line(5000, 1) + msr_line(7500, 2) + msr_line(15000, 3))
+        arrivals = [r.arrival_us for r in read_trace(path, "msr")]
         assert arrivals == [0.0, 250.0, 1000.0]
 
     def test_untimed_records_keep_none_and_set_no_origin(self, tmp_path):
-        path = write(tmp_path, "1\n2,900\n3\n4,1000\n")
-        arrivals = [r.arrival_us for r in iter_trace_file(path, parse_csv)]
+        path = write(tmp_path, (
+            msr_line("", 1) + msr_line(9000, 2) + msr_line("-5", 3)
+            + msr_line(10000, 4)
+        ))
+        arrivals = [r.arrival_us for r in read_trace(path, "msr")]
         assert arrivals == [None, 0.0, None, 100.0]
 
     def test_time_before_origin_clamps_to_zero(self, tmp_path):
-        path = write(tmp_path, "1,500\n2,100\n")
-        arrivals = [r.arrival_us for r in iter_trace_file(path, parse_csv)]
+        path = write(tmp_path, msr_line(5000, 1) + msr_line(1000, 2))
+        arrivals = [r.arrival_us for r in read_trace(path, "msr")]
         assert arrivals == [0.0, 0.0]
 
     def test_limit_stops_inside_a_multi_record_line(self, tmp_path):
-        path = write(tmp_path, "0\n10\n20\n")
-        calls = []
-
-        def parse_run(line, line_number):
-            calls.append(line_number)
-            first = int(line)
-            return [TraceRecord(OpKind.WRITE, lbn) for lbn in range(first, first + 3)]
-
-        records = list(iter_trace_file(path, parse_run, limit=5))
+        path = write(tmp_path, (
+            msr_line(0, 0, blocks=3) + msr_line(0, 10, blocks=3) + "garbage\n"
+        ))
+        records = read_trace(path, "msr", limit=5)
         assert [r.lbn for r in records] == [0, 1, 2, 10, 11]
-        assert calls == [1, 2]  # the third line is never parsed
 
-    def test_limit_zero_parses_no_line(self, tmp_path):
-        path = write(tmp_path, "0\n10\n")
-        calls = []
-
-        def parse(line, line_number):
-            calls.append(line_number)
-            return parse_csv(line, line_number)
-
-        assert list(iter_trace_file(path, parse, limit=0)) == []
-        assert calls == []
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_limit_zero_parses_no_line(self, tmp_path, fmt):
+        path = write(tmp_path, "garbage\n")
+        assert read_trace(path, fmt, limit=0) == []
 
     def test_no_limit_reads_everything(self, tmp_path):
-        path = write(tmp_path, "".join(f"{lbn}\n" for lbn in range(50)))
-        assert len(list(iter_trace_file(path, parse_csv))) == 50
+        path = write(tmp_path, "".join(msr_line(0, lbn) for lbn in range(50)))
+        assert len(read_trace(path, "msr")) == 50
 
     def test_empty_parse_result_emits_nothing(self, tmp_path):
-        path = write(tmp_path, "skip\n3\nskip\n4\n")
-
-        def parse(line, line_number):
-            return [] if line == "skip" else parse_csv(line, line_number)
-
-        records = list(iter_trace_file(path, parse, limit=2))
-        assert [r.lbn for r in records] == [3, 4]
+        # Zero-size requests yield no record and no share of the limit.
+        path = write(tmp_path, (
+            "1,hm,0,Read,0,0,10\n" + msr_line(0, 3)
+            + "1,hm,0,Read,0,0,10\n" + msr_line(0, 4, op="Write")
+        ))
+        records = read_trace(path, "msr", limit=2)
+        assert [(r.op, r.lbn) for r in records] == [
+            (OpKind.READ, 3), (OpKind.WRITE, 4),
+        ]
 
 
 class TestFormatReaders:
-    def test_msr_filtered_disks_set_no_origin_and_use_no_limit(self, tmp_path):
-        # Filetime ticks are 100 ns: disk 1's earlier request must not
-        # become disk 0's time origin, nor count toward the limit.
-        path = write(tmp_path, (
-            "1000,hm,1,Read,0,4096,10\n"
-            "3000,hm,0,Read,4096,4096,10\n"
-            "5000,hm,1,Read,8192,4096,10\n"
-            "8000,hm,0,Write,12288,4096,10\n"
-        ), "msr.csv")
-        records = list(iter_msr_trace(path, disks=[0], limit=2))
-        assert [(r.op, r.lbn) for r in records] == [
-            (OpKind.READ, 1), (OpKind.WRITE, 3),
-        ]
-        assert [r.arrival_us for r in records] == [0.0, 500.0]
-
-    def test_msr_bad_disk_field_rejected_only_when_filtering(self, tmp_path):
-        path = write(tmp_path, "1000,hm,x,Read,0,4096,10\n", "msr.csv")
-        assert len(list(iter_msr_trace(path))) == 1
-        with pytest.raises(MSRFormatError, match="line 1: bad disk number"):
-            list(iter_msr_trace(path, disks=[0]))
-
     def test_fiu_rebases_seconds_to_microseconds(self, tmp_path):
         path = write(tmp_path, (
             "# header\n"
             "100.5 1 smtpd 0 8 W 8 1 aa\n"
             "101.0 1 smtpd 16 16 R 8 1 bb\n"
         ), "fiu.blkparse")
-        records = list(iter_fiu_trace(path))
+        records = read_trace(path, "fiu")
         assert [r.lbn for r in records] == [0, 2, 3]
         assert [r.arrival_us for r in records] == [0.0, 500_000.0, 500_000.0]
