@@ -8,10 +8,12 @@ write-back traffic, smaller dirty table, more evictable cache), a high
 one absorbs more overwrites in flash but risks device back-pressure.
 """
 
+import dataclasses
+
 from repro import CacheMode, SystemKind
 from repro.core.flashtier import cache_geometry, replay_trace
 from repro.disk.model import Disk
-from repro.manager.writeback import FlashTierWBManager, WriteBackConfig
+from repro.manager.writeback import FlashTierWBManager
 from repro.ssc.device import SolidStateCache, SSCConfig
 from repro.ssc.engine import EvictionPolicy
 from repro.stats.report import format_table
@@ -32,7 +34,7 @@ def run_sweep():
         )
         disk = Disk(config.disk_blocks)
         manager = FlashTierWBManager(
-            ssc, disk, WriteBackConfig(dirty_threshold=threshold)
+            ssc, disk, dataclasses.replace(config, dirty_threshold=threshold)
         )
         stats = replay_trace(manager, trace.records,
                              warmup_fraction=WARMUP_FRACTION)

@@ -12,7 +12,7 @@ from repro import CacheMode, SystemKind
 from repro.core.flashtier import cache_geometry, replay_trace
 from repro.disk.model import Disk
 from repro.ftl.ssd import SSD
-from repro.manager.native import NativeCacheManager, NativeConfig
+from repro.manager.native import NativeCacheManager
 from repro.stats.report import format_table
 
 from benchmarks.common import (
@@ -32,9 +32,7 @@ def run_ablation():
     rows = []
     for mapping in ("hybrid", "page"):
         ssd = SSD(geometry=geometry, mapping=mapping)
-        manager = NativeCacheManager(
-            ssd, Disk(config.disk_blocks), NativeConfig(consistency=False)
-        )
+        manager = NativeCacheManager(ssd, Disk(config.disk_blocks), config)
         stats = replay_trace(manager, trace.records, warmup_fraction=WARMUP_FRACTION)
         rows.append({
             "mapping": mapping,

@@ -101,6 +101,12 @@ def _add_shard_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_mode_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--mode", choices=[mode.value for mode in CacheMode], default="wb"
+    )
+
+
 def _error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
@@ -413,9 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--system", choices=[kind.value for kind in SystemKind], default="ssc-r"
     )
-    replay.add_argument(
-        "--mode", choices=[mode.value for mode in CacheMode], default="wb"
-    )
+    _add_mode_arg(replay)
     replay.add_argument("--warmup", type=float, default=0.15)
     replay.add_argument("--no-consistency", action="store_true")
     replay.add_argument(
@@ -484,9 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = subparsers.add_parser("compare", help="native vs SSC vs SSC-R")
     _add_trace_source_args(compare)
-    compare.add_argument(
-        "--mode", choices=[mode.value for mode in CacheMode], default="wb"
-    )
+    _add_mode_arg(compare)
     compare.add_argument("--warmup", type=float, default=0.15)
     compare.add_argument("--no-consistency", action="store_true")
     compare.set_defaults(func=cmd_compare)
@@ -513,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     recover = subparsers.add_parser("recover", help="crash-recovery timing demo")
     _add_trace_source_args(recover)
     _add_shard_args(recover)
-    recover.add_argument("--mode", default="wb")
+    _add_mode_arg(recover)
     recover.set_defaults(func=cmd_recover, no_consistency=False)
 
     return parser

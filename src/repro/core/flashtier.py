@@ -19,8 +19,8 @@ from repro.errors import ConfigError
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.ssd import SSD
 from repro.manager.base import CacheManager
-from repro.manager.native import NativeCacheManager, NativeConfig
-from repro.manager.writeback import FlashTierWBManager, WriteBackConfig
+from repro.manager.native import NativeCacheManager
+from repro.manager.writeback import FlashTierWBManager
 from repro.manager.writethrough import FlashTierWTManager
 from repro.ssc.device import SolidStateCache, SSCConfig
 from repro.ssc.engine import EvictionPolicy
@@ -159,20 +159,10 @@ def assemble_system(config: SystemConfig, device, disk: Disk) -> FlashTierSystem
     """Put the cache manager ``config`` selects over ``device`` (a bare
     device or an array) and ``disk``."""
     if config.kind is SystemKind.NATIVE:
-        manager: CacheManager = NativeCacheManager(
-            device,
-            disk,
-            NativeConfig(
-                mode=config.mode.value,
-                dirty_threshold=config.dirty_threshold,
-                consistency=config.consistency,
-            ),
-        )
+        manager: CacheManager = NativeCacheManager(device, disk, config)
         return FlashTierSystem(config=config, manager=manager, disk=disk, ssd=device)
     if config.mode is CacheMode.WRITE_BACK:
-        manager = FlashTierWBManager(
-            device, disk, WriteBackConfig(dirty_threshold=config.dirty_threshold)
-        )
+        manager = FlashTierWBManager(device, disk, config)
     else:
         manager = FlashTierWTManager(device, disk)
     return FlashTierSystem(config=config, manager=manager, disk=disk, ssc=device)

@@ -291,8 +291,13 @@ class FlashChip:
         return cost
 
     def scan_oob(self, ppn: int) -> Tuple[Optional[int], bool, int, float]:
-        """Read only the OOB area of ``ppn`` (used by native recovery);
-        returns (lbn, dirty, seq, cost_us)."""
+        """Read only the OOB area of ``ppn``; returns (lbn, dirty, seq,
+        cost_us).
+
+        Nothing in the simulator calls it yet: native recovery prices its
+        OOB scan arithmetically (``SSD.oob_recovery_scan_us``).  It is
+        kept for a native recovery that actually reads the OOB areas
+        (ROADMAP.md item 11, "native recovery that runs")."""
         block, offset = self.locate(ppn)
         cost = self._oob_read_cost_us
         self.stats.oob_scans += 1

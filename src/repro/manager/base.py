@@ -11,6 +11,13 @@ Subclasses implement ``_read_impl``/``_write_impl``, which sum the
 plain float costs their devices return; the base class brackets them
 with the request's one op capture across the manager's devices and
 wraps the result.  No device below opens a capture of its own.
+
+The base class also holds the one write-back cleaning policy of §4.4,
+shared by both write-back systems: a :class:`DirtyBlockTable`, a dirty
+limit (the ``dirty_limit`` gauge) and the loop that, past the limit,
+cleans LRU dirty blocks together with the contiguous run around each.
+A subclass supplies only ``_clean_block``, the limit and whether the
+table keeps checksums.
 """
 
 from __future__ import annotations
@@ -19,8 +26,9 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
+from repro.manager.dirty_table import DirtyBlockTable
 from repro.sim.completion import Completion, OpRecorder
-from repro.stats.counters import Counters, counter
+from repro.stats.counters import Counters, counter, gauge
 
 
 @dataclass
@@ -38,6 +46,12 @@ class ManagerStats(Counters):
         "Manager-initiated evictions (native manager replacement).")
     metadata_writes: int = counter(
         "Persisted manager-metadata updates (native write-back mode).")
+    forced_cleans: int = counter(
+        "Whole-table cleans after the SSC refused a write as full; each "
+        "lowers dirty_limit to 75% (FlashTier write-back).")
+    dirty_limit: int = gauge(
+        "Dirty-block count above which the manager cleans (0 for "
+        "FlashTier write-through, which holds no dirty blocks).")
 
     def miss_rate(self) -> float:
         """Read miss rate in percent."""
@@ -58,8 +72,9 @@ class CacheManager(ABC):
     #: op.issue/op.device emissions; None keeps replay zero-cost.
     tracer = None
 
-    def __init__(self):
-        self.stats = ManagerStats()
+    def __init__(self, dirty_limit: int = 0, with_checksums: bool = True):
+        self.stats = ManagerStats(dirty_limit=dirty_limit)
+        self.dirty_table = DirtyBlockTable(with_checksums)
         self._recorder = OpRecorder()
         self._devices: Tuple[Any, ...] = ()
 
@@ -123,6 +138,30 @@ class CacheManager(ABC):
     def host_memory_bytes(self) -> int:
         """Modeled host DRAM the manager needs for per-block state."""
 
+    # ------------------------------------------------------------------
+    # Write-back cleaning (§4.4)
+    # ------------------------------------------------------------------
+
+    def _clean_block(self, lbn: int) -> float:
+        """Write dirty ``lbn`` back to disk and drop it from
+        ``dirty_table``; returns latency_us.  Only a manager that adds
+        blocks to the table needs it."""
+        raise NotImplementedError
+
+    def _enforce_dirty_threshold(self) -> float:
+        """Past the dirty limit, clean LRU dirty blocks, each with the
+        contiguous run around it so the run merges into one sequential
+        disk write."""
+        table = self.dirty_table
+        cost = 0.0
+        while len(table) > self.stats.dirty_limit:
+            for run_lbn in table.contiguous_run(table.lru_block()):
+                cost += self._clean_block(run_lbn)
+        return cost
+
     def flush_dirty(self) -> float:
         """Write every dirty cached block back to disk (clean shutdown)."""
-        return 0.0
+        cost = 0.0
+        for lbn in self.dirty_table.iter_lru():
+            cost += self._clean_block(lbn)
+        return cost

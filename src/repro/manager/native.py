@@ -8,12 +8,17 @@ Because the SSD exposes its own dense address space, the manager must:
   per cached block (disk block number, checksum, LRU indexes, state);
 * run its own set-associative replacement to allocate SSD blocks;
 * persist its metadata to the SSD so a write-back cache survives
-  crashes (Native-D in Fig. 4): every dirty-state or mapping change for
-  dirty blocks is written synchronously to a metadata journal region on
+  crashes (Native-D in Fig. 4): a dirty-state or mapping change for a
+  dirty block is written synchronously to a metadata journal region on
   the SSD, while metadata for clean blocks added on misses is batched
   ("the native system does not incur any synchronous metadata updates
   when adding clean pages from a miss and batches sequential metadata
-  updates").
+  updates").  Not every dirty update is synchronous, though: one whose
+  lbn continues a sequential run is charged nothing until the run's
+  metadata page fills.  Its entry joins that page, which was programmed
+  before the update arrived, so no programmed page holds it when the
+  write completes (ROADMAP.md item 2, "one durability rule for both
+  systems").
 
 In write-through mode the native manager provides no durability (the
 paper notes it "cannot" recover after a crash) and writes no metadata.
@@ -22,14 +27,13 @@ paper notes it "cannot" recover after a crash) and writes no metadata.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.config import CacheMode, SystemConfig
 from repro.disk.model import Disk
 from repro.errors import ConfigError
 from repro.ftl.ssd import SSD
 from repro.manager.base import CacheManager
-from repro.manager.dirty_table import DirtyBlockTable
 from repro.util.hashing import mix64
 
 #: Host bytes per cached block (paper §6.3: "22 bytes/block for a disk
@@ -47,35 +51,29 @@ SET_SIZE = 64
 META_FRACTION = 0.02
 
 
-@dataclass(frozen=True)
-class NativeConfig:
-    """Native manager tunables."""
-
-    mode: str = "wb"               # "wb" (write-back) or "wt" (write-through)
-    dirty_threshold: float = 0.20  # clean LRU dirty blocks above this
-    consistency: bool = True       # persist metadata (write-back only)
-
-    def __post_init__(self):
-        if self.mode not in ("wb", "wt"):
-            raise ConfigError("mode must be 'wb' or 'wt'")
-        if not 0.0 < self.dirty_threshold <= 1.0:
-            raise ConfigError("dirty_threshold must be in (0, 1]")
-
-
 class NativeCacheManager(CacheManager):
-    """Set-associative SSD cache manager (the FlashCache baseline)."""
+    """Set-associative SSD cache manager (the FlashCache baseline).
 
-    def __init__(self, ssd: SSD, disk: Disk, config: Optional[NativeConfig] = None):
-        super().__init__()
-        self.ssd = ssd
-        self.disk = disk
-        self.config = config or NativeConfig()
+    Reads ``mode``, ``dirty_threshold`` and ``consistency`` from
+    ``config``; the dirty limit is ``dirty_threshold`` of the data
+    slots.
+    """
 
+    def __init__(self, ssd: SSD, disk: Disk, config: SystemConfig = SystemConfig()):
         meta_pages = max(4, int(ssd.capacity_pages * META_FRACTION))
         meta_pages = min(meta_pages, max(1, ssd.capacity_pages // 4))
         self.data_pages = ssd.capacity_pages - meta_pages
         if self.data_pages < 1:
             raise ConfigError("SSD too small to hold any cached data")
+        super().__init__(
+            int(config.dirty_threshold * self.data_pages), with_checksums=False
+        )
+        self.ssd = ssd
+        self.disk = disk
+        self._write_through = config.mode is CacheMode.WRITE_THROUGH
+        # Write-through mode and no-consistency configurations skip
+        # metadata persistence entirely.
+        self._persist_meta = config.consistency and not self._write_through
         # Small devices get one set covering everything rather than an
         # error.
         self._set_size = min(SET_SIZE, self.data_pages)
@@ -105,7 +103,6 @@ class NativeCacheManager(CacheManager):
         self._free_slots: List[List[int]] = [[] for _ in range(self.num_sets)]
         for slot in range(self.data_pages):
             self._free_slots[self._set_of_slot(slot)].append(slot)
-        self._dirty = DirtyBlockTable(with_checksums=False)
 
     # ------------------------------------------------------------------
     # Set geometry
@@ -131,7 +128,7 @@ class NativeCacheManager(CacheManager):
             self.stats.read_hits += 1
             data, cost = self.ssd.read(slot)
             self._set_lru[self._set_of_slot(slot)].move_to_end(lbn)
-            self._dirty.touch(lbn)
+            self.dirty_table.touch(lbn)
             return data, cost, True
         self.stats.read_misses += 1
         data, cost = self.disk.read(lbn)
@@ -140,19 +137,12 @@ class NativeCacheManager(CacheManager):
 
     def _write_impl(self, lbn: int, data: Any) -> float:
         self.stats.writes += 1
-        if self.config.mode == "wt":
+        if self._write_through:
             cost = self.disk.write(lbn, data)
             cost += self._insert(lbn, data, dirty=False)
             return cost
         cost = self._insert(lbn, data, dirty=True)
         cost += self._enforce_dirty_threshold()
-        return cost
-
-    def flush_dirty(self) -> float:
-        """Write back every dirty block (clean shutdown)."""
-        cost = 0.0
-        for lbn in self._dirty.iter_lru():
-            cost += self._clean_block(lbn)
         return cost
 
     # ------------------------------------------------------------------
@@ -170,7 +160,7 @@ class NativeCacheManager(CacheManager):
             cost += self._meta_update(sync=dirty, lbn=lbn)
         else:
             set_index = self._set_of_slot(slot)
-            was_dirty = lbn in self._dirty
+            was_dirty = lbn in self.dirty_table
             if was_dirty != dirty:
                 cost += self._meta_update(sync=dirty, lbn=lbn)
         cost += self.ssd.write(slot, data, dirty=dirty)
@@ -178,9 +168,9 @@ class NativeCacheManager(CacheManager):
         lru[lbn] = None
         lru.move_to_end(lbn)
         if dirty:
-            self._dirty.add(lbn)
+            self.dirty_table.add(lbn)
         else:
-            self._dirty.remove(lbn)
+            self.dirty_table.remove(lbn)
         return cost
 
     def _allocate_slot(self, set_index: int) -> Tuple[int, float]:
@@ -203,7 +193,7 @@ class NativeCacheManager(CacheManager):
         cost = 0.0
         slot = self._map.pop(victim_lbn)
         del self._slot_lbn[slot]
-        was_dirty = self._dirty.remove(victim_lbn)
+        was_dirty = self.dirty_table.remove(victim_lbn)
         if was_dirty:
             data, read_cost = self.ssd.read(slot)
             cost += read_cost
@@ -218,21 +208,10 @@ class NativeCacheManager(CacheManager):
     # Dirty-block cleaning (write-back)
     # ------------------------------------------------------------------
 
-    def _enforce_dirty_threshold(self) -> float:
-        limit = int(self.config.dirty_threshold * self.data_pages)
-        cost = 0.0
-        while len(self._dirty) > limit:
-            lbn = self._dirty.lru_block()
-            if lbn is None:
-                break
-            for run_lbn in self._dirty.contiguous_run(lbn):
-                cost += self._clean_block(run_lbn)
-        return cost
-
     def _clean_block(self, lbn: int) -> float:
         """Write ``lbn`` back to disk and mark its SSD copy clean."""
         slot = self._map.get(lbn)
-        if slot is None or not self._dirty.remove(lbn):
+        if slot is None or not self.dirty_table.remove(lbn):
             return 0.0
         data, cost = self.ssd.read(slot)
         cost += self.disk.write(lbn, data)
@@ -255,7 +234,7 @@ class NativeCacheManager(CacheManager):
         batch :data:`CLEAN_META_BATCH` entries per page.  Write-through mode
         and no-consistency configurations skip persistence entirely.
         """
-        if self.config.mode == "wt" or not self.config.consistency:
+        if not self._persist_meta:
             return 0.0
         if not sync:
             self._pending_clean_meta += 1

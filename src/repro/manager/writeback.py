@@ -17,47 +17,29 @@ recovery."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Tuple
+from typing import Any, Callable, Tuple
 
+from repro.core.config import SystemConfig
 from repro.disk.model import Disk
-from repro.errors import (
-    CacheFullError,
-    ChecksumError,
-    ConfigError,
-    NotPresentError,
-)
+from repro.errors import CacheFullError, ChecksumError, NotPresentError
 from repro.manager.base import CacheManager
-from repro.manager.dirty_table import DirtyBlockTable
 from repro.ssc.device import SolidStateCache
 
 
-@dataclass(frozen=True)
-class WriteBackConfig:
-    """Write-back manager tunables."""
-
-    dirty_threshold: float = 0.20  # of the SSC's raw page capacity
-
-    def __post_init__(self):
-        if not 0.0 < self.dirty_threshold <= 1.0:
-            raise ConfigError("dirty_threshold must be in (0, 1]")
-
-
 class FlashTierWBManager(CacheManager):
-    """Write-back caching on an SSC: host state for dirty blocks only."""
+    """Write-back caching on an SSC: host state for dirty blocks only.
+    The dirty limit starts at ``config.dirty_threshold`` of the SSC's
+    raw pages."""
 
     def __init__(
         self,
         ssc: SolidStateCache,
         disk: Disk,
-        config: WriteBackConfig = WriteBackConfig(),
+        config: SystemConfig = SystemConfig(),
     ):
-        super().__init__()
+        super().__init__(int(config.dirty_threshold * ssc.capacity_pages))
         self.ssc = ssc
         self.disk = disk
-        self.config = config
-        self.dirty_table = DirtyBlockTable()
-        self._dirty_limit = int(config.dirty_threshold * ssc.capacity_pages)
         self._attach_devices(ssc.chip, disk)
 
     def _read_impl(self, lbn: int) -> Tuple[Any, float, bool]:
@@ -71,57 +53,44 @@ class FlashTierWBManager(CacheManager):
             pass
         self.stats.read_misses += 1
         data, cost = self.disk.read(lbn)
-        cost += self._insert_clean(lbn, data)
+        cost += self._store(self.ssc.write_clean, lbn, data)
         return data, cost, False
 
     def _write_impl(self, lbn: int, data: Any) -> float:
         self.stats.writes += 1
-        try:
-            cost = self.ssc.write_dirty(lbn, data)
-        except CacheFullError:
-            # Device back-pressure: too much of the cache is dirty at
-            # erase-block granularity.  Clean aggressively and retry —
-            # "the cache manager must actively manage the contents of
-            # the cache to ensure there is space for new data" (§3.1).
-            cost = self._force_clean()
-            cost += self.ssc.write_dirty(lbn, data)
+        cost = self._store(self.ssc.write_dirty, lbn, data)
         self.dirty_table.add(lbn, data)
         cost += self._enforce_dirty_threshold()
         return cost
 
-    def _insert_clean(self, lbn: int, data: Any) -> float:
+    def _store(self, write: Callable[[int, Any], float], lbn: int, data: Any) -> float:
+        """``write(lbn, data)`` to the SSC, retried once after a forced
+        clean if the device refuses it as full."""
         try:
-            return self.ssc.write_clean(lbn, data)
+            return write(lbn, data)
         except CacheFullError:
             cost = self._force_clean()
-            return cost + self.ssc.write_clean(lbn, data)
+            return cost + write(lbn, data)
 
     # ------------------------------------------------------------------
     # Cleaning
     # ------------------------------------------------------------------
 
-    def _enforce_dirty_threshold(self) -> float:
-        cost = 0.0
-        while len(self.dirty_table) > self._dirty_limit:
-            lbn = self.dirty_table.lru_block()
-            if lbn is None:
-                break
-            run = self.dirty_table.contiguous_run(lbn)
-            for run_lbn in run:
-                cost += self._clean_block(run_lbn)
-        return cost
-
     def _force_clean(self) -> float:
         """Clean the whole dirty table to relieve device back-pressure.
 
         At erase-block granularity, scattered dirty pages can pin far
-        more flash than the dirty *count* suggests; cleaning everything
-        guarantees the device regains eviction candidates.  The dirty
-        limit is also lowered so the steady-state threshold cleaning
-        prevents a repeat.
+        more flash than the dirty *count* suggests; "the cache manager
+        must actively manage the contents of the cache to ensure there
+        is space for new data" (§3.1).  Cleaning everything guarantees
+        the device regains eviction candidates.  The dirty limit is also
+        lowered to 75% (at least 16), for good, so the steady-state
+        cleaning prevents a repeat; ``forced_cleans`` counts this.
         """
         cost = self.flush_dirty()
-        self._dirty_limit = max(16, int(self._dirty_limit * 0.75))
+        stats = self.stats
+        stats.forced_cleans += 1
+        stats.dirty_limit = max(16, int(stats.dirty_limit * 0.75))
         return cost
 
     def _clean_block(self, lbn: int) -> float:
@@ -149,13 +118,6 @@ class FlashTierWBManager(CacheManager):
         self.stats.cleans += 1
         self.dirty_table.remove(lbn)
         self.stats.writebacks += 1
-        return cost
-
-    def flush_dirty(self) -> float:
-        """Write back every dirty block (clean shutdown)."""
-        cost = 0.0
-        for lbn in self.dirty_table.iter_lru():
-            cost += self._clean_block(lbn)
         return cost
 
     # ------------------------------------------------------------------

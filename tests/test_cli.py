@@ -197,6 +197,15 @@ class TestErrors:
             main(["recover", "--workload", "mail", "--no-consistency"])
         assert "unrecognized arguments: --no-consistency" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["replay", "compare", "recover"])
+    def test_unknown_mode_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--workload", "mail", "--mode", "xx"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro {command}: error: argument --mode: invalid choice: 'xx'" in err
+        assert "Traceback" not in err and "ValueError" not in err
+
     @pytest.mark.parametrize("command", ["analyze", "replay", "compare", "recover"])
     def test_malformed_trace_line_reported(self, tmp_path, capsys, command):
         path = tmp_path / "msr.csv"

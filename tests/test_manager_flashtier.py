@@ -2,10 +2,11 @@
 
 import random
 
+from repro.core.config import SystemConfig
 from repro.disk.model import Disk
 from repro.flash.geometry import FlashGeometry
 from repro.manager.dirty_table import DirtyBlockTable, ENTRY_BYTES
-from repro.manager.writeback import FlashTierWBManager, WriteBackConfig
+from repro.manager.writeback import FlashTierWBManager
 from repro.manager.writethrough import FlashTierWTManager
 from repro.ssc.device import SolidStateCache
 
@@ -21,7 +22,7 @@ def make_wb(disk_blocks=100_000, **config):
     geometry = FlashGeometry(planes=4, blocks_per_plane=32, pages_per_block=16)
     ssc = SolidStateCache.ssc(geometry)
     disk = Disk(disk_blocks)
-    return FlashTierWBManager(ssc, disk, WriteBackConfig(**config)), ssc, disk
+    return FlashTierWBManager(ssc, disk, SystemConfig(**config)), ssc, disk
 
 
 class TestDirtyTable:
@@ -113,14 +114,6 @@ class TestWriteBack:
         assert data == "dirty"
         assert 5 in manager.dirty_table
 
-    def test_threshold_cleaning(self):
-        manager, ssc, disk = make_wb(dirty_threshold=0.05)
-        rng = random.Random(2)
-        for i in range(2000):
-            manager.write(rng.randrange(5000), i)
-        assert manager.stats.cleans > 0
-        assert len(manager.dirty_table) <= manager._dirty_limit + 32
-
     def test_cleaned_data_still_readable(self):
         manager, ssc, disk = make_wb()
         manager.write(5, "keep-me")
@@ -144,13 +137,6 @@ class TestWriteBack:
             manager.read(lbn)
         assert manager.stats.read_misses == 0
         assert manager.stats.read_hits == len(set(lbns))
-
-    def test_contiguous_runs_written_sequentially(self):
-        manager, _ssc, disk = make_wb()
-        for lbn in range(200, 232):
-            manager.write(lbn, lbn)
-        manager.flush_dirty()
-        assert disk.stats.sequential_hits > 0
 
     def test_host_memory_tracks_dirty_only(self):
         manager, _ssc, _disk = make_wb()

@@ -14,8 +14,6 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.ftl.hybrid import HybridFTLConfig
 from repro.ftl.wear import WearConfig
-from repro.manager.native import NativeConfig
-from repro.manager.writeback import WriteBackConfig
 from repro.ssc.device import SSCConfig
 from repro.ssc.engine import CacheFTLConfig
 
@@ -35,8 +33,6 @@ INVENTORY = {
         "consistency", "clean_durability", "group_commit_ops",
         "checkpoint_interval_writes", "nvram",
     ],
-    WriteBackConfig: ["dirty_threshold"],
-    NativeConfig: ["mode", "dirty_threshold", "consistency"],
 }
 
 
