@@ -11,6 +11,7 @@ workloads: 1,000 blocks per region at 1/100 address-space scale.)
 """
 
 from repro.stats.report import format_table
+from repro.traces.analyze import analyze
 
 from benchmarks.common import WORKLOADS, get_trace, once
 
@@ -21,7 +22,9 @@ def density_cdf_rows():
     summary = {}
     for name in WORKLOADS:
         trace = get_trace(name)
-        densities = trace.region_densities()
+        densities = analyze(
+            trace.records, region_blocks=trace.profile.region_blocks
+        ).region_densities
         row = [name, len(densities)]
         for threshold in thresholds:
             below = sum(1 for d in densities if d <= threshold)

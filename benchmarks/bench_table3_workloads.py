@@ -6,6 +6,7 @@ benchmark's inputs are on the record.
 """
 
 from repro.stats.report import format_table
+from repro.traces.analyze import analyze
 
 from benchmarks.common import WORKLOADS, get_trace, once
 
@@ -23,14 +24,15 @@ def workload_rows():
     for name in WORKLOADS:
         trace = get_trace(name)
         profile = trace.profile
+        stats = analyze(trace.records, region_blocks=profile.region_blocks)
         range_gb = profile.address_range_blocks * 4096 / 1e9
         rows.append(
             [
                 name,
                 f"{range_gb:.1f} GB",
-                trace.unique_blocks_touched(),
+                stats.unique_blocks,
                 len(trace),
-                f"{100 * trace.write_fraction():.1f}",
+                f"{100 * stats.write_fraction:.1f}",
                 f"{PAPER[name][3]:.1f}",
             ]
         )

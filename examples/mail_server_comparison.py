@@ -11,7 +11,7 @@ Run:  python examples/mail_server_comparison.py
 
 from repro import CacheMode, SystemConfig, SystemKind, build_system
 from repro.stats.report import format_table
-from repro.traces import MAIL, generate_trace
+from repro.traces import MAIL, analyze, generate_trace
 
 
 def run_one(kind: SystemKind, trace, profile):
@@ -29,8 +29,9 @@ def run_one(kind: SystemKind, trace, profile):
 def main() -> None:
     profile = MAIL.scaled(0.10)
     trace = generate_trace(profile, seed=7)
+    shape = analyze(trace.records, region_blocks=profile.region_blocks)
     print(f"mail workload: {len(trace)} requests, "
-          f"{trace.write_fraction():.0%} writes\n")
+          f"{shape.write_fraction:.0%} writes\n")
 
     results = {}
     for kind in (SystemKind.NATIVE, SystemKind.SSC, SystemKind.SSC_R):

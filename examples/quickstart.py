@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import CacheMode, SystemConfig, SystemKind, build_system
-from repro.traces import HOMES, generate_trace
+from repro.traces import HOMES, analyze, generate_trace
 
 
 def main() -> None:
@@ -18,9 +18,10 @@ def main() -> None:
     # (Table 3): 96 % writes, sparse addresses, hot-file skew.
     profile = HOMES.scaled(0.10)
     trace = generate_trace(profile, seed=42)
+    shape = analyze(trace.records, region_blocks=profile.region_blocks)
     print(f"workload: {profile.name}, {len(trace)} requests, "
-          f"{trace.write_fraction():.0%} writes, "
-          f"{trace.unique_blocks_touched()} unique blocks")
+          f"{shape.write_fraction:.0%} writes, "
+          f"{shape.unique_blocks} unique blocks")
 
     # Cache sized for the top 25 % most-accessed blocks (§6.1).
     config = SystemConfig(

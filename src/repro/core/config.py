@@ -72,6 +72,8 @@ class SystemConfig:
             raise ConfigError("disk_blocks must be positive")
         if self.capacity_slack < 1.0:
             raise ConfigError("capacity_slack must be >= 1.0")
+        if not isinstance(self.kind, SystemKind):
+            raise ConfigError("kind must be a SystemKind")
         if not isinstance(self.mode, CacheMode):
             raise ConfigError("mode must be a CacheMode")
         if not 0.0 < self.dirty_threshold <= 1.0:

@@ -40,9 +40,8 @@ from repro.ssc.device import SolidStateCache
 class _ShardedChipView:
     """The array's chips presented as one chip-like object.
 
-    Cache managers attach their op recorder to ``device.chip`` and the
-    replay engine takes the plane timelines from it; this view fans
-    both out across the member chips and sums their counters.
+    Cache managers attach their op recorder to ``device.chip``; this
+    view fans it out across the member chips and sums their counters.
     """
 
     def __init__(self, chips: Sequence[Any]):
@@ -63,14 +62,6 @@ class _ShardedChipView:
 
     def total_erases(self) -> int:
         return sum(chip.total_erases() for chip in self._chips)
-
-    def resources(self):
-        """Every member chip's plane timelines, by resource key."""
-        return {
-            key: plane
-            for chip in self._chips
-            for key, plane in chip.resources().items()
-        }
 
     def __repr__(self) -> str:
         return f"_ShardedChipView(chips={len(self._chips)})"

@@ -55,7 +55,10 @@ class Disk:
     """A block-addressable disk storing one payload object per block.
 
     Capacity is given in 4 KB blocks.  Contents are stored sparsely:
-    unwritten blocks read back as ``None`` (zeroes).
+    unwritten blocks read back as ``None`` (zeroes).  The disk has one
+    spindle: every access is an op on the ``"disk"`` resource, so the
+    replay engine queues concurrent misses behind each other on that
+    one timeline; the disk itself holds no time.
     """
 
     def __init__(
@@ -69,11 +72,6 @@ class Disk:
         self.timing = timing or DiskTimingModel()
         self.stats = DiskStats()
         self.op_recorder = OpRecorder()
-        # One spindle: the disk serves a single request at a time, so
-        # concurrent cache misses queue behind each other here.  Its
-        # busy_us is the replay engine's measured busy time, as on a
-        # flash plane (stats.busy_us counts every access ever made).
-        self.reset_busy()
         self._data: Dict[int, Any] = {}
         self._head_at: Optional[int] = None  # block after the last access
 
@@ -110,15 +108,6 @@ class Disk:
         self.op_recorder.record(DeviceOp(DISK_RESOURCE, "write", cost))
         self._data[lbn] = data
         return cost
-
-    def reset_busy(self) -> None:
-        """Forget availability history (new measurement epoch)."""
-        self.busy_until_us = 0.0
-        self.busy_us = -0.0
-
-    def resources(self) -> Dict[str, "Disk"]:
-        """The spindle's availability timeline, by resource key."""
-        return {DISK_RESOURCE: self}
 
     def peek(self, lbn: int) -> Any:
         """Read contents without timing cost (test/verification helper)."""

@@ -16,12 +16,13 @@ framework (§5).  It has three dispatch disciplines:
 
 Each request's :class:`~repro.sim.completion.Completion` carries the
 operations it performed, attributed to contended resources (flash
-planes, the disk spindle).  Above queue depth 1 the engine schedules
-those operations onto per-resource availability timelines: ops on
+planes, the disk spindle).  At every queue depth the engine places
+those operations on per-resource availability timelines: ops on
 distinct planes overlap, ops on the same plane — or on the single disk
 spindle — queue behind each other, and any service time not bound to a
 resource (controller delays, log commits, checkpoints) stays serial
-within its request.
+within its request.  A request's service time covers its own ops, so
+at queue depth 1 no op ever waits.
 
 Functional device state still mutates in trace order at dispatch time
 (the hit/miss sequence is identical at every queue depth); concurrency
@@ -33,11 +34,9 @@ the trace before gathering statistics."
 
 from __future__ import annotations
 
-from math import copysign
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.manager.base import CacheManager
-from repro.sim.clock import SimClock
 from repro.sim.completion import Completion
 from repro.sim.events import EventScheduler
 from repro.stats.counters import LatencyStats, ReplayStats
@@ -77,68 +76,50 @@ def _trace_request(tracer, record: TraceRecord, completion: Completion) -> None:
 
 
 class ReplayEngine:
-    """Replays traces through a manager at a configurable queue depth."""
+    """Replays traces through a manager at a configurable queue depth.
+
+    The engine owns simulated time: ``now_us`` is the time its last
+    replay finished, and ``free_at_us``/``busy_us`` are the availability
+    timelines of the measured window, keyed by ``DeviceOp.resource``.
+    """
 
     def __init__(self, manager: CacheManager, queue_depth: int = 1):
         if queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
         self.manager = manager
         self.queue_depth = queue_depth
-        self.clock = SimClock()
-        #: Resource key -> availability timeline, for every plane and
-        #: disk the manager's devices can occupy.
-        self._resources = manager.resources()
-
-    def _reset_availability(self) -> None:
-        """Start a measurement epoch with every resource idle."""
-        for resource in self._resources.values():
-            resource.reset_busy()
+        self.now_us = 0.0
+        #: Resource key -> when that plane or spindle is next free.
+        self.free_at_us: Dict[str, float] = {}
+        #: Resource key -> time its measured ops occupied it, summed in
+        #: op order; a resource no measured op used has no key.
+        self.busy_us: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
 
-    def _execute(
-        self,
-        completion: Completion,
-        at_us: float,
-        serial: bool,
-        tracer=None,
-    ):
+    def _execute(self, completion: Completion, at_us: float, tracer=None):
         """Place one request's operations on the resource timelines.
 
         Returns ``(queue_wait_us, finish_us)``.  ``queue_wait_us`` is
         the total time the request's operations spent waiting for busy
         resources; untraced service time (controller/log overhead) is
-        serial within the request and never waits.  Each operation's
-        duration is added to its timeline's ``busy_us``, in op order.
-        With a ``tracer`` attached, each operation's op.device slice is
+        serial within the request and never waits.  A request's ops
+        never take longer than its service time, so at queue depth 1
+        every resource is free at dispatch and the wait is zero.  With
+        a ``tracer`` attached, each operation's op.device slice is
         emitted at the time it actually ran on its resource's timeline.
         """
-        resources = self._resources
-        if serial:
-            # One outstanding request: every resource is idle at
-            # dispatch by construction, so nothing can queue — finish
-            # is computed from the total service time alone.
-            cursor = at_us
-            for resource_key, kind, duration_us in completion.ops:
-                resources[resource_key].busy_us += duration_us
-                if tracer is not None:
-                    tracer.emit(
-                        "op.device", lane=resource_key, ts_us=cursor,
-                        dur_us=duration_us, kind=kind,
-                    )
-                    cursor += duration_us
-            return 0.0, at_us + float(completion)
+        free_at, busy = self.free_at_us, self.busy_us
         wait_us = 0.0
         cursor = at_us
         for resource_key, kind, duration_us in completion.ops:
-            resource = resources[resource_key]
-            free_us = resource.busy_until_us
+            free_us = free_at.get(resource_key, 0.0)
             start = cursor if cursor >= free_us else free_us
             wait_us += start - cursor
-            cursor = resource.busy_until_us = start + duration_us
-            resource.busy_us += duration_us
+            cursor = free_at[resource_key] = start + duration_us
+            busy[resource_key] = busy.get(resource_key, 0.0) + duration_us
             if tracer is not None:
                 tracer.emit(
                     "op.device", lane=resource_key, ts_us=start,
@@ -180,27 +161,23 @@ class ReplayEngine:
             queue_depth=self.queue_depth,
             latency=LatencyStats(keep_samples=keep_latencies),
         )
-        scheduler = EventScheduler(self.clock)
+        scheduler = EventScheduler()
         manager = self.manager
         read, write = manager.read, manager.write
         hits_before = manager.stats.read_hits
         misses_before = manager.stats.read_misses
-        start_us = self.clock.now_us
+        # Warm-up consumes no simulated time and occupies no resource:
+        # measurement starts now, with every timeline idle.
+        start_us = dispatch_us = end_us = self.now_us
+        self.free_at_us.clear()
+        self.busy_us.clear()
         tracer = manager.tracer  # None unless instrumented
         arrival_origin: Optional[float] = None
-        dispatch_us = start_us
-        end_us = start_us
-        serial = not open_loop and self.queue_depth == 1
 
         for index, record in enumerate(trace):
             if index == warmup_ops:
-                # Measurement starts here: warm-up consumed no simulated
-                # time, every resource timeline starts idle.
-                self._reset_availability()
                 hits_before = manager.stats.read_hits
                 misses_before = manager.stats.read_misses
-                start_us = self.clock.now_us
-                dispatch_us = start_us
             if index < warmup_ops:
                 completion = _issue(manager, record)
                 if tracer is not None:
@@ -234,9 +211,7 @@ class ReplayEngine:
                 completion = write(lbn, ("w", lbn))
             else:
                 completion = read(lbn)[1]
-            wait_us, finish_us = self._execute(
-                completion, dispatch_us, serial, tracer,
-            )
+            wait_us, finish_us = self._execute(completion, dispatch_us, tracer)
             wait_us += dispatch_wait_us
             scheduler.schedule_at(finish_us)
             if finish_us > end_us:
@@ -261,21 +236,10 @@ class ReplayEngine:
                     queue_wait_us=wait_us,
                 )
 
-        # Drain: run simulated time forward to the last completion.
-        while scheduler:
-            scheduler.pop()
-        if end_us > self.clock.now_us:
-            self.clock.advance_to(end_us)
-
-        if warmup_ops < len(trace):
-            # Each timeline summed its measured ops in op order; one that
-            # ran none still holds the -0.0 that reset_busy left.
-            stats.device_busy_us = {
-                key: resource.busy_us
-                for key, resource in self._resources.items()
-                if copysign(1.0, resource.busy_us) > 0.0
-            }
-        stats.elapsed_us = self.clock.now_us - start_us
+        # The replay ends at its last completion.
+        self.now_us = end_us
+        stats.device_busy_us = dict(self.busy_us)
+        stats.elapsed_us = end_us - start_us
         stats.read_hits = manager.stats.read_hits - hits_before
         stats.read_misses = manager.stats.read_misses - misses_before
         return stats

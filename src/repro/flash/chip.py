@@ -10,7 +10,7 @@ evaluation's Table 5 reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.errors import CrashError
 from repro.flash.block import TORN_PAGE, EraseBlock, out_of_order_program
@@ -118,12 +118,6 @@ class FlashChip:
         for plane in self.planes:
             plane.resource_key = f"s{shard_id}:plane:{plane.plane_id}"
         self._build_ops()
-
-    # ---- availability ------------------------------------------------------
-
-    def resources(self) -> Dict[str, Plane]:
-        """Each plane's availability timeline, by resource key."""
-        return {plane.resource_key: plane for plane in self.planes}
 
     # ---- timed operations -------------------------------------------------
 

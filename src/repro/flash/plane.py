@@ -20,15 +20,10 @@ class Plane:
     """One flash plane: a block range plus a FIFO free list.
 
     Planes are also the unit of *parallelism*: a plane executes one
-    operation at a time, so ``busy_until_us`` tracks when it next
-    becomes available.  Operations on distinct planes may overlap in
+    operation at a time.  Operations on distinct planes may overlap in
     simulated time; operations on the same plane queue behind each
-    other (the event-driven replay engine places each operation at the
-    later of its ready time and ``busy_until_us``, then advances it).
-    ``busy_us`` sums the durations the engine placed here since the
-    last :meth:`reset_busy`.  It is -0.0 until the first one (adding any
-    duration, 0.0 included, gives a positive-signed sum), which tells a
-    timeline that ran nothing from one whose ops took no time.
+    other.  The replay engine keeps that timeline, keyed by
+    ``resource_key``; the plane itself holds no time.
     """
 
     #: Optional trace bus (repro.obs); None keeps allocation zero-cost.
@@ -66,7 +61,6 @@ class Plane:
         ]
         heapq.heapify(self._wear_heap)
         heapq.heapify(self._hot_heap)
-        self.reset_busy()
 
     @property
     def num_blocks(self) -> int:
@@ -164,11 +158,6 @@ class Plane:
     def is_free(self, pbn: int) -> bool:
         """True if block ``pbn`` sits on this plane's free list."""
         return pbn in self._free_set
-
-    def reset_busy(self) -> None:
-        """Forget availability history (start of a measurement epoch)."""
-        self.busy_until_us = 0.0
-        self.busy_us = -0.0
 
     def __repr__(self) -> str:
         return (

@@ -16,15 +16,16 @@ The base class also holds the one write-back cleaning policy of §4.4,
 shared by both write-back systems: a :class:`DirtyBlockTable`, a dirty
 limit (the ``dirty_limit`` gauge) and the loop that, past the limit,
 cleans LRU dirty blocks together with the contiguous run around each.
-A subclass supplies only ``_clean_block``, the limit and whether the
-table keeps checksums.
+A subclass supplies only ``_clean_block`` and the limit.  The table
+checksums a block added with its data (FlashTier); native adds blocks
+without data, so its entries carry no checksum.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.manager.dirty_table import DirtyBlockTable
 from repro.sim.completion import Completion, OpRecorder
@@ -72,11 +73,10 @@ class CacheManager(ABC):
     #: op.issue/op.device emissions; None keeps replay zero-cost.
     tracer = None
 
-    def __init__(self, dirty_limit: int = 0, with_checksums: bool = True):
+    def __init__(self, dirty_limit: int = 0):
         self.stats = ManagerStats(dirty_limit=dirty_limit)
-        self.dirty_table = DirtyBlockTable(with_checksums)
+        self.dirty_table = DirtyBlockTable()
         self._recorder = OpRecorder()
-        self._devices: Tuple[Any, ...] = ()
 
     def _attach_devices(self, *devices: Any) -> None:
         """Share this manager's op recorder with its devices.
@@ -85,18 +85,8 @@ class CacheManager(ABC):
         records into one recorder, so a request's operation trace comes
         back in execution order across both tiers.
         """
-        self._devices = devices
         for device in devices:
             device.op_recorder = self._recorder
-
-    def resources(self) -> Dict[str, Any]:
-        """Every availability timeline (flash plane, disk spindle) the
-        attached devices' operations occupy, by resource key."""
-        return {
-            key: timeline
-            for device in self._devices
-            for key, timeline in device.resources().items()
-        }
 
     # ------------------------------------------------------------------
     # Public interface: capture-bracketed templates

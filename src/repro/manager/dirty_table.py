@@ -32,10 +32,8 @@ def _data_checksum(data) -> int:
 class DirtyBlockTable:
     """Host-side table of dirty cached blocks with LRU ordering."""
 
-    def __init__(self, with_checksums: bool = True):
-        self.with_checksums = with_checksums
-        # lbn -> checksum, or None when there is nothing to verify
-        # against (checksums disabled, or the block's data unknown);
+    def __init__(self):
+        # lbn -> checksum, or None when the block's data is unknown;
         # least recently used first.
         self._entries: "OrderedDict[int, Optional[int]]" = OrderedDict()
 
@@ -51,15 +49,14 @@ class DirtyBlockTable:
         A block re-added without its data (recovery repopulating the
         table from ``exists``) gets no checksum.
         """
-        verifiable = self.with_checksums and data is not _UNKNOWN
-        self._entries[lbn] = _data_checksum(data) if verifiable else None
+        self._entries[lbn] = None if data is _UNKNOWN else _data_checksum(data)
         self._entries.move_to_end(lbn)
 
     def checksum_matches(self, lbn: int, data) -> bool:
         """Verify ``data`` against the checksum recorded at write time.
 
-        Always True when the block has no recorded checksum: checksums
-        disabled, the block untracked, or re-added without its data.
+        Always True when the block has no recorded checksum: the block
+        untracked, or added without its data.
         """
         expected = self._entries.get(lbn)
         return expected is None or expected == _data_checksum(data)

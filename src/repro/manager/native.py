@@ -65,9 +65,7 @@ class NativeCacheManager(CacheManager):
         self.data_pages = ssd.capacity_pages - meta_pages
         if self.data_pages < 1:
             raise ConfigError("SSD too small to hold any cached data")
-        super().__init__(
-            int(config.dirty_threshold * self.data_pages), with_checksums=False
-        )
+        super().__init__(int(config.dirty_threshold * self.data_pages))
         self.ssd = ssd
         self.disk = disk
         self._write_through = config.mode is CacheMode.WRITE_THROUGH
@@ -96,7 +94,6 @@ class NativeCacheManager(CacheManager):
         # Host-side state: the full mapping table plus per-set LRU
         # order (cached lbns, least recently used first).
         self._map: Dict[int, int] = {}        # disk lbn -> ssd slot
-        self._slot_lbn: Dict[int, int] = {}   # ssd slot -> disk lbn
         self._set_lru: List["OrderedDict[int, None]"] = [
             OrderedDict() for _ in range(self.num_sets)
         ]
@@ -156,7 +153,6 @@ class NativeCacheManager(CacheManager):
             set_index = self._set_of_lbn(lbn)
             slot, cost = self._allocate_slot(set_index)
             self._map[lbn] = slot
-            self._slot_lbn[slot] = lbn
             cost += self._meta_update(sync=dirty, lbn=lbn)
         else:
             set_index = self._set_of_slot(slot)
@@ -192,7 +188,6 @@ class NativeCacheManager(CacheManager):
         """
         cost = 0.0
         slot = self._map.pop(victim_lbn)
-        del self._slot_lbn[slot]
         was_dirty = self.dirty_table.remove(victim_lbn)
         if was_dirty:
             data, read_cost = self.ssd.read(slot)

@@ -1,6 +1,5 @@
-"""Simulation kernel: simulated time, events, completions, crash injection."""
+"""Simulation kernel: events, completions, crash injection."""
 
-from repro.sim.clock import SimClock
 from repro.sim.completion import (
     DISK_RESOURCE,
     Completion,
@@ -11,7 +10,6 @@ from repro.sim.crash import CrashPoint, CrashInjector
 from repro.sim.events import EventScheduler
 
 __all__ = [
-    "SimClock",
     "EventScheduler",
     "Completion",
     "DeviceOp",

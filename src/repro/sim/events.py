@@ -1,8 +1,7 @@
 """Event scheduler: a heap of completion times driving trace replay.
 
 The scheduler decouples *dispatch* from *completion*: work is
-scheduled to finish at a future simulated time, and popping advances
-the shared :class:`~repro.sim.clock.SimClock` to each completion in
+scheduled to finish at a future simulated time, and completions pop in
 time order.  An event is its completion time alone: the replay loop
 needs only *when* the next outstanding request frees its slot, so the
 heap holds plain floats and equal times are interchangeable.
@@ -11,22 +10,20 @@ heap holds plain floats and equal times are interchangeable.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional
-
-from repro.sim.clock import SimClock
+from typing import List
 
 
 class EventScheduler:
-    """Min-heap of future completion times sharing a simulated clock.
+    """Min-heap of future completion times.
 
-    Scheduling in the past is rejected (simulated time is monotonic);
-    popping a time advances the clock to it.
+    ``now_us`` is the latest completion popped; scheduling before it
+    is rejected (simulated time is monotonic).
     """
 
-    __slots__ = ("clock", "_heap")
+    __slots__ = ("now_us", "_heap")
 
-    def __init__(self, clock: Optional[SimClock] = None):
-        self.clock = clock or SimClock()
+    def __init__(self):
+        self.now_us = 0.0
         self._heap: List[float] = []
 
     def __len__(self) -> int:
@@ -35,21 +32,19 @@ class EventScheduler:
 
     def schedule_at(self, time_us: float) -> None:
         """Schedule a completion at absolute time ``time_us``."""
-        if time_us < self.clock.now_us:
+        if time_us < self.now_us:
             raise ValueError(
-                f"cannot schedule at {time_us} us: clock is already at "
-                f"{self.clock.now_us} us"
+                f"cannot schedule at {time_us} us: {self.now_us} us has "
+                "already completed"
             )
         heapq.heappush(self._heap, float(time_us))
 
     def pop(self) -> float:
-        """Remove the earliest pending completion, advancing the clock to
-        it; returns its time."""
+        """Remove the earliest pending completion; returns its time."""
         if not self._heap:
             raise IndexError("pop from an idle EventScheduler")
-        time_us = heapq.heappop(self._heap)
-        self.clock.advance_to(time_us)
-        return time_us
+        self.now_us = heapq.heappop(self._heap)
+        return self.now_us
 
     def __repr__(self) -> str:
-        return f"EventScheduler(pending={len(self)}, now={self.clock.now_us:.1f}us)"
+        return f"EventScheduler(pending={len(self)}, now={self.now_us:.1f}us)"

@@ -199,7 +199,24 @@ class CacheFTL(HybridFTL):
             raise InvalidAddressError(f"logical block {lpn} is negative")
 
     def write(self, lpn: int, data, dirty: bool = False) -> float:
-        cost = super().write(lpn, data, dirty=dirty)
+        """Write ``lpn``; returns cost_us.
+
+        A write refused with :class:`CacheFullError` may already have
+        merged, evicted and forced the log.  That work stays done, so
+        its cost -- the chip's busy time plus the log pages it
+        programmed -- is parked in ``_pending_cost`` for the retry to
+        charge; every Table 2 duration is an integer, so both sums are
+        exact.  (``trim`` allocates nothing and cannot be refused.)
+        """
+        stats, oplog = self.chip.stats, self.oplog
+        busy, log_pages, pending = (
+            stats.busy_us, oplog.pages_written, self._pending_cost)
+        try:
+            cost = super().write(lpn, data, dirty=dirty)
+        except CacheFullError:
+            self._pending_cost = pending + (stats.busy_us - busy) + (
+                (oplog.pages_written - log_pages) * oplog.timing.write_cost())
+            raise
         return cost + self._drain_pending()
 
     def trim(self, lpn: int) -> float:

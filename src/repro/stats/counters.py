@@ -139,10 +139,13 @@ class ReplayStats:
 
     ``latency`` is the end-to-end per-request distribution; under the
     event-driven engine it decomposes as ``service`` (device time) plus
-    ``queue_wait`` (time spent queued behind busy resources — always
-    zero at queue depth 1).  ``device_busy_us`` maps each contended
-    resource (``"plane:<n>"``, ``"disk"``) to its cumulative busy time
-    during the measured interval.
+    ``queue_wait`` (time spent queued behind busy resources).  Queue
+    wait is zero at queue depth 1 because every request's service time
+    covers its own device ops, so each resource is free again by the
+    time the next request starts.  ``device_busy_us`` maps each
+    contended resource that ran a measured op (``"plane:<n>"``,
+    ``"disk"``) to its cumulative busy time during the measured
+    interval.
     """
 
     ops: int = counter("Measured (post-warmup) trace requests replayed.")

@@ -160,23 +160,6 @@ class SyntheticTrace:
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
 
-    def unique_blocks_touched(self) -> int:
-        return len({record.lbn for record in self.records})
-
-    def write_fraction(self) -> float:
-        if not self.records:
-            return 0.0
-        writes = sum(1 for record in self.records if record.is_write)
-        return writes / len(self.records)
-
-    def region_densities(self) -> List[float]:
-        """Per-occupied-region fraction of blocks referenced (Fig. 1)."""
-        region_blocks = self.profile.region_blocks
-        counts: Dict[int, set] = {}
-        for record in self.records:
-            counts.setdefault(record.lbn // region_blocks, set()).add(record.lbn)
-        return [len(blocks) / region_blocks for blocks in counts.values()]
-
 
 def generate_trace(profile: WorkloadProfile, seed: int = 0) -> SyntheticTrace:
     """Generate a reproducible synthetic trace for ``profile``."""

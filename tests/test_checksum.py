@@ -100,10 +100,12 @@ class TestDirtyTableChecksums:
         table = DirtyBlockTable()
         assert table.checksum_matches(99, "anything")
 
-    def test_disabled_checksums_always_pass(self):
-        table = DirtyBlockTable(with_checksums=False)
-        table.add(5, "a")
-        assert table.checksum_matches(5, "b")
+    def test_re_adding_with_data_makes_a_block_verifiable(self):
+        table = DirtyBlockTable()
+        table.add(5)
+        table.add(5, ("payload", 1))
+        assert not table.checksum_matches(5, ("payload", 2))
+        assert table.checksum_matches(5, ("payload", 1))
 
     def test_block_added_without_data_is_unverifiable(self):
         table = DirtyBlockTable()

@@ -233,8 +233,7 @@ def test_full_merge_ops_carry_shard_plane_keys():
     ops = _write_until_full_merge(ssd, capture=True)
     kinds = {op.kind for op in ops}
     assert {"page_read", "page_write", "erase"} <= kinds
-    assert all(op.resource.startswith("s3:plane:") for op in ops)
-    assert set(ssd.chip.resources()) == {f"s3:plane:{n}" for n in range(4)}
+    assert {op.resource for op in ops} <= {f"s3:plane:{n}" for n in range(4)}
 
 
 def test_merge_without_capture_leaves_nothing_recorded():

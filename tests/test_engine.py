@@ -12,8 +12,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro import CacheMode, ReplayEngine, SystemConfig, SystemKind, build_system
-from repro.disk.model import Disk
-from repro.flash.plane import Plane
 from repro.sim.completion import Completion, DeviceOp
 from repro.stats.counters import LatencyStats
 from repro.traces.record import OpKind, TraceRecord
@@ -102,21 +100,75 @@ class TestBusyTime:
             assert {key.split(":")[0] for key in expected} >= {"s0", "s3", "disk"}
 
     def test_idle_timeline_is_left_out_and_zero_time_ops_count(self):
-        plane, idle, disk = Plane(0, []), Plane(1, []), Disk(100)
         manager = SimpleNamespace(
             stats=SimpleNamespace(read_hits=0, read_misses=0), tracer=None,
-            resources=lambda: {"plane:0": plane, "plane:1": idle, "disk": disk},
             read=None, write=lambda lbn, data: next(completions),
         )
         trace = [TraceRecord(OpKind.WRITE, lbn) for lbn in (1, 2)]
         for depth in (1, 2):
-            # The serial and the queued placement both keep these sums.
+            # Every queue depth keeps these sums; "plane:1" ran nothing.
             completions = iter([
                 Completion(0.0, (DeviceOp("plane:0", "page_read", 0.0),)),
                 Completion(5.0, (DeviceOp("disk", "write", 5.0),)),
             ])
             stats = ReplayEngine(manager, queue_depth=depth).run(trace)
             assert stats.device_busy_us == {"plane:0": 0.0, "disk": 5.0}, depth
+
+
+class TestSimulatedTime:
+    """The engine alone keeps simulated time: ``now_us`` is where its
+    last replay ended, and each replay starts there with idle
+    timelines."""
+
+    @staticmethod
+    def _stub_manager(costs):
+        """A manager whose writes each take the next of ``costs`` on
+        plane 0."""
+        costs = iter(costs)
+
+        def write(lbn, data):
+            cost = next(costs)
+            return Completion(cost, (DeviceOp("plane:0", "page_write", cost),))
+
+        return SimpleNamespace(
+            stats=SimpleNamespace(read_hits=0, read_misses=0), tracer=None,
+            read=None, write=write,
+        )
+
+    def test_now_starts_at_zero_and_ends_at_the_last_completion(self):
+        records = _trace(HOMES, scale=0.02)
+        engine = ReplayEngine(_build().manager, queue_depth=4)
+        assert engine.now_us == 0.0
+        stats = engine.run(records)
+        assert stats.elapsed_us > 0.0
+        assert engine.now_us == stats.elapsed_us
+
+    def test_queue_depth_1_elapsed_is_the_sum_of_service_times(self):
+        records = _trace(HOMES, scale=0.02)
+        stats = ReplayEngine(_build().manager).run(records, warmup_fraction=0.15)
+        assert stats.queue_wait.total_us == 0.0
+        assert stats.elapsed_us == pytest.approx(stats.service.total_us)
+
+    def test_warmup_consumes_no_simulated_time(self):
+        trace = [TraceRecord(OpKind.WRITE, lbn) for lbn in range(4)]
+        engine = ReplayEngine(self._stub_manager([100.0, 100.0, 5.0, 7.0]))
+        stats = engine.run(trace, warmup_fraction=0.5)
+        assert stats.ops == 2
+        assert stats.elapsed_us == 12.0
+        assert engine.now_us == 12.0
+        assert stats.device_busy_us == {"plane:0": 12.0}
+
+    def test_next_run_starts_where_the_last_ended(self):
+        trace = [TraceRecord(OpKind.WRITE, lbn) for lbn in range(2)]
+        engine = ReplayEngine(self._stub_manager([5.0, 7.0, 3.0, 4.0]), 2)
+        first = engine.run(trace)
+        assert engine.now_us == first.elapsed_us == 12.0
+        second = engine.run(trace)
+        # The timelines start idle again, so only this run's ops queue.
+        assert second.elapsed_us == 7.0
+        assert second.device_busy_us == {"plane:0": 7.0}
+        assert engine.free_at_us == {"plane:0": 19.0}
+        assert engine.now_us == 19.0
 
 
 class TestConcurrency:
@@ -163,7 +215,6 @@ class TestConcurrency:
         B: disk busy until 250 -> 250-290 (wait 250); plane:0 free since
         200 -> 290-315; service 130 -> finish 0 + 250 + 130 = 380.
         """
-        plane, disk = Plane(0, []), Disk(100)
         completions = iter([
             Completion(300.0, (DeviceOp("plane:0", "page_write", 200.0),
                                DeviceOp("disk", "write", 50.0))),
@@ -172,19 +223,20 @@ class TestConcurrency:
         ])
         manager = SimpleNamespace(
             stats=SimpleNamespace(read_hits=0, read_misses=0), tracer=None,
-            resources=lambda: {"plane:0": plane, "disk": disk},
             read=None,  # the engine binds both entry points up front
             write=lambda lbn, data: next(completions),
         )
         trace = [TraceRecord(OpKind.WRITE, lbn) for lbn in (1, 2)]
-        stats = ReplayEngine(manager, queue_depth=2).run(trace, keep_latencies=True)
+        engine = ReplayEngine(manager, queue_depth=2)
+        stats = engine.run(trace, keep_latencies=True)
         # Both dispatch at 0, so each latency is that request's finish.
         assert stats.latency.samples == (300.0, 380.0)
         assert stats.queue_wait.total_us == stats.queue_wait.max_us == 250.0
         assert stats.service.total_us == 430.0
         assert stats.elapsed_us == 380.0
         assert stats.device_busy_us == {"plane:0": 225.0, "disk": 90.0}
-        assert (plane.busy_until_us, disk.busy_until_us) == (315.0, 290.0)
+        assert engine.free_at_us == {"plane:0": 315.0, "disk": 290.0}
+        assert engine.now_us == 380.0
 
     def test_bad_queue_depth_rejected(self):
         system = _build()

@@ -7,31 +7,34 @@ from repro.sim import (
     DeviceOp,
     EventScheduler,
     OpRecorder,
-    SimClock,
 )
 
 
-class TestSimClock:
-    def test_advance_to_moves_forward(self):
-        clock = SimClock()
-        assert clock.advance_to(25.0) == 25.0
-        assert clock.now_us == 25.0
-
-    def test_advance_to_rejects_backwards(self):
-        clock = SimClock(start_us=10.0)
-        with pytest.raises(ValueError):
-            clock.advance_to(5.0)
-
-
 class TestEventScheduler:
-    def test_pops_in_time_order_and_advances_clock(self):
+    def test_starts_idle_at_time_zero(self):
+        scheduler = EventScheduler()
+        assert scheduler.now_us == 0.0
+        assert len(scheduler) == 0
+
+    def test_scheduling_does_not_advance_now(self):
+        scheduler = EventScheduler()
+        scheduler.schedule_at(40.0)
+        scheduler.schedule_at(15.0)
+        assert scheduler.now_us == 0.0
+        assert scheduler.pop() == 15.0
+        # Only a pop moves time; an earlier pending event is still legal.
+        scheduler.schedule_at(20.0)
+        assert scheduler.now_us == 15.0
+        assert [scheduler.pop(), scheduler.pop()] == [20.0, 40.0]
+
+    def test_pops_in_time_order_and_advances_now(self):
         scheduler = EventScheduler()
         for time_us in (30.0, 10.0, 20.0):
             assert scheduler.schedule_at(time_us) is None
         popped = []
         for _ in range(3):
             popped.append(scheduler.pop())
-            assert scheduler.clock.now_us == popped[-1]
+            assert scheduler.now_us == popped[-1]
         assert popped == [10.0, 20.0, 30.0]
         assert len(scheduler) == 0
 
@@ -41,10 +44,12 @@ class TestEventScheduler:
         scheduler.schedule_at(5.0)
         assert len(scheduler) == 2
         assert [scheduler.pop(), scheduler.pop()] == [5.0, 5.0]
-        assert scheduler.clock.now_us == 5.0
+        assert scheduler.now_us == 5.0
 
     def test_rejects_past_times(self):
-        scheduler = EventScheduler(SimClock(start_us=100.0))
+        scheduler = EventScheduler()
+        scheduler.schedule_at(100.0)
+        assert scheduler.pop() == 100.0
         with pytest.raises(ValueError):
             scheduler.schedule_at(99.0)
         assert len(scheduler) == 0

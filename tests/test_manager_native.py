@@ -30,6 +30,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SystemConfig(kind=SystemKind.NATIVE, mode="weird")
 
+    def test_kind_must_be_a_system_kind(self):
+        # The string value is not the member: it would otherwise build
+        # a FlashTier write-back system on an SSC.
+        with pytest.raises(ConfigError, match="kind must be a SystemKind"):
+            SystemConfig(kind="native")
+
     def test_bad_thresholds(self):
         for threshold in (0.0, 1.5):
             with pytest.raises(ConfigError):

@@ -207,14 +207,24 @@ class TestAggregates:
 
 
 class TestChipView:
-    def test_resources_map_every_member_plane(self):
-        array = make_array(2)
-        resources = array.chip.resources()
-        assert resources["s1:plane:1"] is array.shards[1].chip.planes[1]
-        assert len(resources) == 2 * GEOMETRY.planes
+    def test_ops_carry_every_member_plane_key(self):
+        from repro.sim.completion import OpRecorder
+
+        keys = {}
+        for shards in (1, 2):
+            array = make_array(shards)
+            recorder = OpRecorder()
+            array.chip.op_recorder = recorder
+            recorder.begin()
+            for lbn in range(256):
+                array.write_clean(lbn, ("w", lbn))
+            keys[shards] = {op.resource for op in recorder.end()}
+        assert keys[2] == {
+            f"s{shard}:plane:{plane_id}"
+            for shard in range(2) for plane_id in range(GEOMETRY.planes)
+        }
         # A one-member array keeps the bare device's key names.
-        single = make_array(1)
-        assert set(single.chip.resources()) == {
+        assert keys[1] == {
             f"plane:{plane_id}" for plane_id in range(GEOMETRY.planes)
         }
 

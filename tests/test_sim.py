@@ -1,45 +1,9 @@
-"""Unit tests for the simulation kernel (clock, crash injection)."""
+"""Unit tests for the simulation kernel (crash injection)."""
 
 import pytest
 
 from repro.errors import CrashError
-from repro.sim.clock import SimClock
 from repro.sim.crash import CrashInjector, CrashPoint
-
-
-class TestSimClock:
-    def test_starts_at_zero(self):
-        clock = SimClock()
-        assert clock.now_us == 0.0
-
-    def test_custom_start(self):
-        clock = SimClock(start_us=100.0)
-        assert clock.now_us == 100.0
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(ValueError):
-            SimClock(start_us=-1.0)
-
-    def test_advance_accumulates(self):
-        clock = SimClock()
-        clock.advance(10.0)
-        clock.advance(5.5)
-        assert clock.now_us == pytest.approx(15.5)
-
-    def test_advance_returns_new_time(self):
-        clock = SimClock()
-        assert clock.advance(3.0) == pytest.approx(3.0)
-
-    def test_negative_advance_rejected(self):
-        clock = SimClock()
-        with pytest.raises(ValueError):
-            clock.advance(-0.1)
-
-    def test_reset(self):
-        clock = SimClock()
-        clock.advance(42.0)
-        clock.reset()
-        assert clock.now_us == 0.0
 
 
 class TestCrashInjector:

@@ -111,6 +111,30 @@ class TestSilentEviction:
         assert engine.current_location(10**9) is not None
 
 
+    def test_refused_write_work_is_charged_to_the_retry(self):
+        ssc = SolidStateCache.ssc(
+            FlashGeometry(planes=2, blocks_per_plane=8, pages_per_block=8))
+        engine, stats, oplog = ssc.engine, ssc.chip.stats, ssc.engine.oplog
+        page_program_us = oplog.timing.write_cost()
+        written = []
+        with pytest.raises(CacheFullError):
+            for i in range(10_000):
+                busy = stats.busy_us
+                engine.write(i * 64, ("d", i), dirty=True)
+                written.append(i * 64)
+        # The refused attempt evicted before giving up; its busy time
+        # is parked, not dropped.
+        parked = engine._pending_cost
+        assert parked == stats.busy_us - busy > 0.0
+        for lbn in written:
+            engine.set_clean(lbn)
+        busy, log_pages = stats.busy_us, oplog.pages_written
+        cost = engine.write(10**9, "after")
+        assert engine._pending_cost == 0.0
+        assert cost == parked + (stats.busy_us - busy) + (
+            (oplog.pages_written - log_pages) * page_program_us)
+
+
 class TestPolicyDifferences:
     def test_ssc_r_grows_log_pool(self):
         util = make_engine(EvictionPolicy.UTIL)

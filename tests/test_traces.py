@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.errors import ConfigError
+from repro.traces.analyze import analyze
 from repro.traces.record import OpKind, TraceRecord
 from repro.traces.synthetic import (
     HOMES,
@@ -114,14 +115,16 @@ class TestGeneratedTraces:
         assert len(homes_trace) == homes_trace.profile.total_ops
 
     def test_write_fraction_close(self, homes_trace):
-        assert homes_trace.write_fraction() == pytest.approx(0.959, abs=0.05)
+        assert analyze(homes_trace.records).write_fraction == pytest.approx(
+            0.959, abs=0.05)
 
     def test_addresses_within_range(self, homes_trace):
         limit = homes_trace.profile.address_range_blocks
         assert all(0 <= record.lbn < limit for record in homes_trace.records)
 
     def test_unique_blocks_bounded_by_layout(self, homes_trace):
-        assert homes_trace.unique_blocks_touched() <= len(homes_trace.blocks)
+        unique = analyze(homes_trace.records).unique_blocks
+        assert unique <= len(homes_trace.blocks)
 
     def test_no_duplicate_block_placement(self, homes_trace):
         assert len(homes_trace.blocks) == len(set(homes_trace.blocks))
@@ -130,7 +133,9 @@ class TestGeneratedTraces:
         """Fig. 1's shape: most occupied regions are nearly empty while
         some are dense."""
         trace = generate_trace(PROJ.scaled(0.3), seed=5)
-        densities = trace.region_densities()
+        densities = analyze(
+            trace.records, region_blocks=trace.profile.region_blocks
+        ).region_densities
         sparse = sum(1 for d in densities if d < 0.01) / len(densities)
         dense = sum(1 for d in densities if d > 0.10) / len(densities)
         assert sparse > 0.25
