@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro import CacheMode, SystemConfig, SystemKind, build_system
 from repro.core.flashtier import member_cache_blocks
@@ -28,7 +28,7 @@ from repro.errors import ConfigError
 from repro.stats.report import format_table
 from repro.traces.analyze import analyze
 from repro.traces.filefmt import FORMATS, TraceFormatError, read_trace, write_trace
-from repro.traces.record import TraceRecord
+from repro.traces.record import Trace
 from repro.traces.synthetic import PROFILES, generate_trace
 
 
@@ -67,7 +67,7 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _load_records(args) -> List[TraceRecord]:
+def _load_records(args) -> Trace:
     if args.trace:
         return read_trace(args.trace, args.format, args.limit)
     profile = PROFILES[args.workload].scaled(args.scale)

@@ -34,28 +34,25 @@ the trace before gathering statistics."
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from itertools import islice
+from typing import Dict, Sequence
 
 from repro.manager.base import CacheManager
 from repro.sim.completion import Completion
 from repro.sim.events import EventScheduler
 from repro.stats.counters import LatencyStats, ReplayStats
-from repro.traces.record import OpKind, TraceRecord
+from repro.traces.record import Trace, TraceRecord
 
 
-#: Measured requests test their kind against this once each.
-_WRITE = OpKind.WRITE
-
-
-def _issue(manager: CacheManager, record: TraceRecord) -> Completion:
+def _issue(manager: CacheManager, is_write: int, lbn: int) -> Completion:
     """One warm-up request (measured ones are issued inline in ``run``)."""
-    if record.op is _WRITE:
-        return manager.write(record.lbn, ("w", record.lbn))
-    _data, completion = manager.read(record.lbn)
+    if is_write:
+        return manager.write(lbn, ("w", lbn))
+    _data, completion = manager.read(lbn)
     return completion
 
 
-def _trace_request(tracer, record: TraceRecord, completion: Completion) -> None:
+def _trace_request(tracer, is_write: int, lbn: int, completion: Completion) -> None:
     """Emit one warm-up request's op.issue slice plus its per-device
     op.device slices, laid back-to-back from the tracer's current time
     (warm-up consumes no simulated time, so nothing is reserved)."""
@@ -63,8 +60,8 @@ def _trace_request(tracer, record: TraceRecord, completion: Completion) -> None:
     tracer.emit(
         "op.issue", lane="requests", ts_us=issue_ts,
         dur_us=float(completion),
-        kind="write" if record.is_write else "read",
-        lbn=record.lbn, hit=completion.hit, queue_wait_us=0.0,
+        kind="write" if is_write else "read",
+        lbn=lbn, hit=completion.hit, queue_wait_us=0.0,
     )
     cursor = issue_ts
     for resource_key, kind, duration_us in completion.ops:
@@ -140,12 +137,14 @@ class ReplayEngine:
     ) -> ReplayStats:
         """Replay ``trace``; returns measured statistics.
 
-        The first ``warmup_fraction`` of requests warm the cache
-        without timing.  In closed-loop mode (default) ``queue_depth``
-        requests are kept outstanding; with ``open_loop=True`` every
-        measured record must carry an ``arrival_us`` timestamp and is
-        dispatched at its recorded arrival instead, which leaves no
-        queue depth to choose: open loop requires ``queue_depth=1``.
+        ``trace`` is a :class:`~repro.traces.record.Trace` or any
+        sequence of records, which is converted to one first.  The
+        first ``warmup_fraction`` of requests warm the cache without
+        timing.  In closed-loop mode (default) ``queue_depth`` requests
+        are kept outstanding; with ``open_loop=True`` every measured
+        request must carry an arrival time and is dispatched at it
+        instead, which leaves no queue depth to choose: open loop
+        requires ``queue_depth=1``.
         """
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
@@ -155,7 +154,16 @@ class ReplayEngine:
                 f"queue_depth={self.queue_depth} has no effect there "
                 "(use queue_depth=1)"
             )
+        trace = Trace.of(trace)
         warmup_ops = int(len(trace) * warmup_fraction)
+        arrivals = trace.arrivals
+        if open_loop:
+            untimed = trace.first_untimed(warmup_ops)
+            if untimed is not None:
+                raise ValueError(
+                    "open-loop replay requires arrival_us on every "
+                    f"measured record (record {untimed} has none)"
+                )
 
         stats = ReplayStats(
             queue_depth=self.queue_depth,
@@ -164,6 +172,14 @@ class ReplayEngine:
         scheduler = EventScheduler()
         manager = self.manager
         read, write = manager.read, manager.write
+        tracer = manager.tracer  # None unless instrumented
+        requests = zip(trace.writes, trace.lbns)
+
+        for is_write, lbn in islice(requests, warmup_ops):
+            completion = _issue(manager, is_write, lbn)
+            if tracer is not None:
+                _trace_request(tracer, is_write, lbn, completion)
+
         hits_before = manager.stats.read_hits
         misses_before = manager.stats.read_misses
         # Warm-up consumes no simulated time and occupies no resource:
@@ -171,30 +187,13 @@ class ReplayEngine:
         start_us = dispatch_us = end_us = self.now_us
         self.free_at_us.clear()
         self.busy_us.clear()
-        tracer = manager.tracer  # None unless instrumented
-        arrival_origin: Optional[float] = None
+        arrival_origin = arrivals[warmup_ops] if open_loop and len(trace) else 0.0
 
-        for index, record in enumerate(trace):
-            if index == warmup_ops:
-                hits_before = manager.stats.read_hits
-                misses_before = manager.stats.read_misses
-            if index < warmup_ops:
-                completion = _issue(manager, record)
-                if tracer is not None:
-                    _trace_request(tracer, record, completion)
-                continue
-
+        for index, (is_write, lbn) in enumerate(requests, warmup_ops):
             dispatch_wait_us = 0.0
             if open_loop:
-                if record.arrival_us is None:
-                    raise ValueError(
-                        "open-loop replay requires arrival_us on every "
-                        f"measured record (record {index} has none)"
-                    )
-                if arrival_origin is None:
-                    arrival_origin = record.arrival_us
-                arrival = start_us + (record.arrival_us - arrival_origin)
-                # Records dispatch in trace order; a late predecessor
+                arrival = start_us + (arrivals[index] - arrival_origin)
+                # Requests dispatch in trace order; a late predecessor
                 # delays this request past its arrival.
                 dispatch_us = max(dispatch_us, arrival)
                 dispatch_wait_us = dispatch_us - arrival
@@ -205,8 +204,6 @@ class ReplayEngine:
 
             if tracer is not None:
                 tracer.advance_to(dispatch_us)
-            is_write = record.op is _WRITE
-            lbn = record.lbn
             if is_write:
                 completion = write(lbn, ("w", lbn))
             else:

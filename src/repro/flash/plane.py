@@ -9,15 +9,14 @@ clean" (paper §4.3) — so free-block accounting lives here.
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import InvalidAddressError
 from repro.flash.block import BlockKind, EraseBlock
 
 
 class Plane:
-    """One flash plane: a block range plus a FIFO free list.
+    """One flash plane: a block range plus its pool of free blocks.
 
     Planes are also the unit of *parallelism*: a plane executes one
     operation at a time.  Operations on distinct planes may overlap in
@@ -39,28 +38,22 @@ class Plane:
         #: rebuilds the chip's prebuilt ops).  Doubles as the trace lane.
         self.resource_key = f"plane:{plane_id}"
         self.blocks: Dict[int, EraseBlock] = {block.pbn: block for block in blocks}
-        # The free pool keeps three views: a membership set (the truth,
-        # O(1) is_free / removal), a FIFO deque (allocation order when
-        # wear leveling is off; may hold stale entries that the set
-        # filters out), and two lazily-invalidated wear heaps so
-        # allocation finds the least-/most-worn free block without the
-        # O(free) scan it used to do.  Heap entries are validated on
-        # peek: a block's erase count cannot change while it is free, so
-        # an entry is stale iff its pbn left the pool or was re-released
-        # after another erase (higher count).
-        self._free_set: Set[int] = set(self.blocks)
-        #: Number of erased, unassigned blocks: ``len(_free_set)``,
-        #: kept by allocate_specific and release.
-        self.free_count = len(self._free_set)
-        self._free: Deque[int] = deque(sorted(self.blocks))
-        self._wear_heap: List[Tuple[int, int]] = [
-            (self.blocks[pbn].erase_count, pbn) for pbn in self._free
-        ]
-        self._hot_heap: List[Tuple[int, int]] = [
-            (-self.blocks[pbn].erase_count, -pbn) for pbn in self._free
-        ]
-        heapq.heapify(self._wear_heap)
-        heapq.heapify(self._hot_heap)
+        # The free pool is one insertion-ordered set (a dict with no
+        # values): membership is O(1) is_free/removal, and its order is
+        # FIFO allocation order when wear leveling is off.  A lazily
+        # invalidated heap finds the least-worn free block for dynamic
+        # wear leveling without a scan of the pool.  Its entries are
+        # validated on peek: a block's erase count cannot change while
+        # it is free, so an entry is stale iff its pbn left the pool or
+        # was re-released after another erase (higher count).  The heap
+        # is rebuilt from the pool before it would outgrow the plane,
+        # so both views hold at most ``num_blocks`` entries.
+        self._free: Dict[int, None] = dict.fromkeys(sorted(self.blocks))
+        #: Number of erased, unassigned blocks: ``len(_free)``, kept by
+        #: allocate_specific and release.
+        self.free_count = len(self._free)
+        self._wear_heap: List[Tuple[int, int]] = []
+        self._rebuild_wear_heap()
 
     @property
     def num_blocks(self) -> int:
@@ -81,23 +74,21 @@ class Plane:
         Raises IndexError if the plane has no free blocks; callers run
         garbage collection / silent eviction before hitting this.
         """
-        while self._free:
-            pbn = self._free.popleft()
-            if pbn in self._free_set:
-                return self.allocate_specific(pbn, kind)
-        raise IndexError(f"plane {self.plane_id} has no free blocks")
+        if not self._free:
+            raise IndexError(f"plane {self.plane_id} has no free blocks")
+        return self.allocate_specific(next(iter(self._free)), kind)
 
     def allocate_specific(self, pbn: int, kind: BlockKind) -> EraseBlock:
         """Take a *particular* free block (wear-leveling allocation).
 
-        The stale deque/heap entries are filtered lazily by later
-        allocations, so removal here is O(1).
+        Its stale heap entry is filtered lazily by a later lookup, so
+        removal here is O(1).
         """
-        if pbn not in self._free_set:
+        if pbn not in self._free:
             raise InvalidAddressError(
                 f"block {pbn} is not free in plane {self.plane_id}"
             )
-        self._free_set.discard(pbn)
+        del self._free[pbn]
         self.free_count -= 1
         if self.chip is not None:
             self.chip.free_total -= 1
@@ -115,21 +106,29 @@ class Plane:
         heap = self._wear_heap
         while heap:
             erase_count, pbn = heap[0]
-            if pbn in self._free_set and self.blocks[pbn].erase_count == erase_count:
+            if pbn in self._free and self.blocks[pbn].erase_count == erase_count:
                 return pbn
             heapq.heappop(heap)
         return None
 
     def most_worn_free(self) -> Optional[int]:
-        """PBN of the free block with the highest (erase_count, pbn), or None."""
-        heap = self._hot_heap
-        while heap:
-            neg_erase, neg_pbn = heap[0]
-            pbn = -neg_pbn
-            if pbn in self._free_set and self.blocks[pbn].erase_count == -neg_erase:
-                return pbn
-            heapq.heappop(heap)
-        return None
+        """PBN of the free block with the highest (erase_count, pbn), or None.
+
+        Only static relocation asks, so it scans the pool.
+        """
+        blocks = self.blocks
+        return max(
+            self._free,
+            key=lambda pbn: (blocks[pbn].erase_count, pbn),
+            default=None,
+        )
+
+    def _rebuild_wear_heap(self) -> None:
+        """Rebuild the wear heap from the pool: one entry per free block."""
+        self._wear_heap = [
+            (self.blocks[pbn].erase_count, pbn) for pbn in self._free
+        ]
+        heapq.heapify(self._wear_heap)
 
     def release(self, block: EraseBlock) -> None:
         """Return an erased block to the free list (after ``erase()``)."""
@@ -142,14 +141,15 @@ class Plane:
                 f"block {block.pbn} must be erased before release "
                 f"(kind={block.kind.name})"
             )
-        if block.pbn not in self._free_set:
-            self._free_set.add(block.pbn)
+        if block.pbn not in self._free:
+            self._free[block.pbn] = None
             self.free_count += 1
             if self.chip is not None:
                 self.chip.free_total += 1
-        self._free.append(block.pbn)
-        heapq.heappush(self._wear_heap, (block.erase_count, block.pbn))
-        heapq.heappush(self._hot_heap, (-block.erase_count, -block.pbn))
+        if len(self._wear_heap) < len(self.blocks):
+            heapq.heappush(self._wear_heap, (block.erase_count, block.pbn))
+        else:
+            self._rebuild_wear_heap()
         if self.tracer is not None:
             self.tracer.emit(
                 "flash.release", lane=self.resource_key, pbn=block.pbn
@@ -157,7 +157,7 @@ class Plane:
 
     def is_free(self, pbn: int) -> bool:
         """True if block ``pbn`` sits on this plane's free list."""
-        return pbn in self._free_set
+        return pbn in self._free
 
     def __repr__(self) -> str:
         return (

@@ -65,8 +65,9 @@ class WearLeveler:
         """
         if not self.config.dynamic or plane.free_count == 0:
             return plane.allocate(kind)
-        # The plane keeps lazily-invalidated wear heaps, so both
-        # extremes are O(log free) instead of a scan of the free pool.
+        # The plane keeps a lazily invalidated wear heap, so the
+        # least-worn block is O(log free); only static relocation scans
+        # the pool for the most-worn one.
         best_pbn = plane.most_worn_free() if hottest else plane.least_worn_free()
         return plane.allocate_specific(best_pbn, kind)
 

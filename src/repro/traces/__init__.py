@@ -1,4 +1,4 @@
-"""Workloads: trace records, synthetic generators, file I/O, analysis.
+"""Workloads: columnar traces, synthetic generators, file I/O, analysis.
 
 The paper evaluates on four production traces (Table 3): *homes* and
 *mail* (FIU, write-heavy) and *usr* and *proj* (MSR Cambridge,
@@ -9,7 +9,7 @@ write fraction, overwrite skew, spatial clustering of hot blocks, and
 sequential runs.  See DESIGN.md for the substitution rationale.
 """
 
-from repro.traces.record import TraceRecord, OpKind
+from repro.traces.record import Trace, TraceRecord, OpKind
 from repro.traces.zipf import ZipfSampler
 from repro.traces.synthetic import (
     WorkloadProfile,
@@ -25,6 +25,7 @@ from repro.traces.filefmt import read_trace, write_trace
 from repro.traces.analyze import TraceStats, analyze
 
 __all__ = [
+    "Trace",
     "TraceRecord",
     "OpKind",
     "ZipfSampler",

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.traces.record import TraceRecord
+from repro.traces.record import Trace, TraceRecord
 
 
 @dataclass
@@ -72,9 +72,11 @@ class TraceStats:
 
 
 def analyze(records: Sequence[TraceRecord], region_blocks: int = 1000) -> TraceStats:
-    """Compute :class:`TraceStats` over ``records``."""
+    """Compute :class:`TraceStats` over ``records`` (a
+    :class:`~repro.traces.record.Trace` or any sequence of records)."""
     stats = TraceStats(region_blocks=region_blocks)
-    if not records:
+    trace = Trace.of(records)
+    if not trace:
         return stats
 
     access_counts: Counter = Counter()
@@ -82,12 +84,11 @@ def analyze(records: Sequence[TraceRecord], region_blocks: int = 1000) -> TraceS
     regions: Dict[int, set] = {}
     sequential = 0
     previous_lbn = None
-    min_lbn = max_lbn = records[0].lbn
+    min_lbn = max_lbn = trace.lbns[0]
 
-    for record in records:
-        lbn = record.lbn
+    for is_write, lbn in zip(trace.writes, trace.lbns):
         stats.ops += 1
-        if record.is_write:
+        if is_write:
             stats.writes += 1
             write_counts[lbn] += 1
         else:

@@ -34,11 +34,12 @@ replay them through the same harness as the synthetic ones.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, Optional, Tuple, Union
 
 from repro.errors import ReproError
-from repro.traces.record import OpKind, TraceRecord
+from repro.traces.record import OpKind, Trace, TraceRecord
 
 PathLike = Union[str, Path]
 
@@ -73,7 +74,14 @@ def write_trace(path: PathLike, records: Iterable[TraceRecord]) -> int:
     return count
 
 
-def _parse_native(line: str) -> List[TraceRecord]:
+#: What a line parser returns for one request: whether it writes, its
+#: first 4 KB block, how many consecutive blocks it covers and its
+#: arrival time (``None`` if it has none).  ``None`` for a request of
+#: zero bytes.
+_Run = Optional[Tuple[bool, int, int, Optional[float]]]
+
+
+def _parse_native(line: str) -> _Run:
     """One native line: ``<op> <lbn> [arrival_us]``."""
     parts = line.split()
     if len(parts) not in (2, 3):
@@ -99,16 +107,21 @@ def _parse_native(line: str) -> List[TraceRecord]:
             raise TraceFormatError(
                 f"expected numeric arrival time, got {parts[2]!r}"
             ) from None
+        if not math.isfinite(arrival_us):
+            raise TraceFormatError(
+                f"expected finite arrival time, got {parts[2]!r}"
+            )
         if arrival_us < 0:
             raise TraceFormatError(
                 f"expected non-negative arrival time, got {parts[2]!r}"
             )
-    return [TraceRecord(op, lbn, arrival_us)]
+    return op is OpKind.WRITE, lbn, 1, arrival_us
 
 
 def _timestamp_us(field: str, us: float = 1.0, per: float = 1.0) -> Optional[float]:
     """Parse a timestamp ``field`` counting units of which ``per`` make
-    ``us`` microseconds; ``None`` if unusable.
+    ``us`` microseconds; ``None`` if unusable (not a finite,
+    non-negative number).
 
     Some republished traces blank or mangle the field; arrival times
     are optional, so parsing stays tolerant.
@@ -117,34 +130,32 @@ def _timestamp_us(field: str, us: float = 1.0, per: float = 1.0) -> Optional[flo
         value = float(field)
     except ValueError:
         return None
-    if value < 0:
+    if not 0.0 <= value < math.inf:
         return None
     return value * us / per
 
 
 def _blocks(
-    op: OpKind, first_byte: int, size: int, arrival_us: Optional[float]
-) -> List[TraceRecord]:
-    """One record per 4 KB block that ``size`` bytes from ``first_byte``
+    is_write: bool, first_byte: int, size: int, arrival_us: Optional[float]
+) -> _Run:
+    """The run of 4 KB blocks that ``size`` bytes from ``first_byte``
     touch."""
+    if size == 0:
+        return None
     first = first_byte // BLOCK_SIZE
     last = (first_byte + size - 1) // BLOCK_SIZE
-    return [TraceRecord(op, lbn, arrival_us) for lbn in range(first, last + 1)]
+    return is_write, first, last - first + 1, arrival_us
 
 
-def _parse_msr(line: str) -> List[TraceRecord]:
-    """One MSR CSV line: its 4 KB block requests, each carrying the
-    request's absolute arrival time, or ``None`` when the Timestamp
-    field is unusable."""
+def _parse_msr(line: str) -> _Run:
+    """One MSR CSV line: its 4 KB block run, carrying the request's
+    absolute arrival time, or ``None`` when the Timestamp field is
+    unusable."""
     parts = line.split(",")
     if len(parts) < 6:
         raise TraceFormatError(f"expected >=6 CSV fields, got {len(parts)}")
     type_field = parts[3].strip().lower()
-    if type_field == "read":
-        op = OpKind.READ
-    elif type_field == "write":
-        op = OpKind.WRITE
-    else:
+    if type_field not in ("read", "write"):
         raise TraceFormatError(f"unknown type {parts[3]!r}")
     try:
         offset = int(parts[4])
@@ -155,15 +166,16 @@ def _parse_msr(line: str) -> List[TraceRecord]:
         ) from None
     if offset < 0 or size < 0:
         raise TraceFormatError("negative offset or size")
-    if size == 0:
-        return []
-    return _blocks(op, offset, size, _timestamp_us(parts[0], per=_TICKS_PER_US))
+    return _blocks(
+        type_field == "write", offset, size,
+        _timestamp_us(parts[0], per=_TICKS_PER_US),
+    )
 
 
-def _parse_fiu(line: str) -> List[TraceRecord]:
-    """One FIU line: its 4 KB block requests, each carrying the
-    request's absolute arrival time, or ``None`` when the timestamp
-    field is unusable."""
+def _parse_fiu(line: str) -> _Run:
+    """One FIU line: its 4 KB block run, carrying the request's
+    absolute arrival time, or ``None`` when the timestamp field is
+    unusable."""
     parts = line.split()
     if len(parts) < 6:
         raise TraceFormatError(f"expected >=6 fields, got {len(parts)}")
@@ -177,16 +189,10 @@ def _parse_fiu(line: str) -> List[TraceRecord]:
     if lba < 0 or size_sectors < 0:
         raise TraceFormatError("negative lba or size")
     op_field = parts[5].strip().lower()
-    if op_field.startswith("w"):
-        op = OpKind.WRITE
-    elif op_field.startswith("r"):
-        op = OpKind.READ
-    else:
+    if not op_field.startswith(("w", "r")):
         raise TraceFormatError(f"unknown op {parts[5]!r}")
-    if size_sectors == 0:
-        return []
     return _blocks(
-        op, lba * SECTOR_SIZE, size_sectors * SECTOR_SIZE,
+        op_field.startswith("w"), lba * SECTOR_SIZE, size_sectors * SECTOR_SIZE,
         _timestamp_us(parts[0], us=_US_PER_SECOND),
     )
 
@@ -204,7 +210,7 @@ FORMATS = tuple(_FORMATS)
 
 def read_trace(
     path: PathLike, fmt: str = "native", limit: Optional[int] = None
-) -> List[TraceRecord]:
+) -> Trace:
     """Read the block requests of the ``fmt`` trace file at ``path``.
 
     Skips blank and ``#`` lines and stops after ``limit`` requests
@@ -216,25 +222,30 @@ def read_trace(
     if fmt not in _FORMATS:
         raise ValueError(f"unknown trace format {fmt!r}; expected one of {FORMATS}")
     parse_line, absolute = _FORMATS[fmt]
-    records: List[TraceRecord] = []
+    trace = Trace()
     origin_us: Optional[float] = None
     with open(path, "r", encoding="ascii", errors="replace") as handle:
         for line_number, line in enumerate(handle, start=1):
-            if limit is not None and len(records) >= limit:
+            if limit is not None and len(trace) >= limit:
                 break
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             try:
-                parsed = parse_line(line)
+                run = parse_line(line)
             except TraceFormatError as exc:
                 raise TraceFormatError(f"{path}:{line_number}: {exc}") from None
-            for record in parsed:
-                if absolute and record.arrival_us is not None:
-                    if origin_us is None:
-                        origin_us = record.arrival_us
-                    record.arrival_us = max(0.0, record.arrival_us - origin_us)
-            records.extend(parsed)
-    if limit is not None:
-        del records[limit:]
-    return records
+            if run is None:
+                continue
+            is_write, first_lbn, count, arrival_us = run
+            if absolute and arrival_us is not None:
+                if origin_us is None:
+                    origin_us = arrival_us
+                arrival_us = max(0.0, arrival_us - origin_us)
+            if limit is not None:
+                count = min(count, limit - len(trace))
+            try:
+                trace.add_run(is_write, first_lbn, count, arrival_us)
+            except ValueError as exc:
+                raise TraceFormatError(f"{path}:{line_number}: {exc}") from None
+    return trace

@@ -24,11 +24,12 @@ properties the paper's arguments rest on:
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
-from repro.traces.record import OpKind, TraceRecord
+from repro.traces.record import Trace, TraceRecord
 from repro.traces.zipf import ZipfSampler
 
 
@@ -141,18 +142,22 @@ class SyntheticTrace:
         self.seed = seed
         rng = random.Random(seed)
         self.extents = _place_extents(profile, rng)
-        self.blocks = [
-            lbn for start, length in self.extents for lbn in range(start, start + length)
-        ]
-        self.records = _generate_ops(profile, self.extents, rng)
+        self.records: Trace = _generate_ops(profile, self.extents, rng)
         if profile.arrival_rate_iops is not None:
             # A separate, seed-derived RNG keeps the op/address stream
             # bit-identical with and without arrival timing.
-            _assign_arrivals(
-                self.records,
+            self.records.arrivals = _arrivals(
+                profile.total_ops,
                 profile.arrival_rate_iops,
                 random.Random(f"arrivals:{seed}"),
             )
+
+    @property
+    def blocks(self) -> List[int]:
+        """Every unique block of the layout, extent by extent."""
+        return [
+            lbn for start, length in self.extents for lbn in range(start, start + length)
+        ]
 
     def __len__(self) -> int:
         return len(self.records)
@@ -271,18 +276,18 @@ def _generate_ops(
     profile: WorkloadProfile,
     extents: Sequence[Tuple[int, int]],
     rng: random.Random,
-) -> List[TraceRecord]:
+) -> Trace:
     sampler = ZipfSampler(len(extents), profile.zipf_alpha, rng)
     # Shuffle popularity ranks so hot extents are spread over the space.
     rank_to_extent = list(range(len(extents)))
     rng.shuffle(rank_to_extent)
 
-    records: List[TraceRecord] = []
-    while len(records) < profile.total_ops:
+    trace = Trace()
+    remaining = profile.total_ops
+    while remaining > 0:
         extent = extents[rank_to_extent[sampler.sample()]]
         start, length = extent
         is_write = rng.random() < profile.write_fraction
-        op = OpKind.WRITE if is_write else OpKind.READ
         if rng.random() < profile.sequential_prob:
             # A file access: streams from the extent's start (whole-file
             # read/rewrite) half the time, from a random offset otherwise.
@@ -294,24 +299,24 @@ def _generate_ops(
         else:
             offset = rng.randrange(length)
             run = 1
-        for step in range(run):
-            if len(records) >= profile.total_ops:
-                break
-            records.append(TraceRecord(op, start + offset + step))
-    return records
+        run = min(run, remaining)
+        trace.add_run(is_write, start + offset, run)
+        remaining -= run
+    return trace
 
 
-def _assign_arrivals(
-    records: Sequence[TraceRecord], rate_iops: float, rng: random.Random
-) -> None:
-    """Stamp Poisson arrival times onto ``records`` in place.
+def _arrivals(count: int, rate_iops: float, rng: random.Random) -> array:
+    """``count`` Poisson arrival times, in microseconds.
 
     Exponential inter-arrival gaps at ``rate_iops`` mean requests per
-    second.  Runs as a post-pass with its own RNG so the op/address
-    stream of a profile is bit-identical with and without arrivals.
+    second.  Drawn from their own RNG, after the requests, so the
+    op/address stream of a profile is bit-identical with and without
+    arrivals.
     """
     rate_per_us = rate_iops / 1e6
+    arrivals = array("d")
     arrival_us = 0.0
-    for record in records:
+    for _ in range(count):
         arrival_us += rng.expovariate(rate_per_us)
-        record.arrival_us = arrival_us
+        arrivals.append(arrival_us)
+    return arrivals

@@ -14,7 +14,7 @@ import pytest
 from repro import CacheMode, ReplayEngine, SystemConfig, SystemKind, build_system
 from repro.sim.completion import Completion, DeviceOp
 from repro.stats.counters import LatencyStats
-from repro.traces.record import OpKind, TraceRecord
+from repro.traces.record import OpKind, Trace, TraceRecord
 from repro.traces.synthetic import HOMES, USR, generate_trace
 
 
@@ -43,6 +43,18 @@ def _trace(profile=HOMES, scale=0.03, seed=7, **overrides):
 
         scaled = replace(scaled, **overrides)
     return generate_trace(scaled, seed=seed).records
+
+
+class TestTraceColumns:
+    def test_records_and_their_trace_replay_alike(self):
+        trace = _trace(scale=0.02)
+        assert isinstance(trace, Trace)
+        records = list(trace)
+        runs = [
+            _build().replay(each, warmup_fraction=0.15, queue_depth=4)
+            for each in (trace, records)
+        ]
+        assert runs[0].to_dict() == runs[1].to_dict()
 
 
 class TestSerialEquivalence:
@@ -288,6 +300,22 @@ class TestOpenLoop:
         system = _build()
         with pytest.raises(ValueError, match="arrival_us"):
             ReplayEngine(system.manager).run(records, open_loop=True)
+
+    def test_untimed_measured_record_rejected_before_any_request(self):
+        # A partly timed trace: the warm-up needs no arrivals, but the
+        # measured window must have one on every record.
+        records = [TraceRecord(OpKind.WRITE, lbn) for lbn in range(4)] + [
+            TraceRecord(OpKind.WRITE, lbn, arrival_us=lbn * 100.0)
+            for lbn in range(4, 10)
+        ]
+        ReplayEngine(_build().manager).run(
+            records, warmup_fraction=0.4, open_loop=True)
+        records[7] = TraceRecord(OpKind.WRITE, 7)
+        system = _build()
+        with pytest.raises(ValueError, match="record 7 has none"):
+            ReplayEngine(system.manager).run(
+                records, warmup_fraction=0.4, open_loop=True)
+        assert system.manager.stats.writes == 0
 
     def test_synthetic_arrival_process(self):
         records = _trace(HOMES, scale=0.02, arrival_rate_iops=20_000.0)

@@ -71,6 +71,23 @@ class TestParsing:
         )
 
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_arrival_rejected(self, tmp_path, text):
+        path = tmp_path / "trace.txt"
+        path.write_text(f"R 5 1.0\nW 6 {text}\n")
+        with pytest.raises(TraceFormatError) as excinfo:
+            read_trace(path)
+        assert str(excinfo.value) == (
+            f"{path}:2: expected finite arrival time, got {text!r}"
+        )
+
+    def test_block_beyond_the_lbn_column_rejected(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        path.write_text(f"R 1\nR {2**63}\n")
+        with pytest.raises(TraceFormatError, match=":2: blocks "):
+            read_trace(path)
+
+
 class TestLimit:
     def test_limit_parses_no_later_line(self, tmp_path):
         path = tmp_path / "trace.txt"

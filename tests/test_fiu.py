@@ -40,6 +40,18 @@ class TestParseLine:
     def test_zero_size(self, tmp_path):
         assert read_fiu(tmp_path, "1 1 p 0 0 W 8 1 x\n") == []
 
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_timestamp_is_untimed(self, tmp_path, stamp):
+        records = read_fiu(tmp_path, (
+            f"{stamp} 1 p 0 8 W 8 1 x\n"
+            "2.5 1 p 8 8 R 8 1 x\n"
+            f"{stamp} 1 p 16 8 R 8 1 x\n"
+            "3.0 1 p 24 8 W 8 1 x\n"
+        ))
+        assert [record.arrival_us for record in records] == [
+            None, 0.0, None, 500_000.0,
+        ]
+
     MALFORMED = {
         "1 1 p 0 8": "expected >=6 fields, got 5",
         "1 1 p abc 8 W 8 1 x": "non-integer lba/size 'abc','8'",

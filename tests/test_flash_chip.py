@@ -9,6 +9,7 @@ from repro.flash.block import BlockKind
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.hybrid import HybridFTL, HybridFTLConfig
+from repro.ftl.wear import WearConfig, WearLeveler
 
 
 @pytest.fixture
@@ -55,6 +56,63 @@ class TestPlane:
         kinds = [block.kind for block in plane.blocks.values()]
         assert kinds.count(BlockKind.LOG) == 1
         assert kinds.count(BlockKind.DATA) == 1
+
+
+class TestFreePool:
+    """The free pool is O(blocks per plane): one insertion-ordered set
+    plus a wear heap that never outgrows the plane."""
+
+    @pytest.mark.parametrize("dynamic", [True, False])
+    def test_bounded_after_many_erase_cycles(self, dynamic):
+        chip = FlashChip(FlashGeometry(planes=2, blocks_per_plane=7,
+                                       pages_per_block=4))
+        leveler = WearLeveler(chip, WearConfig(dynamic=dynamic))
+        rng = random.Random(3)
+        held = []
+        for cycle in range(2000):
+            plane = chip.planes[cycle % 2]
+            if plane.free_count > 2:
+                held.append(leveler.pick_block(
+                    plane, BlockKind.DATA, hottest=rng.random() < 0.2).pbn)
+            if held and (plane.free_count <= 2 or rng.random() < 0.6):
+                chip.erase_block(held.pop(rng.randrange(len(held))))
+        assert chip.total_erases() > 1000
+        for plane in chip.planes:
+            assert len(plane._free) == plane.free_count <= plane.num_blocks
+            assert len(plane._wear_heap) <= plane.num_blocks
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_wear_extremes_match_brute_force(self, seed):
+        chip = FlashChip(FlashGeometry(planes=1, blocks_per_plane=9,
+                                       pages_per_block=4))
+        plane, rng, held = chip.planes[0], random.Random(seed), []
+        for _ in range(600):
+            action = rng.random()
+            if action < 0.2 and plane.free_count:
+                held.append(plane.allocate(BlockKind.DATA).pbn)
+            elif action < 0.5 and plane.free_count:
+                pbn = rng.choice([p for p in plane.blocks if plane.is_free(p)])
+                held.append(plane.allocate_specific(pbn, BlockKind.LOG).pbn)
+            elif action < 0.9 and held:
+                chip.erase_block(held.pop(rng.randrange(len(held))))
+            else:
+                free = [block for block in plane.blocks.values()
+                        if plane.is_free(block.pbn)]
+                if free:
+                    plane.release(rng.choice(free))
+            keys = [(plane.blocks[pbn].erase_count, pbn)
+                    for pbn in plane.blocks if plane.is_free(pbn)]
+            assert plane.least_worn_free() == (min(keys)[1] if keys else None)
+            assert plane.most_worn_free() == (max(keys)[1] if keys else None)
+
+    def test_fifo_allocation_follows_release_order(self, tiny_chip):
+        plane = tiny_chip.planes[0]
+        blocks = [plane.allocate(BlockKind.DATA) for _ in range(plane.num_blocks)]
+        assert [block.pbn for block in blocks] == sorted(plane.blocks)
+        for pbn in (2, 0, 3):
+            tiny_chip.erase_block(pbn)
+        tiny_chip.erase_block(2)  # re-erasing a free block keeps its place
+        assert [plane.allocate(BlockKind.DATA).pbn for _ in range(3)] == [2, 0, 3]
 
 
 class TestChipOperations:
@@ -113,10 +171,9 @@ class TestWearAccounting:
         block = plane.allocate(BlockKind.DATA)
         for _ in range(3):
             tiny_chip.erase_block(block.pbn)
-            # Re-allocate the same block: FIFO free list makes it come
-            # back eventually; force it directly for the test.
-            plane._free.remove(block.pbn)
-            block.kind = BlockKind.DATA
+            # Re-allocate the same block: FIFO allocation would bring it
+            # back eventually; take it directly for the test.
+            plane.allocate_specific(block.pbn, BlockKind.DATA)
         assert tiny_chip.wear_differential() == 3
 
     def test_free_blocks_total(self, tiny_chip):
@@ -144,7 +201,7 @@ class TestFreeCounts:
             if action < 0.3 and plane.free_count:
                 used.append(plane.allocate(BlockKind.DATA).pbn)
             elif action < 0.5 and plane.free_count:
-                pbn = rng.choice(sorted(plane._free_set))
+                pbn = rng.choice(sorted(plane._free))
                 used.append(plane.allocate_specific(pbn, BlockKind.LOG).pbn)
             elif action < 0.8 and used:
                 chip.erase_block(used.pop(rng.randrange(len(used))))
@@ -155,8 +212,8 @@ class TestFreeCounts:
                 if free:
                     plane.release(rng.choice(free))
             for each in chip.planes:
-                assert each.free_count == len(each._free_set)
+                assert each.free_count == len(each._free)
             assert chip.free_blocks_total() == sum(
-                len(each._free_set) for each in chip.planes)
-            expected = max(chip.planes, key=lambda each: len(each._free_set))
+                len(each._free) for each in chip.planes)
+            expected = max(chip.planes, key=lambda each: len(each._free))
             assert ftl._plane_with_most_free() is expected

@@ -36,6 +36,18 @@ class TestParseLine:
         records = read_msr(tmp_path, "1,usr,0,READ,0,4096,5\n2,usr,0,write,0,4096,5\n")
         assert [record.op for record in records] == [OpKind.READ, OpKind.WRITE]
 
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_timestamp_is_untimed(self, tmp_path, stamp):
+        records = read_msr(tmp_path, (
+            f"{stamp},usr,0,Write,0,4096,5\n"
+            "5000,usr,0,Read,4096,4096,5\n"
+            f"{stamp},usr,0,Read,8192,4096,5\n"
+            "7500,usr,0,Read,12288,4096,5\n"
+        ))
+        assert [record.arrival_us for record in records] == [
+            None, 0.0, None, 250.0,
+        ]
+
     MALFORMED = {
         "1,usr,0": "expected >=6 CSV fields, got 3",
         "1,usr,0,Erase,0,4096,5": "unknown type 'Erase'",
