@@ -43,7 +43,7 @@ def run_sweep():
                 "fraction": fraction,
                 "iops": stats.iops(),
                 "write_amp": ssc.stats.write_amplification(),
-                "erases": ssc.chip.total_erases(),
+                "erases": ssc.chip.stats.block_erases,
                 "memory_kib": ssc.device_memory_bytes() / 1024,
                 "miss": stats.miss_rate(),
             }

@@ -38,7 +38,7 @@ def run_ablation():
             "mapping": mapping,
             "iops": stats.iops(),
             "write_amp": ssd.stats.write_amplification(),
-            "erases": ssd.chip.total_erases(),
+            "erases": ssd.chip.stats.block_erases,
             "memory_kib": ssd.device_memory_bytes() / 1024,
         })
     ssc_system, ssc_stats = run_workload(
@@ -47,8 +47,8 @@ def run_ablation():
     rows.append({
         "mapping": "ssc (sparse hybrid + eviction)",
         "iops": ssc_stats.iops(),
-        "write_amp": ssc_system.device_stats.write_amplification(),
-        "erases": ssc_system.device.chip.total_erases(),
+        "write_amp": ssc_system.device.stats.write_amplification(),
+        "erases": ssc_system.device.chip.stats.block_erases,
         "memory_kib": ssc_system.device.device_memory_bytes() / 1024,
     })
     return rows

@@ -43,7 +43,7 @@ def run_sweep():
         rows.append({
             "policy": label,
             "wear_diff": ssc.chip.wear_differential(),
-            "erases": ssc.chip.total_erases(),
+            "erases": ssc.chip.stats.block_erases,
             "relocations": ssc.engine.wear.static_relocations,
             "iops": stats.iops(),
         })

@@ -31,9 +31,9 @@ def run_table5():
             )
             chip = system.device.chip
             per_device[kind] = {
-                "erases": chip.total_erases(),
+                "erases": chip.stats.block_erases,
                 "wear_diff": chip.wear_differential(),
-                "write_amp": system.device_stats.write_amplification(),
+                "write_amp": system.device.stats.write_amplification(),
                 "miss_rate": stats.miss_rate(),
             }
         results[name] = per_device

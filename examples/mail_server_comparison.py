@@ -44,8 +44,8 @@ def main() -> None:
             kind.value,
             f"{stats.iops():,.0f}",
             f"{100 * stats.iops() / base_iops:.0f}%",
-            f"{system.device_stats.write_amplification():.2f}",
-            f"{system.device.chip.total_erases():,}",
+            f"{system.device.stats.write_amplification():.2f}",
+            f"{system.device.chip.stats.block_erases:,}",
             f"{stats.miss_rate():.1f}%",
         ])
     print(format_table(

@@ -35,12 +35,12 @@ def main() -> None:
     # Warm the cache on the first 15 % of the trace, then measure.
     stats = system.replay(trace.records, warmup_fraction=0.15)
 
-    device = system.device_stats
+    device = system.device.stats
     print(f"\n{'IOPS':>24}: {stats.iops():,.0f}")
     print(f"{'read miss rate':>24}: {stats.miss_rate():.1f} %")
     print(f"{'mean latency':>24}: {stats.latency.mean_us:.0f} us")
     print(f"{'write amplification':>24}: {device.write_amplification():.2f} extra writes/write")
-    print(f"{'erase operations':>24}: {system.device.chip.total_erases():,}")
+    print(f"{'erase operations':>24}: {system.device.chip.stats.block_erases:,}")
     print(f"{'silent evictions':>24}: {device.silent_evictions:,} blocks")
     print(f"{'device memory':>24}: {system.device.device_memory_bytes() / 1024:.0f} KiB")
     print(f"{'host memory':>24}: {system.manager.host_memory_bytes() / 1024:.1f} KiB "

@@ -34,7 +34,7 @@ def main() -> None:
         system.replay(trace.records, warmup_fraction=0.15)
         chip = system.device.chip
         total_blocks = chip.geometry.total_blocks
-        erases = chip.total_erases()
+        erases = chip.stats.block_erases
         # Mean erases per block per million user writes -> projected
         # writes until the endurance budget is spent.
         erase_rate = erases / total_blocks / writes
@@ -44,7 +44,7 @@ def main() -> None:
             kind.value,
             f"{erases:,}",
             f"{chip.wear_differential()}",
-            f"{system.device_stats.write_amplification():.2f}",
+            f"{system.device.stats.write_amplification():.2f}",
             f"{projected_writes / 1e6:,.0f} M writes",
         ])
 

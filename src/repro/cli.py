@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro import CacheMode, SystemConfig, SystemKind, build_system
@@ -74,7 +75,10 @@ def _load_records(args) -> Trace:
     return generate_trace(profile, seed=args.seed).records
 
 
-def _system_config(args, kind: SystemKind, records, shards: int = 1) -> SystemConfig:
+def _system_config(args, records) -> SystemConfig:
+    """A one-device SSC system in the arguments' mode, sized for
+    ``records``; commands ``replace`` its kind and shards.  A trace file
+    is analyzed here, so each command sizes its cache once."""
     if args.trace:
         stats = analyze(records)
         cache_blocks = max(256, stats.unique_blocks // 4)
@@ -84,12 +88,10 @@ def _system_config(args, kind: SystemKind, records, shards: int = 1) -> SystemCo
         cache_blocks = profile.cache_blocks()
         disk_blocks = profile.address_range_blocks
     return SystemConfig(
-        kind=kind,
         mode=CacheMode(args.mode),
         cache_blocks=cache_blocks,
         disk_blocks=disk_blocks,
         consistency=not args.no_consistency,
-        shards=shards,
     )
 
 
@@ -174,7 +176,8 @@ def cmd_analyze(args, records) -> int:
 @_runs_on_records
 def cmd_replay(args, records) -> int:
     kind = SystemKind(args.system)
-    system = build_system(_system_config(args, kind, records, args.shards))
+    system = build_system(
+        replace(_system_config(args, records), kind=kind, shards=args.shards))
 
     # Observability is opt-in: without these flags no tracer is
     # attached and the replay runs the zero-cost default path.
@@ -227,7 +230,7 @@ def cmd_replay(args, records) -> int:
             json.dump(snapshot.to_dict(), handle, indent=2)
             handle.write("\n")
         print(f"wrote metrics snapshot to {args.metrics}")
-    device = system.device_stats
+    device = system.device
     loop = "open loop" if args.open_loop else f"QD={stats.queue_depth}"
     if args.shards > 1:
         loop += f", {args.shards} shards"
@@ -242,9 +245,9 @@ def cmd_replay(args, records) -> int:
     print(f"  service time:      {stats.service.mean_us:.0f} us")
     print(f"  queueing delay:    {stats.queue_wait.mean_us:.0f} us")
     print(f"read miss rate:      {stats.miss_rate():.1f} %")
-    print(f"write amplification: {device.write_amplification():.2f}")
-    print(f"erases:              {system.device.chip.total_erases():,}")
-    print(f"device memory:       {system.device.device_memory_bytes() / 1024:.0f} KiB")
+    print(f"write amplification: {device.stats.write_amplification():.2f}")
+    print(f"erases:              {device.chip.stats.block_erases:,}")
+    print(f"device memory:       {device.device_memory_bytes() / 1024:.0f} KiB")
     print(f"host memory:         {system.manager.host_memory_bytes() / 1024:.1f} KiB")
     utilization = stats.utilization()
     if utilization:
@@ -265,8 +268,9 @@ def cmd_replay(args, records) -> int:
 def cmd_compare(args, records) -> int:
     # Build every system first, so a configuration error fails before
     # any replay has run.
+    config = _system_config(args, records)
     systems = [
-        (kind, build_system(_system_config(args, kind, records)))
+        (kind, build_system(replace(config, kind=kind)))
         for kind in (SystemKind.NATIVE, SystemKind.SSC, SystemKind.SSC_R)
     ]
     rows = []
@@ -280,8 +284,8 @@ def cmd_compare(args, records) -> int:
             f"{stats.iops():,.0f}",
             f"{100 * stats.iops() / base_iops:.0f}%",
             f"{stats.miss_rate():.1f}%",
-            f"{system.device_stats.write_amplification():.2f}",
-            f"{system.device.chip.total_erases():,}",
+            f"{system.device.stats.write_amplification():.2f}",
+            f"{system.device.chip.stats.block_erases:,}",
         ])
     print(format_table(
         ["system", "IOPS", "vs native", "miss", "write amp", "erases"],
@@ -293,7 +297,8 @@ def cmd_compare(args, records) -> int:
 
 @_runs_on_records
 def cmd_recover(args, records) -> int:
-    system = build_system(_system_config(args, SystemKind.SSC, records, args.shards))
+    config = _system_config(args, records)
+    system = build_system(replace(config, shards=args.shards))
     system.replay(records, warmup_fraction=0.0)
     assert system.ssc is not None
     cached = system.ssc.cached_blocks()
@@ -315,7 +320,7 @@ def cmd_recover(args, records) -> int:
         ))
 
     # The comparison is the paper's single-SSD native baseline.
-    native = build_system(_system_config(args, SystemKind.NATIVE, records))
+    native = build_system(replace(config, kind=SystemKind.NATIVE))
     native.replay(records, warmup_fraction=0.0)
     print(f"Native-FC reload:    {native.manager.recover_manager_us() / 1000:.2f} ms")
     print(f"Native-SSD OOB scan: {native.manager.recover_device_us() / 1000:.2f} ms")
@@ -350,7 +355,7 @@ def cmd_obs_schema(args) -> int:
         if committed != rendered:
             print(
                 f"{target} is stale: regenerate with\n"
-                f"  python -m repro obs schema --markdown -o {target}",
+                f"  python -m repro obs schema -o {target}",
                 file=sys.stderr,
             )
             return 1
@@ -469,11 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
     schema = obs_sub.add_parser(
         "schema",
-        help="render the event/metric catalog (docs/metrics.md source)",
-    )
-    schema.add_argument(
-        "--markdown", action="store_true",
-        help="emit Markdown (the only format, kept explicit for clarity)",
+        help="render the event/metric catalog as Markdown "
+             "(docs/metrics.md source)",
     )
     schema.add_argument(
         "-o", "--output", default=None, metavar="FILE",

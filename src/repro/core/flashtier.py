@@ -79,23 +79,21 @@ def cache_geometry(config: SystemConfig, shard_count: int = 1) -> FlashGeometry:
 
 @dataclass
 class FlashTierSystem:
-    """One assembled caching system: manager + cache device + disk."""
+    """One assembled caching system: manager + cache device + disk.
+
+    ``device`` is the native system's SSD or the SSC (a bare device or
+    a :class:`~repro.core.sharding.ShardedSSC` array).
+    """
 
     config: SystemConfig
     manager: CacheManager
     disk: Disk
-    ssd: Optional[SSD] = None
-    ssc: Optional[SolidStateCache] = None
+    device: Union[SSD, SolidStateCache, ShardedSSC]
 
     @property
-    def device(self) -> Union[SSD, SolidStateCache]:
-        device = self.ssd if self.ssd is not None else self.ssc
-        assert device is not None
-        return device
-
-    @property
-    def device_stats(self):
-        return self.device.stats
+    def ssc(self) -> Optional[Union[SolidStateCache, ShardedSSC]]:
+        """The cache device when it is an SSC; None for native."""
+        return None if self.config.kind is SystemKind.NATIVE else self.device
 
     def replay(
         self,
@@ -160,9 +158,8 @@ def assemble_system(config: SystemConfig, device, disk: Disk) -> FlashTierSystem
     device or an array) and ``disk``."""
     if config.kind is SystemKind.NATIVE:
         manager: CacheManager = NativeCacheManager(device, disk, config)
-        return FlashTierSystem(config=config, manager=manager, disk=disk, ssd=device)
-    if config.mode is CacheMode.WRITE_BACK:
+    elif config.mode is CacheMode.WRITE_BACK:
         manager = FlashTierWBManager(device, disk, config)
     else:
         manager = FlashTierWTManager(device, disk)
-    return FlashTierSystem(config=config, manager=manager, disk=disk, ssc=device)
+    return FlashTierSystem(config=config, manager=manager, disk=disk, device=device)

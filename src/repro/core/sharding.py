@@ -60,9 +60,6 @@ class _ShardedChipView:
     def stats(self) -> FlashStats:
         return FlashStats.total(chip.stats for chip in self._chips)
 
-    def total_erases(self) -> int:
-        return sum(chip.total_erases() for chip in self._chips)
-
     def __repr__(self) -> str:
         return f"_ShardedChipView(chips={len(self._chips)})"
 

@@ -48,7 +48,6 @@ class DiskStats:
     reads: int = 0
     writes: int = 0
     sequential_hits: int = 0
-    busy_us: float = 0.0
 
 
 class Disk:
@@ -95,7 +94,6 @@ class Disk:
         self._check(lbn)
         cost = self._access_cost(lbn)
         self.stats.reads += 1
-        self.stats.busy_us += cost
         self.op_recorder.record(DeviceOp(DISK_RESOURCE, "read", cost))
         return self._data.get(lbn), cost
 
@@ -104,7 +102,6 @@ class Disk:
         self._check(lbn)
         cost = self._access_cost(lbn)
         self.stats.writes += 1
-        self.stats.busy_us += cost
         self.op_recorder.record(DeviceOp(DISK_RESOURCE, "write", cost))
         self._data[lbn] = data
         return cost

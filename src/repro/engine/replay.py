@@ -180,8 +180,9 @@ class ReplayEngine:
             if tracer is not None:
                 _trace_request(tracer, is_write, lbn, completion)
 
-        hits_before = manager.stats.read_hits
-        misses_before = manager.stats.read_misses
+        counts = manager.stats
+        reads_before, writes_before = counts.reads, counts.writes
+        hits_before, misses_before = counts.read_hits, counts.read_misses
         # Warm-up consumes no simulated time and occupies no resource:
         # measurement starts now, with every timeline idle.
         start_us = dispatch_us = end_us = self.now_us
@@ -214,11 +215,6 @@ class ReplayEngine:
             if finish_us > end_us:
                 end_us = finish_us
 
-            stats.ops += 1
-            if is_write:
-                stats.writes += 1
-            else:
-                stats.reads += 1
             service_us = float(completion)
             latency_us = wait_us + service_us
             stats.latency.record(latency_us)
@@ -237,6 +233,10 @@ class ReplayEngine:
         self.now_us = end_us
         stats.device_busy_us = dict(self.busy_us)
         stats.elapsed_us = end_us - start_us
-        stats.read_hits = manager.stats.read_hits - hits_before
-        stats.read_misses = manager.stats.read_misses - misses_before
+        # Request counts are the manager's, over the measured window.
+        stats.reads = counts.reads - reads_before
+        stats.writes = counts.writes - writes_before
+        stats.ops = stats.reads + stats.writes
+        stats.read_hits = counts.read_hits - hits_before
+        stats.read_misses = counts.read_misses - misses_before
         return stats

@@ -303,14 +303,6 @@ class FlashChip:
 
     # ---- wear accounting ----------------------------------------------------
 
-    def total_erases(self) -> int:
-        """Sum of erase counts over every block."""
-        return sum(
-            block.erase_count
-            for plane in self.planes
-            for block in plane.blocks.values()
-        )
-
     def wear_differential(self) -> int:
         """Max minus min per-block erase count (Table 5's "Wear Diff.")."""
         counts = [
@@ -320,13 +312,9 @@ class FlashChip:
         ]
         return max(counts) - min(counts) if counts else 0
 
-    def free_blocks_total(self) -> int:
-        """Free erased blocks summed over all planes."""
-        return self.free_total
-
     def __repr__(self) -> str:
         return (
             f"FlashChip(planes={self.geometry.planes}, "
             f"blocks={self.geometry.total_blocks}, "
-            f"free={self.free_blocks_total()})"
+            f"free={self.free_total})"
         )

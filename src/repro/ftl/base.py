@@ -29,9 +29,6 @@ class FTLStats(Counters):
         "Page programs garbage-collection merges performed; "
         "gc_page_writes / user_writes is the write amplification of "
         "Table 5.")
-    meta_page_writes: int = counter(
-        "Flash pages written for durability metadata (operation log + "
-        "checkpoints).")
     full_merges: int = counter(
         "Full merges: every live page of the erase group copied.")
     switch_merges: int = counter(

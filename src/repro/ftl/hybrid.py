@@ -144,10 +144,6 @@ class HybridFTL:
             )
         return self.wear.pick_block(plane, kind, hottest=self._allocate_hot)
 
-    def free_blocks(self) -> int:
-        """Free erased blocks chip-wide."""
-        return self.chip.free_blocks_total()
-
     # ------------------------------------------------------------------
     # Erase discipline
     # ------------------------------------------------------------------
@@ -316,7 +312,7 @@ class HybridFTL:
         cost = 0.0
         if not continues_run:
             cost += self._retire_seq_log()
-            if self.free_blocks() < 2:
+            if self.chip.free_total < 2:
                 # No room to dedicate a block to the run: fall back.
                 if cost == 0.0:
                     return None
@@ -424,7 +420,7 @@ class HybridFTL:
         cost = 0.0
         while (
             len(self._log_blocks) >= self.log_blocks_target
-            or self.free_blocks() <= SPARE_BLOCKS
+            or self.chip.free_total <= SPARE_BLOCKS
         ):
             cost += self._merge_victim_log_block()
         block = self._allocate_block(BlockKind.LOG)
@@ -606,5 +602,5 @@ class HybridFTL:
         head = "" if groups is None else f"groups={groups}, "
         return (
             f"{type(self).__name__}({head}log_target={self.log_blocks_target}, "
-            f"log_in_use={len(self._log_blocks)}, free={self.free_blocks()})"
+            f"log_in_use={len(self._log_blocks)}, free={self.chip.free_total})"
         )

@@ -58,9 +58,6 @@ class PageMapFTL:
                 f"lpn {lpn} out of range [0, {self.logical_pages})"
             )
 
-    def free_blocks(self) -> int:
-        return self.chip.free_blocks_total()
-
     def read(self, lpn: int) -> Tuple[Any, float]:
         """Read ``lpn``; unwritten pages return None at control cost."""
         self._check_lpn(lpn)
@@ -123,7 +120,7 @@ class PageMapFTL:
         """Greedy GC: recycle the most-invalid blocks until above floor."""
         cost = 0.0
         guard = 0
-        while self.free_blocks() <= GC_THRESHOLD:
+        while self.chip.free_total <= GC_THRESHOLD:
             victim = self._pick_victim()
             if victim is None:
                 break
@@ -193,5 +190,5 @@ class PageMapFTL:
     def __repr__(self) -> str:
         return (
             f"PageMapFTL(logical_pages={self.logical_pages}, "
-            f"free={self.free_blocks()})"
+            f"free={self.chip.free_total})"
         )

@@ -54,11 +54,6 @@ class ManagerStats(Counters):
         "Dirty-block count above which the manager cleans (0 for "
         "FlashTier write-through, which holds no dirty blocks).")
 
-    def miss_rate(self) -> float:
-        """Read miss rate in percent."""
-        lookups = self.read_hits + self.read_misses
-        return 100.0 * self.read_misses / lookups if lookups else 0.0
-
 
 class CacheManager(ABC):
     """A block-layer cache manager over a cache device and a disk.

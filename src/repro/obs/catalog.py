@@ -2,7 +2,7 @@
 
 Mirrors :mod:`repro.obs.events` for metrics: a metric exists only with
 a declaration — name, kind and a prose description — and the catalog
-is what ``python -m repro obs schema --markdown`` renders into
+is what ``python -m repro obs schema`` renders into
 ``docs/metrics.md``.
 
 Almost every metric is a layer counter, declared once as a field of the

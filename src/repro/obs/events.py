@@ -3,7 +3,7 @@
 Instrumentation is self-documenting: an event type must be declared
 here — with a category, a lane hint and a prose description — before
 any code may emit it.  :class:`~repro.obs.trace.Tracer` rejects
-undeclared names, and ``python -m repro obs schema --markdown``
+undeclared names, and ``python -m repro obs schema``
 renders this catalog (plus the metric catalog) into ``docs/metrics.md``,
 which CI checks for drift, so the documentation cannot fall behind the
 code.

@@ -1,11 +1,11 @@
 """Rendering the observability catalogs to Markdown.
 
-``python -m repro obs schema --markdown -o docs/metrics.md``
-regenerates the reference documentation straight from the
-declarations :mod:`repro.obs.events` and :mod:`repro.obs.catalog` hold;
-``--check`` compares instead of writing, which is the CI drift gate:
-an event or metric added, renamed or re-described in code fails CI
-until ``docs/metrics.md`` is regenerated and committed.
+``python -m repro obs schema -o docs/metrics.md`` regenerates the
+reference documentation straight from the declarations
+:mod:`repro.obs.events` and :mod:`repro.obs.catalog` hold; ``--check``
+compares instead of writing, which is the CI drift gate: an event or
+metric added, renamed or re-described in code fails CI until
+``docs/metrics.md`` is regenerated and committed.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from repro.obs.events import EVENT_TYPES
 
 GENERATED_HEADER = (
     "<!-- GENERATED FILE - DO NOT EDIT BY HAND.\n"
-    "     Regenerate with:  python -m repro obs schema --markdown "
-    "-o docs/metrics.md -->\n"
+    "     Regenerate with:  python -m repro obs schema -o docs/metrics.md -->\n"
 )
 
 

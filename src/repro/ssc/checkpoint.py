@@ -35,6 +35,16 @@ BLOCK_ENTRY_BYTES = 33
 HEADER_BYTES = 32
 
 
+def checkpoint_bytes(page_entries: int, block_entries: int) -> int:
+    """Serialized footprint on flash of a checkpoint holding
+    ``page_entries`` page mappings and ``block_entries`` block mappings."""
+    return (
+        HEADER_BYTES
+        + page_entries * PAGE_ENTRY_BYTES
+        + block_entries * BLOCK_ENTRY_BYTES
+    )
+
+
 @dataclass
 class Checkpoint:
     """One immutable snapshot of the forward mappings."""
@@ -86,11 +96,7 @@ class Checkpoint:
 
     def size_bytes(self) -> int:
         """Serialized footprint on flash."""
-        return (
-            HEADER_BYTES
-            + len(self.page_entries) * PAGE_ENTRY_BYTES
-            + len(self.block_entries) * BLOCK_ENTRY_BYTES
-        )
+        return checkpoint_bytes(len(self.page_entries), len(self.block_entries))
 
 
 @dataclass(init=False, eq=False, repr=False)

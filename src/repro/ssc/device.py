@@ -41,15 +41,10 @@ from repro.sim.crash import CrashInjector
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import TimingModel
 from repro.ssc import recovery as recovery_mod
-from repro.ssc.checkpoint import (
-    BLOCK_ENTRY_BYTES,
-    HEADER_BYTES,
-    PAGE_ENTRY_BYTES,
-    Checkpoint,
-    CheckpointStore,
-)
+from repro.ssc.checkpoint import Checkpoint, CheckpointStore, checkpoint_bytes
 from repro.ssc.engine import CacheFTL, CacheFTLConfig, EvictionPolicy
 from repro.ssc.log import (
+    RECORD_BYTES,
     NullOperationLog,
     NvramOperationLog,
     OperationLog,
@@ -305,12 +300,7 @@ class SolidStateCache:
             cost += oplog.flush(sync=True)
         elif len(oplog.buffer) >= self.config.group_commit_ops:
             cost += oplog.flush(sync=False)
-        cost += self._maybe_checkpoint()
-        if cost:
-            self.engine.stats.meta_page_writes = (
-                self.oplog.pages_written + self.checkpoints.pages_written
-            )
-        return cost
+        return cost + self._maybe_checkpoint()
 
     def _maybe_checkpoint(self) -> float:
         """Checkpoint when the durable log outgrows
@@ -327,23 +317,17 @@ class SolidStateCache:
         if trigger is None:
             latest = self.checkpoints.latest()
             if latest is None:
-                trigger = CHECKPOINT_LOG_RATIO * self._snapshot_bytes()
+                trigger = CHECKPOINT_LOG_RATIO * checkpoint_bytes(
+                    len(self.engine.log_map), len(self.engine.data_map))
             else:
                 trigger = CHECKPOINT_LOG_RATIO * latest.size_bytes()
                 self.checkpoint_trigger_bytes = trigger
         if (
-            self.oplog.flushed_bytes > trigger
+            len(self.oplog.flushed) * RECORD_BYTES > trigger
             or self._writes_since_checkpoint >= self.config.checkpoint_interval_writes
         ):
             return self.checkpoint_now()
         return 0.0
-
-    def _snapshot_bytes(self) -> int:
-        return (
-            HEADER_BYTES
-            + len(self.engine.log_map) * PAGE_ENTRY_BYTES
-            + len(self.engine.data_map) * BLOCK_ENTRY_BYTES
-        )
 
     def checkpoint_now(self) -> float:
         """Write a checkpoint of the forward maps and truncate the log."""

@@ -251,9 +251,9 @@ class CacheFTL(HybridFTL):
     # ------------------------------------------------------------------
 
     def _allocate_block(self, kind: BlockKind) -> EraseBlock:
-        if self.free_blocks() < 2:
+        if self.chip.free_total < 2:
             self._pending_cost += self._silent_evict(2)
-        if self.free_blocks() == 0:
+        if self.chip.free_total == 0:
             raise CacheFullError(
                 "cache is full of dirty or in-flight data; the cache "
                 "manager must issue clean or evict before writing more"
@@ -301,7 +301,7 @@ class CacheFTL(HybridFTL):
             self.config.policy is EvictionPolicy.MERGE
             and len(self._log_blocks) >= self.log_blocks_target
             and self.log_blocks_target < self.max_log_blocks
-            and self.free_blocks() > SPARE_BLOCKS + 1
+            and self.chip.free_total > SPARE_BLOCKS + 1
         ):
             # SE-Merge: grow the log pool instead of merging (paper §4.3:
             # "allows the number of log blocks to increase, which reduces
@@ -318,12 +318,12 @@ class CacheFTL(HybridFTL):
         # silent eviction found no clean victim, so merge remaining log
         # blocks in the hope of freeing mostly-invalid ones.
         guard = 0
-        while self.free_blocks() <= 1 and (self._log_blocks or self._seq_log):
+        while self.chip.free_total <= 1 and (self._log_blocks or self._seq_log):
             cost += self._merge_victim_log_block()
             guard += 1
             if guard > self.chip.geometry.total_blocks:  # pragma: no cover
                 raise CacheFullError("garbage collection cannot make progress")
-        if self.free_blocks() == 0:
+        if self.chip.free_total == 0:
             raise CacheFullError(
                 "cache is full of dirty data; the cache manager must "
                 "issue clean or evict before writing more"
@@ -335,7 +335,7 @@ class CacheFTL(HybridFTL):
 
     def ensure_headroom(self) -> float:
         """Run silent eviction if the free pool is at or below the floor."""
-        if self.free_blocks() > SPARE_BLOCKS:
+        if self.chip.free_total > SPARE_BLOCKS:
             return 0.0
         return self._silent_evict(SPARE_BLOCKS + EVICT_BATCH)
 
@@ -379,7 +379,7 @@ class CacheFTL(HybridFTL):
         """
         cost = 0.0
         evicted_any = False
-        while self.free_blocks() < min_free:
+        while self.chip.free_total < min_free:
             victims = self._pick_eviction_victims(EVICT_BATCH)
             if not victims:
                 break
@@ -426,13 +426,13 @@ class CacheFTL(HybridFTL):
     def background_step(self) -> float:
         """One idle-time increment: evict ahead of demand, else merge."""
         headroom = SPARE_BLOCKS + EVICT_BATCH
-        if self.free_blocks() <= headroom:
+        if self.chip.free_total <= headroom:
             cost = self._silent_evict(headroom + 1)
             if cost:
                 return cost
         if (
             len(self._log_blocks) >= max(1, self.log_blocks_target // 2)
-            and self.free_blocks() > SPARE_BLOCKS
+            and self.chip.free_total > SPARE_BLOCKS
         ):
             return self._merge_victim_log_block()
         return 0.0

@@ -145,8 +145,6 @@ class OperationLog:
         self._next_seq = 1
         self.buffer: List[LogRecord] = []
         self.flushed: List[LogRecord] = []
-        # Total durable log footprint since the covering checkpoint.
-        self.flushed_bytes = 0
 
     #: False only for the no-consistency log, which persists nothing.
     enabled = True
@@ -188,7 +186,6 @@ class OperationLog:
         pages = -(-bytes_needed // self.page_size)  # ceil
         self.flushed.extend(self.buffer)
         self.buffer.clear()
-        self.flushed_bytes += bytes_needed
         self.records_written += count
         self.pages_written += pages
         if sync:
@@ -233,7 +230,6 @@ class OperationLog:
             # Field damaged by the cut; the stored checksum goes stale.
             survivors.append(torn._replace(lbn=torn.lbn ^ (1 << 61)))
         self.flushed = survivors
-        self.flushed_bytes = len(self.flushed) * RECORD_BYTES
 
     def truncate_through(self, seq: int) -> float:
         """Drop durable records with sequence <= ``seq`` (checkpointed).
@@ -243,7 +239,6 @@ class OperationLog:
         keep = [record for record in self.flushed if record.seq > seq]
         dropped_bytes = (len(self.flushed) - len(keep)) * RECORD_BYTES
         self.flushed = keep
-        self.flushed_bytes = len(keep) * RECORD_BYTES
         dropped_pages = dropped_bytes // self.page_size
         blocks = dropped_pages // self.pages_per_block
         self.erases += blocks
@@ -296,7 +291,6 @@ class NvramOperationLog(OperationLog):
         record = _new_record(LogRecord, (
             seq, kind, lbn, ppn, extra, record_checksum(seq, kind, lbn, ppn, extra)))
         self.flushed.append(record)
-        self.flushed_bytes += RECORD_BYTES
         self.records_written += 1
         if self.tracer is not None:
             self.tracer.emit(

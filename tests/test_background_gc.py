@@ -24,10 +24,10 @@ class TestSSCBackground:
         ssc = SolidStateCache.ssc(geometry)
         rng = random.Random(1)
         pressure(ssc.write_clean, rng)
-        free_before = ssc.engine.free_blocks()
+        free_before = ssc.engine.chip.free_total
         spent = ssc.background_collect(budget_us=500_000)
         assert spent > 0
-        assert ssc.engine.free_blocks() > free_before
+        assert ssc.engine.chip.free_total > free_before
 
     def test_budget_respected(self, geometry):
         ssc = SolidStateCache.ssc(geometry)

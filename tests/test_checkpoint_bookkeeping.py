@@ -20,7 +20,9 @@ from repro.core.sharding import ShardedSSC
 from repro.errors import CrashError, InvalidAddressError
 from repro.flash.geometry import FlashGeometry
 from repro.sim.crash import CrashInjector, CrashPoint
+from repro.ssc.checkpoint import checkpoint_bytes
 from repro.ssc.device import CHECKPOINT_LOG_RATIO, SolidStateCache
+from repro.ssc.log import RECORD_BYTES
 from repro.traces.synthetic import MAIL, generate_trace
 
 GEOMETRY = FlashGeometry(planes=4, blocks_per_plane=128, pages_per_block=16)
@@ -31,9 +33,10 @@ def per_op_latest_rule(ssc):
     ``checkpoints.latest()`` after every operation."""
     def maybe_checkpoint():
         latest = ssc.checkpoints.latest()
-        base = latest.size_bytes() if latest is not None else ssc._snapshot_bytes()
+        base = latest.size_bytes() if latest is not None else checkpoint_bytes(
+            len(ssc.engine.log_map), len(ssc.engine.data_map))
         if (
-            ssc.oplog.flushed_bytes > CHECKPOINT_LOG_RATIO * base
+            len(ssc.oplog.flushed) * RECORD_BYTES > CHECKPOINT_LOG_RATIO * base
             or ssc._writes_since_checkpoint >= ssc.config.checkpoint_interval_writes
         ):
             return ssc.checkpoint_now()

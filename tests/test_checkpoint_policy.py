@@ -5,6 +5,7 @@ import pytest
 from repro.flash.geometry import FlashGeometry
 from repro.ssc import device
 from repro.ssc.device import CHECKPOINT_LOG_RATIO, SolidStateCache, SSCConfig
+from repro.ssc.log import RECORD_BYTES
 
 
 @pytest.fixture
@@ -26,7 +27,8 @@ class TestCheckpointTriggers:
         # The durable log stays bounded relative to the checkpoint.
         latest = ssc.checkpoints.latest()
         assert latest is not None
-        assert ssc.oplog.flushed_bytes <= 0.5 * latest.size_bytes() + 8192
+        log_bytes = len(ssc.oplog.flushed) * RECORD_BYTES
+        assert log_bytes <= 0.5 * latest.size_bytes() + 8192
 
     def test_write_count_triggers_checkpoint(self, geometry, monkeypatch):
         monkeypatch.setattr(device, "CHECKPOINT_LOG_RATIO", 10.0)  # rarely by size
@@ -42,7 +44,7 @@ class TestCheckpointTriggers:
         for i in range(300):
             ssc.write_dirty(i, i)
         ssc.checkpoint_now()
-        assert ssc.oplog.flushed_bytes == 0
+        assert not ssc.oplog.flushed
         assert ssc.oplog.pending() == 0
 
     def test_no_consistency_never_checkpoints(self, geometry):

@@ -2,7 +2,9 @@
 
 import pytest
 
+import repro.cli
 from repro.cli import main
+from repro.traces.analyze import analyze
 from repro.traces.filefmt import read_trace
 
 
@@ -165,6 +167,26 @@ class TestReplayCompare:
         out = capsys.readouterr().out
         for name in ("native", "ssc", "ssc-r"):
             assert name in out
+
+    @pytest.mark.parametrize("command", [["compare", "--mode", "wt"], ["recover"]])
+    def test_trace_file_is_analyzed_once(self, tmp_path, monkeypatch, capsys, command):
+        # Every system a command builds is sized from one analysis.
+        path = tmp_path / "usr.trace"
+        main(["generate", "--workload", "usr", "--scale", "0.02", "-o", str(path)])
+        argv = [*command, "--trace", str(path), "--limit", "1500"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        calls = []
+
+        def counted(records):
+            calls.append(len(records))
+            return analyze(records)
+
+        monkeypatch.setattr(repro.cli, "analyze", counted)
+        assert main(argv) == 0
+        assert calls == [1500]
+        assert capsys.readouterr() == plain
 
     def test_recover(self, capsys):
         assert main(["recover", "--workload", "homes", "--scale", "0.02"]) == 0

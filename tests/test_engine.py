@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import CacheMode, ReplayEngine, SystemConfig, SystemKind, build_system
+from repro.manager.base import ManagerStats
 from repro.sim.completion import Completion, DeviceOp
 from repro.stats.counters import LatencyStats
 from repro.traces.record import OpKind, Trace, TraceRecord
@@ -27,6 +28,21 @@ def _build(kind=SystemKind.SSC_R, mode=CacheMode.WRITE_BACK, cache_blocks=2048):
             disk_blocks=50_000,
         )
     )
+
+
+def _write_only_manager(write):
+    """A stand-in manager that serves only writes, each with the
+    completion ``write(lbn, data)`` returns, and counts them as a real
+    manager does (the engine reads its request counts from the
+    manager)."""
+    stats = ManagerStats()
+
+    def counted(lbn, data):
+        stats.writes += 1
+        return write(lbn, data)
+
+    # The engine binds both entry points up front.
+    return SimpleNamespace(stats=stats, tracer=None, read=None, write=counted)
 
 
 def _service_us(completion, disk):
@@ -112,10 +128,7 @@ class TestBusyTime:
             assert {key.split(":")[0] for key in expected} >= {"s0", "s3", "disk"}
 
     def test_idle_timeline_is_left_out_and_zero_time_ops_count(self):
-        manager = SimpleNamespace(
-            stats=SimpleNamespace(read_hits=0, read_misses=0), tracer=None,
-            read=None, write=lambda lbn, data: next(completions),
-        )
+        manager = _write_only_manager(lambda lbn, data: next(completions))
         trace = [TraceRecord(OpKind.WRITE, lbn) for lbn in (1, 2)]
         for depth in (1, 2):
             # Every queue depth keeps these sums; "plane:1" ran nothing.
@@ -142,10 +155,7 @@ class TestSimulatedTime:
             cost = next(costs)
             return Completion(cost, (DeviceOp("plane:0", "page_write", cost),))
 
-        return SimpleNamespace(
-            stats=SimpleNamespace(read_hits=0, read_misses=0), tracer=None,
-            read=None, write=write,
-        )
+        return _write_only_manager(write)
 
     def test_now_starts_at_zero_and_ends_at_the_last_completion(self):
         records = _trace(HOMES, scale=0.02)
@@ -233,11 +243,7 @@ class TestConcurrency:
             Completion(130.0, (DeviceOp("disk", "write", 40.0),
                                DeviceOp("plane:0", "page_read", 25.0))),
         ])
-        manager = SimpleNamespace(
-            stats=SimpleNamespace(read_hits=0, read_misses=0), tracer=None,
-            read=None,  # the engine binds both entry points up front
-            write=lambda lbn, data: next(completions),
-        )
+        manager = _write_only_manager(lambda lbn, data: next(completions))
         trace = [TraceRecord(OpKind.WRITE, lbn) for lbn in (1, 2)]
         engine = ReplayEngine(manager, queue_depth=2)
         stats = engine.run(trace, keep_latencies=True)

@@ -76,7 +76,7 @@ class TestFreePool:
                     plane, BlockKind.DATA, hottest=rng.random() < 0.2).pbn)
             if held and (plane.free_count <= 2 or rng.random() < 0.6):
                 chip.erase_block(held.pop(rng.randrange(len(held))))
-        assert chip.total_erases() > 1000
+        assert chip.stats.block_erases > 1000
         for plane in chip.planes:
             assert len(plane._free) == plane.free_count <= plane.num_blocks
             assert len(plane._wear_heap) <= plane.num_blocks
@@ -164,7 +164,8 @@ class TestWearAccounting:
         tiny_chip.erase_block(block.pbn)
         block2 = plane.allocate(BlockKind.DATA)
         tiny_chip.erase_block(block2.pbn)
-        assert tiny_chip.total_erases() == 2
+        assert tiny_chip.stats.block_erases == 2
+        assert sum(block.erase_count for block in tiny_chip.blocks) == 2
 
     def test_wear_differential(self, tiny_chip):
         plane = tiny_chip.planes[0]
@@ -178,13 +179,13 @@ class TestWearAccounting:
 
     def test_free_blocks_total(self, tiny_chip):
         total = tiny_chip.geometry.total_blocks
-        assert tiny_chip.free_blocks_total() == total
+        assert tiny_chip.free_total == total
         tiny_chip.planes[0].allocate(BlockKind.DATA)
-        assert tiny_chip.free_blocks_total() == total - 1
+        assert tiny_chip.free_total == total - 1
 
 
 class TestFreeCounts:
-    """``Plane.free_count`` and ``FlashChip.free_blocks_total()`` are
+    """``Plane.free_count`` and ``FlashChip.free_total`` are
     kept counts; they must track the free sets through every path."""
 
     @pytest.mark.parametrize("seed", range(8))
@@ -213,7 +214,7 @@ class TestFreeCounts:
                     plane.release(rng.choice(free))
             for each in chip.planes:
                 assert each.free_count == len(each._free)
-            assert chip.free_blocks_total() == sum(
+            assert chip.free_total == sum(
                 len(each._free) for each in chip.planes)
             expected = max(chip.planes, key=lambda each: len(each._free))
             assert ftl._plane_with_most_free() is expected

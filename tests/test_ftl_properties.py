@@ -51,7 +51,7 @@ class FTLMachine(RuleBasedStateMachine):
 
     @invariant()
     def free_pool_never_empty(self):
-        assert self.ftl.free_blocks() >= 1
+        assert self.ftl.chip.free_total >= 1
 
     @invariant()
     def mapping_agrees_with_shadow(self):

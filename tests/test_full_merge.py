@@ -114,7 +114,7 @@ def test_chip_counters_equal_user_plus_merge_pages(
     ))
     system.replay(generate_trace(workload, seed=3).records,
                   warmup_fraction=0.15, queue_depth=queue_depth)
-    chip, ftl = system.device.chip.stats, system.device_stats
+    chip, ftl = system.device.chip.stats, system.device.stats
     assert ftl.full_merges > 0
     assert chip.page_writes == ftl.user_writes + ftl.gc_page_writes
     assert chip.page_reads == ftl.user_reads + ftl.gc_page_reads

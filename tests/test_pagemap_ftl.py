@@ -104,7 +104,7 @@ class TestGarbageCollection:
         rng = random.Random(3)
         for i in range(6000):
             ftl.write(rng.randrange(ftl.logical_pages), i)
-            assert ftl.free_blocks() >= 1
+            assert ftl.chip.free_total >= 1
 
     def test_hot_cold_amplification_lower_than_hybrid(self):
         """On skewed random overwrites, page mapping amplifies less than

@@ -44,10 +44,10 @@ class TestMaterialization:
         """A log block opened but never programmed before the crash must
         rejoin the free list."""
         ssc.write_dirty(1, "x")  # opens the first log block
-        free_before = ssc.engine.free_blocks()
+        free_before = ssc.engine.chip.free_total
         ssc.crash()
         ssc.recover()
-        assert ssc.engine.free_blocks() >= free_before
+        assert ssc.engine.chip.free_total >= free_before
 
     def test_log_block_fifo_order_by_write_sequence(self, ssc):
         """Recovered log blocks are re-queued oldest-first so the merge

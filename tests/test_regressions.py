@@ -122,7 +122,7 @@ class TestPageMapActiveLeak:
                 and block is not ftl._active
             ]
             assert len(partial) == 0, f"leaked partial blocks {partial}"
-            assert ftl.free_blocks() >= 1
+            assert ftl.chip.free_total >= 1
 
 
 class TestPageMapFullyValidVictims:

@@ -96,10 +96,9 @@ class TestSystemFacade:
     def test_native_has_ssd_flashtier_has_ssc(self):
         native = build_system(tiny_config(SystemKind.NATIVE))
         flashtier = build_system(tiny_config(SystemKind.SSC))
-        assert native.ssd is not None and native.ssc is None
-        assert flashtier.ssc is not None and flashtier.ssd is None
-        assert native.device is native.ssd
-        assert flashtier.device is flashtier.ssc
+        assert native.ssc is None
+        assert native.device is native.manager.ssd
+        assert flashtier.device is flashtier.ssc is flashtier.manager.ssc
 
     def test_geometry_covers_requested_cache(self):
         config = tiny_config()
@@ -134,7 +133,7 @@ class TestEndToEndShape:
             system = build_system(config)
             stats = system.replay(trace.records, warmup_fraction=0.15)
             iops[kind] = stats.iops()
-            wa[kind] = system.device_stats.write_amplification()
+            wa[kind] = system.device.stats.write_amplification()
         assert iops[SystemKind.SSC] > iops[SystemKind.NATIVE]
         assert iops[SystemKind.SSC_R] > iops[SystemKind.NATIVE]
         assert wa[SystemKind.SSC] < wa[SystemKind.NATIVE]

@@ -95,7 +95,7 @@ def run_case(kind, mode, profile, scale, seed, warmup_fraction):
         "page_reads": chip.stats.page_reads,
         "page_writes": chip.stats.page_writes,
         "block_erases": chip.stats.block_erases,
-        "write_amplification": system.device_stats.write_amplification(),
+        "write_amplification": system.device.stats.write_amplification(),
         "cached_lbns": len(cached),
         "cached_lbns_sha256": _digest(cached),
     }

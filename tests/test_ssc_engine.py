@@ -58,7 +58,7 @@ class TestSilentEviction:
             engine.write(rng.randrange(100_000), i, dirty=False)
         assert engine.stats.silent_evictions > 0
         assert engine.stats.evicted_valid_pages > 0
-        assert engine.free_blocks() >= 1
+        assert engine.chip.free_total >= 1
 
     def test_eviction_never_touches_dirty_blocks(self):
         """Silent eviction must only reclaim clean blocks (§4.3)."""

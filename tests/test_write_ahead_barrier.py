@@ -214,7 +214,7 @@ class TestLogForces:
         assert len(engine._pick_eviction_victims(batch)) == batch
         before = (engine.stats.silent_evictions, oplog.sync_flushes,
                   oplog.pages_written, oplog.barrier_flushes)
-        engine._silent_evict(engine.free_blocks() + 1)
+        engine._silent_evict(engine.chip.free_total + 1)
         after = (engine.stats.silent_evictions, oplog.sync_flushes,
                  oplog.pages_written, oplog.barrier_flushes)
         assert [b - a for a, b in zip(before, after)] == [batch, 1, 1, 1]
