@@ -31,7 +31,7 @@ def run_figure5():
 
         native, _stats = run_workload(trace, SystemKind.NATIVE, CacheMode.WRITE_BACK)
         native_fc_us = native.manager.recover_manager_us()
-        native_ssd_us = native.manager.recover_device_us()
+        native_ssd_us = native.device.oob_recovery_scan_us()
 
         results[name] = {
             "flashtier_ms": flashtier_us / 1000,

@@ -88,7 +88,7 @@ def main() -> None:
     print("\nFigure 5 view (this cache size):")
     print(f"  FlashTier recovery:      {recovery_us / 1000:8.2f} ms")
     print(f"  Native-FC (manager):     {native.manager.recover_manager_us() / 1000:8.2f} ms")
-    print(f"  Native-SSD (OOB scan):   {native.manager.recover_device_us() / 1000:8.2f} ms")
+    print(f"  Native-SSD (OOB scan):   {native.device.oob_recovery_scan_us() / 1000:8.2f} ms")
 
 
 if __name__ == "__main__":

@@ -323,7 +323,7 @@ def cmd_recover(args, records) -> int:
     native = build_system(replace(config, kind=SystemKind.NATIVE))
     native.replay(records, warmup_fraction=0.0)
     print(f"Native-FC reload:    {native.manager.recover_manager_us() / 1000:.2f} ms")
-    print(f"Native-SSD OOB scan: {native.manager.recover_device_us() / 1000:.2f} ms")
+    print(f"Native-SSD OOB scan: {native.device.oob_recovery_scan_us() / 1000:.2f} ms")
     return 0
 
 
