@@ -90,10 +90,9 @@ def test_fig4_consistency_cost(benchmark):
     for name in ("homes", "mail"):
         v = results[name]
         # FlashTier's consistency must not cost meaningfully more than
-        # the native system's.  (Tolerance: our synthetic mail is more
-        # write-sequential than the production trace, which lets the
-        # native manager batch its metadata updates harder than the
-        # paper's baseline could — see EXPERIMENTS.md.)
+        # the native system's.  (Tolerance: at QD 1 each FlashTier
+        # write-dirty pays a log page of its own, which costs mail more
+        # than the paper measured — see EXPERIMENTS.md deviation 4.)
         assert v["FlashTier-D"] > v["Native-D"] - 8.0, name
         # Relaxing clean-block durability must not cost more than full sync.
         assert v["FlashTier-D"] >= v["FlashTier-C/D"] - 3.0, name
